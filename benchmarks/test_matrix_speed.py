@@ -1,15 +1,12 @@
-"""BENCH: experiment-matrix wall time — serial vs parallel vs cached —
-plus the Analyzer's single-pass vs intersection survival counting.
+"""BENCH: experiment-matrix wall time — serial vs parallel vs cached.
 
 Starts the repo's performance trajectory: emits
 ``benchmarks/results/BENCH_matrix.json`` with wall-clock numbers for
 
 * the serial, uncached matrix pass (the pre-performance-layer baseline),
-* the ``ProcessPoolExecutor`` parallel pass (``jobs=2``),
+* the ``ProcessPoolExecutor`` parallel pass (``jobs=2``), and
 * the fully disk-cached pass (second run over ``.repro_cache``-style
-  storage), and
-* ``Analyzer.survival_counts`` via the delta single-pass vs the legacy
-  per-snapshot intersection scan.
+  storage).
 
 Durations honour ``REPRO_PROFILE_MS`` / ``REPRO_PRODUCTION_MS`` so CI
 can run a short smoke pass.  The acceptance gate: parallel *or* cached
@@ -24,9 +21,6 @@ import time
 from conftest import RESULTS_DIR, save_result
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
-from repro.core.dumper import Dumper
-from repro.core.recorder import Recorder
 from repro.experiments.matrix import (
     DirCacheBackend,
     SweepSpec,
@@ -34,10 +28,6 @@ from repro.experiments.matrix import (
     sweep_cache_key,
 )
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
-from repro.gc.ng2c import NG2CCollector
-from repro.runtime.vm import VM
-from repro.snapshot.snapshot import Snapshot
-from repro.workloads import make_workload
 
 BENCH_WORKLOADS = ("cassandra-wi", "graphchi-pr")
 BENCH_STRATEGIES = ("g1", "polm2")
@@ -59,31 +49,6 @@ def timed_matrix(runner: ExperimentRunner, **kwargs) -> float:
     return time.perf_counter() - start
 
 
-def profiling_inputs(settings: ExperimentSettings):
-    """One profiling run's raw inputs (records + snapshot store)."""
-    workload = make_workload(BENCH_WORKLOADS[0], seed=settings.seed)
-    vm = VM(SimConfig(seed=settings.seed), collector=NG2CCollector())
-    recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    while vm.clock.now_ms < settings.profiling_ms:
-        workload.tick()
-    workload.teardown()
-    return recorder.records, dumper.store
-
-
-def best_of(fn, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_matrix_speed(tmp_path_factory):
     cache_dir = str(tmp_path_factory.mktemp("repro_cache"))
 
@@ -92,34 +57,6 @@ def test_matrix_speed(tmp_path_factory):
     # Warm the disk cache (not timed), then measure a pure cache read.
     timed_matrix(ExperimentRunner(bench_settings(cache_dir=cache_dir)))
     cached_s = timed_matrix(ExperimentRunner(bench_settings(cache_dir=cache_dir)))
-
-    records, store = profiling_inputs(bench_settings())
-    analyzer = Analyzer(records, store.snapshots)
-    assert analyzer._has_delta_chain(), "profiling run should emit deltas"
-    # Legacy baseline: the pre-delta representation — every snapshot owns
-    # its full live-set — scanned with per-snapshot intersections.
-    legacy = Analyzer(
-        records,
-        [
-            Snapshot(
-                seq=s.seq,
-                time_ms=s.time_ms,
-                engine=s.engine,
-                pages_written=s.pages_written,
-                size_bytes=s.size_bytes,
-                duration_us=s.duration_us,
-                live_object_ids=s.live_object_ids,
-                incremental=s.incremental,
-            )
-            for s in store
-        ],
-    )
-    # The recorded-id set build is common to both paths; prebuild it so
-    # the timings isolate the counting strategy.
-    analyzer._recorded_ids()
-    legacy._recorded_ids()
-    single_pass_s = best_of(analyzer._survival_counts_delta)
-    intersection_s = best_of(legacy._survival_counts_intersection)
 
     payload = {
         "bench": "matrix_speed",
@@ -134,13 +71,6 @@ def test_matrix_speed(tmp_path_factory):
         "cached_s": round(cached_s, 6),
         "parallel_speedup": round(serial_s / parallel_s, 2),
         "cached_speedup": round(serial_s / cached_s, 1),
-        "analyzer": {
-            "snapshots": len(store),
-            "recorded_ids": records.total_allocations,
-            "single_pass_s": round(single_pass_s, 6),
-            "intersection_s": round(intersection_s, 6),
-            "speedup": round(intersection_s / single_pass_s, 2),
-        },
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "BENCH_matrix.json"), "w") as handle:
@@ -155,23 +85,14 @@ def test_matrix_speed(tmp_path_factory):
         f"{serial_s / parallel_s:>8.2f}x",
         f"{'disk cache (2nd run)':<28} {cached_s:>10.4f} "
         f"{serial_s / cached_s:>8.1f}x",
-        "",
-        "Analyzer.survival_counts over "
-        f"{len(store)} snapshots / {records.total_allocations} allocations",
-        f"{'single-pass (delta)':<28} {single_pass_s:>10.5f} "
-        f"{intersection_s / single_pass_s:>8.2f}x",
-        f"{'per-snapshot intersection':<28} {intersection_s:>10.5f} "
-        f"{'1.00x':>9}",
     ]
     save_result("BENCH_matrix", "\n".join(lines))
 
-    # Acceptance gates: the cached (or parallel, on multi-core hosts)
-    # path must at least halve the wall time; the single-pass analyzer
-    # must beat the intersection scan.  Timing gates are skipped under
-    # REPRO_BENCH_SMOKE so CI smoke runs fail on correctness only.
+    # Acceptance gate: the cached (or parallel, on multi-core hosts)
+    # path must at least halve the wall time.  Timing gates are skipped
+    # under REPRO_BENCH_SMOKE so CI smoke runs fail on correctness only.
     if not os.environ.get("REPRO_BENCH_SMOKE"):
         assert max(serial_s / parallel_s, serial_s / cached_s) >= 2.0
-        assert single_pass_s < intersection_s
 
 
 def test_scheduler_modes_speed(tmp_path_factory):

@@ -11,7 +11,7 @@ bitmap/run kernels, kernel cohort algebra):
   application.  Current: binary columns decoded into IdSets (one C
   ``int.from_bytes`` per dense chunk).
 * **live-set intersection** — matching the recorded ids against every
-  snapshot's live set (the Analyzer's fallback survival pass).  Legacy:
+  snapshot's live set (the seed analyzer's per-snapshot survival pass).  Legacy:
   frozenset ∩ frozenset, one hash probe per element.  Current: IdSet ∩
   IdSet, one big-int AND + popcount per chunk.
 * **cohort survival** — the full delta-chain survival counting, reported
@@ -84,6 +84,13 @@ class LegacySnapshot:
             self.is_delta = True
 
 
+def legacy_save(store: SnapshotStore, path: str) -> None:
+    """Seed save path: one JSON object per snapshot, one per line."""
+    with open(path, "w") as handle:
+        for snapshot in store:
+            handle.write(json.dumps(snapshot.to_dict()) + "\n")
+
+
 def legacy_load(path: str) -> List[LegacySnapshot]:
     """Seed load path: JSON lines -> frozensets, live sets materialized."""
     snapshots: List[LegacySnapshot] = []
@@ -101,13 +108,13 @@ def legacy_load(path: str) -> List[LegacySnapshot]:
 def legacy_intersection_counts(
     snapshots: List[LegacySnapshot], recorded: FrozenSet[int]
 ) -> List[int]:
-    """Seed ``Analyzer._survival_counts_intersection`` inner work: one
-    frozenset intersection per snapshot against the recorded ids."""
+    """Seed per-snapshot survival pass: one frozenset intersection per
+    snapshot against the recorded ids."""
     return [len(s.live_object_ids & recorded) for s in snapshots]
 
 
 def legacy_survival_counts(snapshots: List[LegacySnapshot]) -> Dict[int, int]:
-    """Seed ``Analyzer._survival_counts_delta``: set-based cohorts."""
+    """Seed delta-chain survival counting: set-based cohorts."""
     counts: Dict[int, int] = {}
 
     def credit(ids, amount: int) -> None:
@@ -150,7 +157,7 @@ def current_load(path: str) -> List[Snapshot]:
     """Current load path: binary columns -> IdSets, live sets materialized."""
     snapshots = list(SnapshotStore.iter_file(path))
     for snapshot in snapshots:
-        snapshot.live_object_ids  # materialize + cache, like the Analyzer
+        snapshot.live_object_ids  # materialize + cache, like the analyzer
     return snapshots
 
 
@@ -162,7 +169,7 @@ def current_intersection_counts(
 
 
 def current_survival_counts(snapshots: List[Snapshot]) -> Dict[int, int]:
-    """The Analyzer's delta cohort algebra over IdSet kernels."""
+    """The streaming analyzer's delta cohort algebra over IdSet kernels."""
     counts: Dict[int, int] = {}
     cohorts: Dict[int, IdSet] = {}
     for index, snapshot in enumerate(snapshots):
@@ -241,8 +248,8 @@ def test_snapshot_io_speed(tmp_path):
     store = build_store()
     jsonl_path = str(tmp_path / "snapshots.jsonl")
     bin_path = str(tmp_path / "snapshots.bin")
-    store.save(jsonl_path, format="jsonl")
-    store.save(bin_path, format="binary")
+    legacy_save(store, jsonl_path)
+    store.save(bin_path)
 
     # -- parity: both loaders reconstruct identical live sets ------------
     legacy_snapshots = legacy_load(jsonl_path)

@@ -4,10 +4,10 @@
 Shows the operator-facing surfaces of the reproduction:
 
 * a ``-Xlog:gc``-style log of every pause, with heap transitions;
-* the Analyzer's per-site lifetime report (what a human reviews before
+* the analyzer's per-site lifetime report (what a human reviews before
   trusting the instrumentation);
 * the offline record → analyze workflow (§3.2/§3.5): the Recorder's raw
-  output lands in a directory, and a separate Analyzer pass — no VM, no
+  output lands in a directory, and a separate analysis pass — no VM, no
   workload — turns it into a profile.
 
 Usage::
@@ -19,10 +19,11 @@ import sys
 import tempfile
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
 from repro.core.dumper import Dumper
 from repro.core.offline import analyze_recording, record_to_dir
+from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
+from repro.core.stages import LiveVMSource, ProfileBuilder
 from repro.gc.gclog import GCLog
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
@@ -38,22 +39,20 @@ def main() -> None:
     vm = VM(SimConfig(), collector=collector)
     gclog = GCLog(vm)
     recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    while vm.clock.now_ms < 15_000.0:
-        workload.tick()
-    workload.teardown()
+    dumper = Dumper()
+    builder = ProfileBuilder()
+    source = LiveVMSource(builder, recorder, dumper)
+    for agent in (recorder, dumper, source):
+        vm.attach_agent(agent)
+    drive(vm, workload, 15_000.0)
+    source.flush()
 
     print(f"=== GC log ({workload_name}, profiling phase, last 10 pauses) ===")
     for line in gclog.tail(10):
         print(line)
 
     print("\n=== per-site lifetime report ===")
-    analyzer = Analyzer(recorder.records, dumper.store.snapshots)
-    print(analyzer.site_report(max_sites=15))
+    print(builder.analyzer.site_report(max_sites=15))
 
     # -- the offline workflow -------------------------------------------------
     print("\n=== offline record -> analyze ===")

@@ -13,9 +13,11 @@ reproduction is built on a simulated managed runtime: a region-based heap
 baseline and the NG2C pretenuring collector (:mod:`repro.gc`) — and a
 CRIU-like incremental snapshot engine (:mod:`repro.snapshot`).
 
-POLM2 itself lives in :mod:`repro.core`: the Recorder, Dumper, Analyzer
-(bucket survival estimation plus the STTree conflict-resolution algorithm),
-and the Instrumenter, orchestrated by :class:`repro.core.pipeline.POLM2Pipeline`.
+POLM2 itself lives in :mod:`repro.core`: the Recorder, Dumper, the
+streaming analyzer (bucket survival estimation, run by
+:class:`~repro.core.stages.ProfileBuilder`, plus the STTree
+conflict-resolution algorithm), and the Instrumenter, orchestrated by
+:class:`repro.core.pipeline.POLM2Pipeline`.
 
 Quickstart::
 
@@ -28,7 +30,6 @@ Quickstart::
 """
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
 from repro.core.instrumenter import Instrumenter
 from repro.core.pipeline import POLM2Pipeline, PhaseResult
 from repro.core.profile import AllocationProfile
@@ -55,7 +56,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AllocationProfile",
-    "Analyzer",
     "C4Collector",
     "G1Collector",
     "IncrementalAnalyzer",

@@ -61,9 +61,9 @@ def _scaled_run(args):
 def cmd_profile(args) -> int:
     config, duration_ms = _scaled_run(args)
     if args.keep_recording:
-        # Record-then-analyze: leaves the raw recording behind in the
-        # chosen snapshot format and produces the same profile (the
-        # streaming replay is digest-identical to the in-VM path).
+        # Record-then-analyze: leaves the raw recording behind and
+        # produces the same profile (the streaming replay is
+        # digest-identical to the in-VM path).
         from repro.core.offline import analyze_recording, record_to_dir
 
         record_to_dir(
@@ -72,7 +72,6 @@ def cmd_profile(args) -> int:
             duration_ms=duration_ms,
             seed=args.seed,
             config=config,
-            snapshot_format=args.snapshot_format,
         )
         print(f"recording kept -> {args.keep_recording}")
         profile = analyze_recording(args.keep_recording)
@@ -102,7 +101,6 @@ def cmd_record(args) -> int:
         duration_ms=duration_ms,
         seed=args.seed,
         config=config,
-        snapshot_format=args.snapshot_format,
     )
     print(f"recording saved -> {args.output}")
     return 0
@@ -318,18 +316,6 @@ def _add_object_scale_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_snapshot_format_option(parser: argparse.ArgumentParser) -> None:
-    from repro.snapshot.snapshot import SNAPSHOT_FORMATS
-
-    parser.add_argument(
-        "--snapshot-format",
-        choices=SNAPSHOT_FORMATS,
-        default=None,
-        help="on-disk snapshot store format (default: "
-        "$REPRO_SNAPSHOT_FORMAT or binary)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -349,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also persist the raw recording to DIR (record + analyze)",
     )
     _add_object_scale_option(p_profile)
-    _add_snapshot_format_option(p_profile)
     p_profile.set_defaults(func=cmd_profile)
 
     p_record = sub.add_parser("record", help="record raw profiling data")
@@ -358,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_record.add_argument("--duration-ms", type=float, default=30_000.0)
     p_record.add_argument("--seed", type=int, default=42)
     _add_object_scale_option(p_record)
-    _add_snapshot_format_option(p_record)
     p_record.set_defaults(func=cmd_record)
 
     p_analyze = sub.add_parser("analyze", help="analyze a recording dir")

@@ -6,16 +6,17 @@ orchestration of §3.5:
 * profiling phase — :class:`~repro.core.recorder.Recorder` logs every
   allocation (stack trace + identity hash) and triggers the
   :class:`~repro.core.dumper.Dumper` after each GC cycle; the
-  :class:`~repro.core.analyzer.Analyzer` buckets object survival per
-  allocation stack trace and the :class:`~repro.core.sttree.STTree`
-  resolves same-site/different-lifetime conflicts, producing an
-  :class:`~repro.core.profile.AllocationProfile`;
+  streaming :class:`~repro.core.stages.IncrementalAnalyzer` buckets
+  object survival per allocation stack trace as each snapshot arrives
+  and the :class:`~repro.core.sttree.STTree` resolves
+  same-site/different-lifetime conflicts; the
+  :class:`~repro.core.stages.ProfileBuilder` flattens the result into
+  an :class:`~repro.core.profile.AllocationProfile`;
 * production phase — the :class:`~repro.core.instrumenter.Instrumenter`
   rewrites classes at load time so NG2C pretenures according to the
   profile.
 """
 
-from repro.core.analyzer import Analyzer
 from repro.core.dumper import Dumper
 from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.core.instrumenter import Instrumenter
@@ -27,7 +28,6 @@ from repro.core.stages import (
     IncrementalAnalyzer,
     LiveVMSource,
     ProfileBuilder,
-    ProfileStage,
     RecordingDirSource,
 )
 from repro.core.sttree import STTree
@@ -36,7 +36,6 @@ __all__ = [
     "AllocDirective",
     "AllocationProfile",
     "AllocationRecords",
-    "Analyzer",
     "CallDirective",
     "Dumper",
     "EMPTY_IDSET",
@@ -47,7 +46,6 @@ __all__ = [
     "POLM2Pipeline",
     "PhaseResult",
     "ProfileBuilder",
-    "ProfileStage",
     "ProfileStore",
     "Recorder",
     "RecordingDirSource",

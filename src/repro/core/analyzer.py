@@ -1,7 +1,7 @@
-"""The Analyzer: per-allocation-site lifetime estimation (paper §3.3).
+"""Per-allocation-site lifetime estimation (paper §3.3).
 
-Consumes the Recorder's allocation records and the Dumper's snapshot
-sequence and runs the paper's bucket algorithm:
+The estimation steps of the paper's bucket algorithm, shared by the
+streaming :class:`~repro.core.stages.IncrementalAnalyzer`:
 
 * every recorded object id starts in bucket zero of its stack trace;
 * for each snapshot (in time order), every object id found live in the
@@ -21,15 +21,11 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import warnings
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.core.idset import EMPTY_IDSET, IdSet
-from repro.core.profile import AllocationProfile
+from repro.core.idset import IdSet
 from repro.core.recorder import AllocationRecords
 from repro.core.sttree import STTree
-from repro.errors import ProfileError
-from repro.snapshot.snapshot import Snapshot
 
 
 @dataclasses.dataclass
@@ -64,12 +60,17 @@ class LifetimeDistribution:
         """
         if not self.buckets:
             return 0
+        votes = self.generation_votes(max_generations)
+        best_count = max(votes.values())
+        return min(g for g, c in votes.items() if c == best_count)
+
+    def generation_votes(self, max_generations: int) -> Dict[int, int]:
+        """Object counts folded into log2 generation classes."""
         votes: Dict[int, int] = {}
         for survival, count in self.buckets.items():
             gen = survival_to_generation(survival, max_generations)
             votes[gen] = votes.get(gen, 0) + count
-        best_count = max(votes.values())
-        return min(g for g, c in votes.items() if c == best_count)
+        return votes
 
 
 def survival_to_generation(survival: int, max_generations: int) -> int:
@@ -90,18 +91,13 @@ def survival_to_generation(survival: int, max_generations: int) -> int:
     return min(gen, max_generations - 1)
 
 
-# -- shared estimation steps ------------------------------------------------------
-#
-# The batch Analyzer and the streaming IncrementalAnalyzer stage
-# (``repro.core.stages``) differ only in how survival counts are
-# accumulated; everything from counts to the STTree is this one shared
-# path, which is what makes their outputs byte-identical.
+# -- estimation steps: survival counts -> distributions -> STTree ----------------
 
 
 def credit_counts(counts: Dict[int, int], ids, amount: int) -> None:
     """``counts[oid] += amount`` for every id in ``ids``.
 
-    Shared by both analyzers' cohort algebra.  Bulk-merges the common
+    The streaming analyzer's cohort algebra.  Bulk-merges the common
     first-interval case with one ``dict.fromkeys`` and loops only over
     resurrections (ids already credited once).  ``ids`` may be an
     :class:`~repro.core.idset.IdSet` or any iterable of ints.
@@ -162,259 +158,3 @@ def build_trace_tree(
         count = len(records.streams[trace_id])
         tree.insert(trace, gen, count)
     return tree
-
-
-_DEPRECATION_EMITTED = False
-
-
-class Analyzer:
-    """Runs the bucket algorithm and produces the allocation profile.
-
-    Invalidation contract: the Analyzer treats ``records`` and
-    ``snapshots`` as frozen once constructed.  ``survival_counts()``,
-    ``distributions()``, and ``estimate_generations()`` are memoized on
-    first call (``build_profile()`` and ``site_report()`` each consume
-    them several times); mutating the inputs afterwards will NOT be
-    reflected — construct a fresh Analyzer instead.  The memoized dicts
-    are returned as-is, so callers must not mutate them either.
-    """
-
-    def __init__(
-        self,
-        records: AllocationRecords,
-        snapshots: Sequence[Snapshot],
-        max_generations: int = 16,
-        min_samples: int = 8,
-    ) -> None:
-        global _DEPRECATION_EMITTED
-        if not _DEPRECATION_EMITTED:
-            _DEPRECATION_EMITTED = True
-            warnings.warn(
-                "the batch Analyzer is deprecated; use "
-                "repro.core.stages.ProfileBuilder (streaming, bounded "
-                "memory) instead — this shim will be removed next release",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if max_generations < 2:
-            raise ProfileError("max_generations must be >= 2")
-        self.records = records
-        self.snapshots = sorted(snapshots, key=lambda s: s.time_ms)
-        self.max_generations = max_generations
-        self.min_samples = min_samples
-        self._survival_counts: Optional[Dict[int, int]] = None
-        self._counts_raw: Optional[Dict[int, int]] = None
-        self._distributions: Optional[Dict[int, LifetimeDistribution]] = None
-        self._estimates: Optional[Dict[int, int]] = None
-        self._recorded: Optional[set] = None
-        #: max id live in the final snapshot, computed for free by the
-        #: delta fast path; ``...`` means "not computed yet".
-        self._final_live_max: object = ...
-
-    # -- bucket algorithm -----------------------------------------------------------
-
-    def _recorded_ids(self) -> set:
-        if self._recorded is None:
-            recorded: set = set()
-            for stream in self.records.streams.values():
-                recorded.update(stream)
-            self._recorded = recorded
-        return self._recorded
-
-    def _has_delta_chain(self) -> bool:
-        """True when the snapshots form one decodable delta chain.
-
-        The first snapshot may be full (CRIU's initial image) or a delta
-        over the empty heap; every later one must be a delta chained to
-        the snapshot right before it in time order.
-        """
-        if not self.snapshots:
-            return False
-        first = self.snapshots[0]
-        if first.is_delta and first.predecessor is not None:
-            return False
-        previous = first
-        for snapshot in self.snapshots[1:]:
-            if not snapshot.is_delta or snapshot.predecessor is not previous:
-                return False
-            previous = snapshot
-        return True
-
-    def _survival_counts_delta(self) -> Dict[int, int]:
-        """Single pass over the delta chain: each id's survival count is
-        the number of snapshots between its birth and its death —
-        O(ids + deltas) instead of O(snapshots × live).
-
-        Ids are tracked as per-birth-index *cohorts* — immutable
-        :class:`~repro.core.idset.IdSet` kernels, so deaths are peeled
-        off each cohort with one chunked-bitmap intersection per
-        (snapshot, cohort) pair and counts land via bulk
-        ``dict.fromkeys`` merges.  Resurrected ids (dead then born
-        again) are the rare slow path.  Returns counts for *all*
-        observed ids; ``survival_counts()`` narrows to recorded ones.
-        """
-        counts: Dict[int, int] = {}
-        #: birth index -> ids born there and still alive.
-        cohorts: Dict[int, IdSet] = {}
-        for index, snapshot in enumerate(self.snapshots):
-            if snapshot.is_delta:
-                born, dead = snapshot.born_ids, snapshot.dead_ids
-            else:  # the full first image: everything is newly visible
-                born, dead = snapshot.live_object_ids, EMPTY_IDSET
-            if dead:
-                for birth in list(cohorts):
-                    cohort = cohorts[birth]
-                    died = cohort & dead
-                    if died:
-                        remaining = cohort - died
-                        if remaining:
-                            cohorts[birth] = remaining
-                        else:
-                            del cohorts[birth]
-                        credit_counts(counts, died, index - birth)
-            if born:
-                cohorts[index] = born
-        total = len(self.snapshots)
-        final_live_max = None
-        for birth, cohort in cohorts.items():
-            cohort_max = cohort.max()
-            if final_live_max is None or cohort_max > final_live_max:
-                final_live_max = cohort_max
-            credit_counts(counts, cohort, total - birth)
-        self._final_live_max = final_live_max
-        return counts
-
-    def _survival_counts_intersection(self) -> Dict[int, int]:
-        """Fallback for arbitrary (non-chained) snapshot sequences:
-        per-snapshot kernel intersections against the recorded ids."""
-        recorded = IdSet(self._recorded_ids())
-        counts: Dict[int, int] = collections.defaultdict(int)
-        for snapshot in self.snapshots:
-            for object_id in (snapshot.live_object_ids & recorded).to_list():
-                counts[object_id] += 1
-        return dict(counts)
-
-    def _counts_all(self) -> Dict[int, int]:
-        """Memoized survival counts, possibly including unrecorded ids
-        (the delta fast path does not pay for narrowing; consumers use
-        ``.get(object_id, 0)`` keyed by recorded ids anyway)."""
-        if self._counts_raw is None:
-            if self._has_delta_chain():
-                self._counts_raw = self._survival_counts_delta()
-            else:
-                self._counts_raw = self._survival_counts_intersection()
-        return self._counts_raw
-
-    def survival_counts(self) -> Dict[int, int]:
-        """Number of snapshots each recorded object id appears live in
-        (memoized; see the class invalidation contract)."""
-        if self._survival_counts is None:
-            counts = self._counts_all()
-            recorded = self._recorded_ids()
-            self._survival_counts = {
-                object_id: counts[object_id]
-                for object_id in recorded.intersection(counts.keys())
-            }
-        return self._survival_counts
-
-    def _id_cutoff(self) -> Optional[int]:
-        """Ids allocated after the last snapshot carry no lifetime signal.
-
-        Identity hashes are monotonic in allocation order, so the largest
-        id visible in the final snapshot bounds what the snapshots could
-        have observed; later allocations are excluded from distributions.
-        """
-        if not self.snapshots:
-            return None
-        if self._final_live_max is not ...:
-            # The delta fast path already knows the final live-set's max
-            # without materializing the full set.
-            return self._final_live_max  # type: ignore[return-value]
-        last = self.snapshots[-1]
-        if not last.live_object_ids:
-            return None
-        return last.live_object_ids.max()
-
-    def distributions(self) -> Dict[int, LifetimeDistribution]:
-        """Per-trace survival histograms (memoized)."""
-        if self._distributions is None:
-            self._distributions = lifetime_distributions(
-                self.records, self._counts_all(), self._id_cutoff()
-            )
-        return self._distributions
-
-    # -- generation estimation -----------------------------------------------------------
-
-    def estimate_generations(self) -> Dict[int, int]:
-        """Per-trace estimated generation index (0 = leave in young);
-        memoized — ``build_profile()`` and ``site_report()`` both consume
-        it without recomputing the underlying distributions."""
-        if self._estimates is None:
-            self._estimates = estimate_trace_generations(
-                self.distributions(), self.max_generations, self.min_samples
-            )
-        return self._estimates
-
-    # -- reporting ----------------------------------------------------------------------
-
-    def site_report(self, max_sites: int = 40) -> str:
-        """Human-readable per-trace lifetime distributions.
-
-        One line per allocation stack trace (busiest first): sample count,
-        the survival histogram folded into generation classes, and the
-        estimated generation.  This is the "application allocation
-        profile" a human would review before trusting the instrumentation.
-        """
-        distributions = self.distributions()
-        estimates = self.estimate_generations()
-        rows = sorted(
-            distributions.items(),
-            key=lambda item: item[1].sample_count,
-            reverse=True,
-        )[:max_sites]
-        lines = [
-            "allocation-site lifetime report "
-            f"({len(distributions)} traces, {len(self.snapshots)} snapshots)",
-            f"{'allocation site (innermost frame)':<52} {'samples':>8} "
-            f"{'gen':>4}  survival histogram",
-        ]
-        for trace_id, dist in rows:
-            trace = self.records.traces[trace_id]
-            leaf = trace[-1]
-            site = f"{leaf[0].split('.')[-1]}.{leaf[1]}:{leaf[2]}"
-            if len(trace) > 1:
-                caller = trace[-2]
-                site += f" (via {caller[1]}:{caller[2]})"
-            votes: Dict[int, int] = {}
-            for survival, count in dist.buckets.items():
-                gen = survival_to_generation(survival, self.max_generations)
-                votes[gen] = votes.get(gen, 0) + count
-            histogram = " ".join(
-                f"g{gen}:{count}" for gen, count in sorted(votes.items())
-            )
-            lines.append(
-                f"{site:<52} {dist.sample_count:>8} "
-                f"{estimates.get(trace_id, 0):>4}  {histogram}"
-            )
-        return "\n".join(lines)
-
-    # -- STTree + profile --------------------------------------------------------------
-
-    def build_sttree(self) -> STTree:
-        return build_trace_tree(self.records, self.estimate_generations())
-
-    def build_profile(
-        self, workload: str = "unknown", push_up: bool = True
-    ) -> AllocationProfile:
-        """The complete profiling-phase output."""
-        return AllocationProfile.from_sttree(
-            self.build_sttree(),
-            workload=workload,
-            push_up=push_up,
-            metadata={
-                "snapshots_analyzed": len(self.snapshots),
-                "traces_analyzed": self.records.trace_count,
-                "allocations_recorded": self.records.total_allocations,
-                "push_up": push_up,
-            },
-        )

@@ -27,21 +27,12 @@ class Dumper(VMAgent):
     """Creates incremental memory snapshots of the profiled VM.
 
     An agent subscribed to ``SNAPSHOT_POINT`` events published by the
-    Recorder; construct without a VM and ``vm.attach_agent(dumper)``
-    (the legacy ``Dumper(vm)`` form still works for direct use).
+    Recorder: ``vm.attach_agent(dumper)`` wires it to a VM.
     """
 
-    def __init__(
-        self,
-        vm: Optional["VM"] = None,
-        store: Optional[SnapshotStore] = None,
-        delta_encode: bool = True,
-    ) -> None:
-        self.vm = vm
-        self.delta_encode = delta_encode
+    def __init__(self, store: Optional[SnapshotStore] = None) -> None:
+        self.vm: Optional["VM"] = None
         self.engine: Optional[CRIUEngine] = None
-        if vm is not None:
-            self.engine = CRIUEngine(vm.config.costs, delta_encode=delta_encode)
         # NOTE: an explicit identity check — a freshly created store is
         # empty and therefore falsy, so ``store or SnapshotStore()`` would
         # silently discard a caller-provided store.
@@ -52,9 +43,7 @@ class Dumper(VMAgent):
     def on_attach(self, vm: "VM") -> None:
         self.vm = vm
         if self.engine is None:
-            self.engine = CRIUEngine(
-                vm.config.costs, delta_encode=self.delta_encode
-            )
+            self.engine = CRIUEngine(vm.config.costs)
 
     def on_snapshot_point(self, event: SnapshotPointEvent) -> None:
         self.take_snapshot(event.live, live_ids=event.live_ids)

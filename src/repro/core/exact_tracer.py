@@ -71,10 +71,6 @@ class ExactLifetimeTracer(VMAgent):
         vm.heap.ref_write_listeners.remove(self._on_ref_update)
         self.vm = None
 
-    def attach(self, vm: "VM") -> None:
-        """Legacy seam: register through ``vm.attach_agent``."""
-        vm.attach_agent(self)
-
     def telemetry(self) -> Dict[str, int]:
         return {
             "allocations_logged": self.records.total_allocations,

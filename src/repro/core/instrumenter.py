@@ -73,10 +73,6 @@ class Instrumenter(VMAgent):
             "instrumented_call_sites": self.applied_call_sites,
         }
 
-    def attach(self, vm: "VM") -> None:
-        """Legacy seam: register through ``vm.attach_agent``."""
-        vm.attach_agent(self)
-
     # -- ClassTransformer -----------------------------------------------------------
 
     def transform(self, class_model: ClassModel) -> ClassModel:

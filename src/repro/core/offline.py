@@ -7,12 +7,12 @@ Analyzer is a *separate* process that reads both afterwards.  This module
 provides exactly that separation over the simulated runtime:
 
 * :func:`record_to_dir` — run the profiling phase and leave a recording
-  directory (``traces.json`` + per-trace id streams + ``snapshots.jsonl``
-  + ``meta.json``);
+  directory (``traces.json`` + ``streams.bin`` + ``snapshots.bin`` +
+  ``meta.json``);
 * :func:`analyze_recording` — build an
   :class:`~repro.core.profile.AllocationProfile` from such a directory,
   with no VM or workload required, by replaying it through the same
-  streaming stage pipeline (:mod:`repro.core.stages`) the in-VM
+  streaming :class:`~repro.core.stages.ProfileBuilder` the in-VM
   profiler runs.
 """
 
@@ -24,52 +24,27 @@ from typing import Optional
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
+from repro.core.pipeline import drive
 from repro.core.profile import AllocationProfile
 from repro.core.recorder import Recorder
 from repro.core.stages import (
     META_FILE,
     RECORDING_SCHEMA_VERSION,
     SNAPSHOTS_BIN_FILE,
-    SNAPSHOTS_FILE,
     ProfileBuilder,
     RecordingDirSource,
 )
-from repro.errors import ReproError
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
-from repro.snapshot.snapshot import SNAPSHOT_FORMATS
 from repro.workloads import make_workload
 
 __all__ = [
     "META_FILE",
     "RECORDING_SCHEMA_VERSION",
     "SNAPSHOTS_BIN_FILE",
-    "SNAPSHOTS_FILE",
     "analyze_recording",
     "record_to_dir",
-    "resolve_snapshot_format",
 ]
-
-#: Environment override for the on-disk snapshot format.
-SNAPSHOT_FORMAT_ENV = "REPRO_SNAPSHOT_FORMAT"
-
-
-def resolve_snapshot_format(value: Optional[str] = None) -> str:
-    """Pick the snapshot store format: argument, env, or the default.
-
-    Precedence: an explicit ``value`` (e.g. a CLI flag), then the
-    ``REPRO_SNAPSHOT_FORMAT`` environment variable, then ``"binary"``.
-    Anything outside :data:`~repro.snapshot.snapshot.SNAPSHOT_FORMATS`
-    raises :class:`~repro.errors.ReproError` naming the offender.
-    """
-    chosen = value or os.environ.get(SNAPSHOT_FORMAT_ENV) or "binary"
-    if chosen not in SNAPSHOT_FORMATS:
-        source = "snapshot format" if value else f"${SNAPSHOT_FORMAT_ENV}"
-        raise ReproError(
-            f"invalid {source} {chosen!r}; choose one of "
-            f"{', '.join(SNAPSHOT_FORMATS)}"
-        )
-    return chosen
 
 
 def record_to_dir(
@@ -79,38 +54,22 @@ def record_to_dir(
     seed: int = 42,
     snapshot_every: int = 1,
     config: Optional[SimConfig] = None,
-    snapshot_format: Optional[str] = None,
 ) -> str:
     """Run the profiling phase and persist the raw recording.
 
     Returns ``output_dir``.  The directory is self-describing: a later
-    :func:`analyze_recording` needs nothing else.  ``snapshot_format``
-    picks the snapshot store layout (binary columnar by default, see
-    :func:`resolve_snapshot_format`); the choice is stamped into
-    ``meta.json``.
+    :func:`analyze_recording` needs nothing else.
     """
-    snapshot_format = resolve_snapshot_format(snapshot_format)
-    workload = make_workload(workload_name, seed=seed)
-    collector = NG2CCollector()
-    vm = VM(config or SimConfig(seed=seed), collector=collector)
+    vm = VM(config or SimConfig(seed=seed), collector=NG2CCollector())
     recorder = Recorder(snapshot_every=snapshot_every)
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    while vm.clock.now_ms < duration_ms:
-        workload.tick()
-    workload.teardown()
+    dumper = Dumper()
+    vm.attach_agent(recorder)
+    vm.attach_agent(dumper)
+    drive(vm, make_workload(workload_name, seed=seed), duration_ms)
 
     os.makedirs(output_dir, exist_ok=True)
     recorder.records.flush_to_dir(output_dir)
-    snapshots_file = (
-        SNAPSHOTS_BIN_FILE if snapshot_format == "binary" else SNAPSHOTS_FILE
-    )
-    dumper.store.save(
-        os.path.join(output_dir, snapshots_file), format=snapshot_format
-    )
+    dumper.store.save(os.path.join(output_dir, SNAPSHOTS_BIN_FILE))
     with open(os.path.join(output_dir, META_FILE), "w") as handle:
         json.dump(
             {
@@ -119,7 +78,7 @@ def record_to_dir(
                 "seed": seed,
                 "duration_ms": duration_ms,
                 "snapshot_every": snapshot_every,
-                "snapshot_format": snapshot_format,
+                "snapshot_format": "binary",
                 "max_generations": vm.config.max_generations,
                 "allocations_recorded": recorder.records.total_allocations,
                 "snapshots_taken": len(dumper.store),
@@ -135,7 +94,7 @@ def analyze_recording(
     push_up: bool = True,
     max_generations: Optional[int] = None,
 ) -> AllocationProfile:
-    """Stream an on-disk recording directory through the analysis stages.
+    """Stream an on-disk recording directory through the streaming analyzer.
 
     This is the same :class:`~repro.core.stages.ProfileBuilder` code path
     the in-VM streaming profiler uses, driven by a

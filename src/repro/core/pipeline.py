@@ -5,7 +5,7 @@
 * **profiling phase** — a fresh VM with NG2C (whose modified heap walk
   supports the no-need marking), the Recorder, the Dumper, and a
   streaming :class:`~repro.core.stages.LiveVMSource` attached; the
-  incremental analysis stages digest each snapshot as it is taken and
+  incremental analyzer digests each snapshot as it is taken and
   the :class:`~repro.core.stages.ProfileBuilder` flattens the result
   into an :class:`AllocationProfile`;
 * **production phase** — a fresh VM with NG2C and only the Instrumenter
@@ -146,6 +146,32 @@ class PhaseResult:
         )
 
 
+def drive(vm: VM, workload: Workload, duration_ms: float) -> List[float]:
+    """Load the workload's classes, set it up, and tick until the
+    virtual deadline; returns the per-second throughput timeline.
+
+    Every run shape shares this loop: agents attach to ``vm`` first
+    (class loading is where their transformers apply), then the
+    workload runs to ``duration_ms`` of virtual time and tears down.
+    """
+    workload.vm = vm
+    for model in workload.class_models():
+        vm.classloader.load(model)
+    workload.setup(vm)
+    timeline: List[float] = []
+    window_start_ms = vm.clock.now_ms
+    window_ops = 0
+    while vm.clock.now_ms < duration_ms:
+        window_ops += workload.tick()
+        now = vm.clock.now_ms
+        while now - window_start_ms >= THROUGHPUT_SAMPLE_MS:
+            timeline.append(window_ops / (THROUGHPUT_SAMPLE_MS / 1000.0))
+            window_ops = 0
+            window_start_ms += THROUGHPUT_SAMPLE_MS
+    workload.teardown()
+    return timeline
+
+
 class POLM2Pipeline:
     """Profiling-phase + production-phase driver for one workload."""
 
@@ -159,35 +185,7 @@ class POLM2Pipeline:
         self.config = config or SimConfig()
         self.snapshot_every = snapshot_every
 
-    # -- shared driver ---------------------------------------------------------------
-
-    def _drive(
-        self,
-        vm: VM,
-        workload: Workload,
-        duration_ms: float,
-    ) -> List[float]:
-        """Load classes, set up, and tick until the virtual deadline.
-
-        Returns the per-second throughput timeline.
-        """
-        workload.vm = vm
-        for model in workload.class_models():
-            vm.classloader.load(model)
-        workload.setup(vm)
-        timeline: List[float] = []
-        window_start_ms = vm.clock.now_ms
-        window_ops = 0
-        deadline = duration_ms
-        while vm.clock.now_ms < deadline:
-            window_ops += workload.tick()
-            now = vm.clock.now_ms
-            while now - window_start_ms >= THROUGHPUT_SAMPLE_MS:
-                timeline.append(window_ops / (THROUGHPUT_SAMPLE_MS / 1000.0))
-                window_ops = 0
-                window_start_ms += THROUGHPUT_SAMPLE_MS
-        workload.teardown()
-        return timeline
+    # -- results -----------------------------------------------------------------------
 
     def _result(
         self,
@@ -278,7 +276,7 @@ class POLM2Pipeline:
         agents.append(TelemetryAgent())
         for agent in agents:
             vm.attach_agent(agent)
-        timeline = self._drive(vm, workload, duration_ms)
+        timeline = drive(vm, workload, duration_ms)
         return self._result(
             label or spec.name,
             workload,
@@ -303,8 +301,8 @@ class POLM2Pipeline:
         Analysis happens *during* the run: a
         :class:`~repro.core.stages.LiveVMSource` feeds every snapshot
         into the :class:`~repro.core.stages.ProfileBuilder`'s incremental
-        stages at the snapshot-point event, so no end-of-run batch pass
-        over the snapshot sequence is needed.
+        analyzer at the snapshot-point event, so no end-of-run pass over
+        the snapshot sequence is needed.
 
         ``keep_result`` (optional, a list) receives the profiling-run
         :class:`PhaseResult` — used by the snapshot experiments.
@@ -315,7 +313,6 @@ class POLM2Pipeline:
         vm = VM(self.config, collector=collector)
         recorder = Recorder(snapshot_every=self.snapshot_every)
         dumper = Dumper()
-        recorder.dumper = dumper
         builder = ProfileBuilder(
             max_generations=self.config.max_generations, push_up=push_up
         )
@@ -323,7 +320,7 @@ class POLM2Pipeline:
         agents = [recorder, dumper, source, TelemetryAgent()]
         for agent in agents:
             vm.attach_agent(agent)
-        timeline = self._drive(vm, workload, duration_ms)
+        timeline = drive(vm, workload, duration_ms)
         source.flush()
         profile = builder.build(workload=workload.name)
         if keep_result is not None:

@@ -97,7 +97,7 @@ class AllocationProfile:
 
         This is the single place the STTree's instrumentation plan turns
         into ``@Gen`` / ``setGeneration`` directives; every producer
-        (streaming or batch analysis, the exact tracer) routes through it.
+        (the streaming analyzer, the exact tracer) routes through it.
         """
         plan = tree.instrumentation_plan(push_up=push_up)
         alloc_directives = [

@@ -31,7 +31,6 @@ from repro.runtime.events import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.dumper import Dumper
     from repro.heap.objects import HeapObject
     from repro.runtime.vm import VM
 
@@ -102,9 +101,7 @@ class AllocationRecords:
         (``streams.bin``): an 8-byte magic, then per stream a
         ``(trace_id, count)`` pair of machine int64s followed by ``count``
         int64 object ids (native byte order, straight out of the
-        ``array('q')`` buffers).  The historical layout wrote one
-        ``stream_<tid>.ids`` text file per trace — thousands of tiny files
-        on real workloads; :meth:`load_from_dir` still reads it.
+        ``array('q')`` buffers).
         """
         os.makedirs(path, exist_ok=True)
         table = {
@@ -138,23 +135,17 @@ class AllocationRecords:
             records._trace_ids[trace] = tid
             records.traces[tid] = trace
             records.streams[tid] = array("q")
-        streams_path = os.path.join(path, _STREAMS_FILENAME)
-        if os.path.exists(streams_path):
-            records._load_streams_file(streams_path)
-        else:
-            # Legacy layout: one stream_<tid>.ids text file per trace.
-            for tid in records.traces:
-                stream_path = os.path.join(path, f"stream_{tid}.ids")
-                if os.path.exists(stream_path):
-                    with open(stream_path) as handle:
-                        records.streams[tid] = array(
-                            "q", (int(line) for line in handle if line.strip())
-                        )
+        records._load_streams_file(os.path.join(path, _STREAMS_FILENAME))
         return records
 
     def _load_streams_file(self, streams_path: str) -> None:
-        with open(streams_path, "rb") as handle:
-            blob = handle.read()
+        try:
+            with open(streams_path, "rb") as handle:
+                blob = handle.read()
+        except OSError as exc:
+            raise ProfileFormatError(
+                f"{streams_path}: cannot read allocation streams: {exc}"
+            ) from exc
         if blob[: len(_STREAMS_MAGIC)] != _STREAMS_MAGIC:
             raise ProfileFormatError(
                 f"{streams_path}: bad magic, not a streams file"
@@ -197,7 +188,6 @@ class Recorder(VMAgent):
         self.records = AllocationRecords()
         self.instrumented_site_count = 0
         self.vm: Optional["VM"] = None
-        self.dumper: Optional["Dumper"] = None
         self._cycles_since_snapshot = 0
         #: VM trace id -> record trace id.  The VM interns each distinct
         #: stack trace once (see ``AllocSite.cached_trace_id``), so after
@@ -212,17 +202,6 @@ class Recorder(VMAgent):
 
     def on_detach(self, vm: "VM") -> None:
         self.vm = None
-
-    def attach(self, vm: "VM", dumper: Optional["Dumper"] = None) -> None:
-        """Legacy seam: attach this Recorder (and its Dumper) as agents.
-
-        Must run before workload classes are loaded, exactly as a
-        ``-javaagent`` must be present at JVM launch.
-        """
-        self.dumper = dumper
-        vm.attach_agent(self)
-        if dumper is not None:
-            vm.attach_agent(dumper)
 
     def telemetry(self) -> Dict[str, int]:
         return {
@@ -299,8 +278,7 @@ class Recorder(VMAgent):
         vm = self.vm
         if vm is None or not vm.events.has_listeners(SNAPSHOT_POINT):
             # Nobody consumes snapshot points (no Dumper attached): skip
-            # the no-need marking and the checkpoint entirely, exactly as
-            # the historical ``dumper is None`` early-out did.
+            # the no-need marking and the checkpoint entirely.
             return
         collector = vm.collector
         live = collector.last_live_objects if collector is not None else []

@@ -1,23 +1,17 @@
-"""Streaming profile pipeline: incremental analysis stages.
+"""Streaming profile pipeline: the one analysis path.
 
-The batch Analyzer (paper §3.3) holds the whole snapshot sequence and
-matches every recorded id against it after the run ends — peak memory
-O(ids × snapshots).  This module restructures that dataflow as a pipeline
-of composable stages fed one event at a time, the shape ROLP-style
-runtime profilers use:
+The paper's Analyzer (§3.3) matches every recorded id against every
+snapshot.  Here that dataflow runs one event at a time, the shape
+ROLP-style runtime profilers use:
 
-* :class:`ProfileStage` — the stage protocol: ``on_snapshot`` per
-  snapshot-point, ``on_trace_flush`` when the Recorder's streams land,
-  ``finish`` to produce the stage's artifact;
-* :class:`IncrementalAnalyzer` — the bucket algorithm as a stage: each
+* :class:`IncrementalAnalyzer` — the bucket algorithm as a stream: each
   snapshot is credited into per-birth-index cohorts on arrival and then
   dropped, so peak memory is O(live ids), not O(ids × snapshots); its
-  artifact is the canonical :class:`~repro.core.sttree.STTree` IR,
-  byte-identical to the batch Analyzer's (same shared estimation path);
-* :class:`ProfileBuilder` — the profiling entry point: owns the stage
-  list, accepts events from a source, and flattens the finished IR into
-  an :class:`~repro.core.profile.AllocationProfile`;
-* two sources driving the same stages: :class:`RecordingDirSource`
+  artifact is the canonical :class:`~repro.core.sttree.STTree` IR;
+* :class:`ProfileBuilder` — the profiling entry point: feeds the
+  analyzer from a source and flattens the finished IR into an
+  :class:`~repro.core.profile.AllocationProfile`;
+* two sources driving the same builder: :class:`RecordingDirSource`
   replays an on-disk recording directory (the offline workflow) and
   :class:`LiveVMSource` is a VMAgent subscribing to snapshot-point
   events inside the profiled VM (the streaming workflow).
@@ -27,9 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, TYPE_CHECKING
+from typing import Dict, Iterator, Optional, TYPE_CHECKING
 
 from repro.core.analyzer import (
+    LifetimeDistribution,
     build_trace_tree,
     credit_counts,
     estimate_trace_generations,
@@ -48,51 +43,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.recorder import Recorder
 
 #: Files of a recording directory.  Kept here, next to the code that
-#: replays them; ``repro.core.offline`` re-exports both for callers of
-#: the historical names.  New recordings default to the binary columnar
-#: ``snapshots.bin``; ``snapshots.jsonl`` stays readable as the legacy
-#: format.
+#: replays them; ``repro.core.offline`` re-exports both.
 SNAPSHOTS_BIN_FILE = "snapshots.bin"
-SNAPSHOTS_FILE = "snapshots.jsonl"
 META_FILE = "meta.json"
 
 #: Version of the recording-directory layout (``meta.json`` +
-#: ``traces.json`` + ``streams.bin`` + ``snapshots.jsonl``).  Readers
+#: ``traces.json`` + ``streams.bin`` + ``snapshots.bin``).  Readers
 #: accept this version and older; newer versions fail with a one-line
 #: error instead of misparsing.
 RECORDING_SCHEMA_VERSION = 1
 
 
-class ProfileStage(Protocol):
-    """One stage of the streaming profile pipeline.
-
-    Stages receive each snapshot exactly once, in time order, at the
-    snapshot-point event; the Recorder's allocation records when they are
-    flushed (end of run for the live source, load time for the recording
-    source); and produce their artifact in :meth:`finish`.
-    """
-
-    def on_snapshot(self, snapshot: Snapshot) -> None: ...
-
-    def on_trace_flush(self, records: AllocationRecords) -> None: ...
-
-    def finish(self) -> object: ...
-
-
 class IncrementalAnalyzer:
-    """The bucket algorithm as a bounded-memory streaming stage.
+    """The bucket algorithm as a bounded-memory stream.
 
-    Survival counting is the batch Analyzer's delta-chain cohort algebra
-    applied per arriving snapshot: ids are grouped into per-birth-index
-    cohorts, deaths peel off each cohort and credit the interval length.
-    A snapshot that does not chain onto the previously seen one (a full
+    Survival counting is a delta-chain cohort algebra applied per
+    arriving snapshot: ids are grouped into per-birth-index cohorts,
+    deaths peel off each cohort and credit the interval length.  A
+    snapshot that does not chain onto the previously seen one (a full
     image, or a delta from elsewhere) is synthesized into a born/dead
     pair against the union of the live cohorts — crediting interval
     lengths over those synthesized deltas sums to exactly the number of
-    snapshots each id appears live in, i.e. the batch intersection
-    count, so the resulting STTree is byte-identical either way.
+    snapshots each id appears live in, so the resulting STTree is the
+    same whichever way the snapshots are encoded.
 
-    Memory: the stage keeps the survival counts, the live cohorts (id
+    Memory: the analyzer keeps the survival counts, the live cohorts (id
     ints, no snapshot references), and the latest snapshot (for the
     chain identity check) — never more than two snapshots' id sets at
     once, and O(live ids) overall.
@@ -110,8 +85,12 @@ class IncrementalAnalyzer:
         self._cohorts: Dict[int, IdSet] = {}
         self._previous: Optional[Snapshot] = None
         self._tree: Optional[STTree] = None
+        #: Per-trace survival histograms and estimated generations, kept
+        #: by :meth:`finish` for :meth:`site_report` and demographics.
+        self.distributions: Dict[int, LifetimeDistribution] = {}
+        self.estimates: Dict[int, int] = {}
 
-    # -- ProfileStage ----------------------------------------------------------------
+    # -- event intake ----------------------------------------------------------------
 
     def on_snapshot(self, snapshot: Snapshot) -> None:
         if self._tree is not None:
@@ -157,7 +136,7 @@ class IncrementalAnalyzer:
             return self._tree
         if self.records is None:
             raise ProfileError(
-                "no allocation records flushed into the stage; feed "
+                "no allocation records flushed into the analyzer; feed "
                 "on_trace_flush() before finish()"
             )
         total = self.snapshots_seen
@@ -169,16 +148,57 @@ class IncrementalAnalyzer:
             credit_counts(self._counts, cohort, total - birth)
         self._cohorts.clear()
         self._previous = None
-        distributions = lifetime_distributions(self.records, self._counts, cutoff)
-        estimates = estimate_trace_generations(
-            distributions, self.max_generations, self.min_samples
+        self.distributions = lifetime_distributions(
+            self.records, self._counts, cutoff
         )
-        self._tree = build_trace_tree(self.records, estimates)
+        self.estimates = estimate_trace_generations(
+            self.distributions, self.max_generations, self.min_samples
+        )
+        self._tree = build_trace_tree(self.records, self.estimates)
         return self._tree
+
+    def site_report(self, max_sites: int = 40) -> str:
+        """Human-readable per-trace lifetime distributions.
+
+        One line per allocation stack trace (busiest first): sample count,
+        the survival histogram folded into generation classes, and the
+        estimated generation.  This is the "application allocation
+        profile" a human would review before trusting the instrumentation.
+        Finishes the analysis if it is still open.
+        """
+        self.finish()
+        distributions = self.distributions
+        rows = sorted(
+            distributions.items(),
+            key=lambda item: item[1].sample_count,
+            reverse=True,
+        )[:max_sites]
+        lines = [
+            "allocation-site lifetime report "
+            f"({len(distributions)} traces, {self.snapshots_seen} snapshots)",
+            f"{'allocation site (innermost frame)':<52} {'samples':>8} "
+            f"{'gen':>4}  survival histogram",
+        ]
+        for trace_id, dist in rows:
+            trace = self.records.traces[trace_id]
+            leaf = trace[-1]
+            site = f"{leaf[0].split('.')[-1]}.{leaf[1]}:{leaf[2]}"
+            if len(trace) > 1:
+                caller = trace[-2]
+                site += f" (via {caller[1]}:{caller[2]})"
+            votes = dist.generation_votes(self.max_generations)
+            histogram = " ".join(
+                f"g{gen}:{count}" for gen, count in sorted(votes.items())
+            )
+            lines.append(
+                f"{site:<52} {dist.sample_count:>8} "
+                f"{self.estimates.get(trace_id, 0):>4}  {histogram}"
+            )
+        return "\n".join(lines)
 
 
 class ProfileBuilder:
-    """The profiling entry point: stages fed by a source, profile out.
+    """The profiling entry point: an analyzer fed by a source, profile out.
 
     Both deployment shapes run through here — ``run(RecordingDirSource)``
     for batch-from-disk, or a :class:`LiveVMSource` pushing events during
@@ -190,25 +210,19 @@ class ProfileBuilder:
         max_generations: int = 16,
         min_samples: int = 8,
         push_up: bool = True,
-        extra_stages: Optional[Sequence[ProfileStage]] = None,
     ) -> None:
         self.push_up = push_up
         self.analyzer = IncrementalAnalyzer(
             max_generations=max_generations, min_samples=min_samples
         )
-        self.stages: List[ProfileStage] = [self.analyzer]
-        if extra_stages:
-            self.stages.extend(extra_stages)
 
     # -- event intake ----------------------------------------------------------------
 
     def feed_snapshot(self, snapshot: Snapshot) -> None:
-        for stage in self.stages:
-            stage.on_snapshot(snapshot)
+        self.analyzer.on_snapshot(snapshot)
 
     def feed_trace_flush(self, records: AllocationRecords) -> None:
-        for stage in self.stages:
-            stage.on_trace_flush(records)
+        self.analyzer.on_trace_flush(records)
 
     def run(self, source: "RecordingDirSource") -> "ProfileBuilder":
         """Pull every event out of a replayable source."""
@@ -222,7 +236,7 @@ class ProfileBuilder:
         workload: str = "unknown",
         metadata: Optional[Dict[str, object]] = None,
     ) -> AllocationProfile:
-        """Finish the analysis stage and flatten its IR into a profile."""
+        """Finish the analysis and flatten its IR into a profile."""
         tree = self.analyzer.finish()
         records = self.analyzer.records
         assert records is not None  # finish() above guarantees it
@@ -260,9 +274,8 @@ class RecordingDirSource:
     Validates ``meta.json`` up front (missing, corrupt, or
     newer-than-supported recordings fail with a
     :class:`~repro.errors.ProfileFormatError` naming the offending path
-    and the expected schema version) and streams ``snapshots.bin``
-    (falling back to legacy ``snapshots.jsonl``) one snapshot at a
-    time, so replay memory matches the live source's.
+    and the expected schema version) and streams ``snapshots.bin`` one
+    snapshot at a time, so replay memory matches the live source's.
     """
 
     def __init__(self, recording_dir: str) -> None:
@@ -304,11 +317,7 @@ class RecordingDirSource:
         return int(self.meta.get("max_generations", 16))
 
     def iter_snapshots(self) -> Iterator[Snapshot]:
-        # New recordings write the binary columnar store; fall back to
-        # the legacy JSON-lines file when it is absent.
         path = os.path.join(self.recording_dir, SNAPSHOTS_BIN_FILE)
-        if not os.path.exists(path):
-            path = os.path.join(self.recording_dir, SNAPSHOTS_FILE)
         try:
             yield from SnapshotStore.iter_file(path)
         except OSError as exc:
@@ -318,7 +327,7 @@ class RecordingDirSource:
             ) from exc
         except ValueError as exc:
             raise ProfileFormatError(
-                f"{path}: corrupt snapshot line (recording schema "
+                f"{path}: corrupt snapshot store (recording schema "
                 f"v{RECORDING_SCHEMA_VERSION}): {exc}"
             ) from exc
 
@@ -337,7 +346,7 @@ class LiveVMSource(VMAgent):
     Attach AFTER the Dumper: snapshot-point listeners run in attachment
     order, so the Dumper's snapshot is already in its store when this
     agent forwards it.  Call :meth:`flush` once the run ends to hand the
-    Recorder's completed streams to the stages.
+    Recorder's completed streams to the analyzer.
     """
 
     def __init__(
@@ -362,7 +371,7 @@ class LiveVMSource(VMAgent):
         self._forwarded = len(store)
 
     def flush(self) -> None:
-        """End of run: flush the Recorder's streams into the stages."""
+        """End of run: flush the Recorder's streams into the analyzer."""
         self.builder.feed_trace_flush(self.recorder.records)
 
     def telemetry(self) -> Dict[str, int]:

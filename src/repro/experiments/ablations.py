@@ -22,11 +22,11 @@ import dataclasses
 from typing import Dict, List
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
 from repro.core.dumper import Dumper
-from repro.core.pipeline import POLM2Pipeline, PhaseResult
+from repro.core.pipeline import POLM2Pipeline, PhaseResult, drive
 from repro.core.profile import AllocationProfile, AllocDirective
 from repro.core.recorder import Recorder
+from repro.core.sttree import STTree
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
 from repro.workloads import make_workload
@@ -87,19 +87,18 @@ class STTreeAblation:
     naive_total_ms: float
 
 
-def build_naive_profile(
-    records, snapshots, workload: str, max_generations: int = 16
-) -> AllocationProfile:
+def build_naive_profile(tree: STTree, workload: str) -> AllocationProfile:
     """Per-site majority-vote profile: no conflict detection, every
-    annotated site carries an inline generation bracket."""
-    analyzer = Analyzer(records, snapshots, max_generations=max_generations)
-    estimates = analyzer.estimate_generations()
+    annotated site carries an inline generation bracket.
+
+    Each leaf of the profiling run's STTree votes its estimated
+    generation for its allocation site, weighted by its object count.
+    """
     votes: Dict[tuple, collections.Counter] = collections.defaultdict(
         collections.Counter
     )
-    for trace_id, gen in estimates.items():
-        site = records.traces[trace_id][-1]
-        votes[site][gen] += len(records.streams[trace_id])
+    for leaf in tree.leaves:
+        votes[leaf.location][leaf.target_gen] += leaf.object_count
     alloc_directives: List[AllocDirective] = []
     for site, counter in sorted(votes.items()):
         gen = counter.most_common(1)[0][0]
@@ -126,34 +125,18 @@ def run_sttree_ablation(
     production_ms: float = 30_000.0,
     seed: int = 42,
 ) -> STTreeAblation:
-    # One profiling run feeds both profiles.
-    wl = make_workload(workload, seed=seed)
-    collector = NG2CCollector()
-    vm = VM(SimConfig(seed=seed), collector=collector)
-    recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
-    for model in wl.class_models():
-        vm.classloader.load(model)
-    wl.setup(vm)
-    while vm.clock.now_ms < profiling_ms:
-        wl.tick()
-    wl.teardown()
-    analyzer = Analyzer(recorder.records, dumper.store.snapshots)
-    sttree_profile = analyzer.build_profile(workload=workload)
-    naive_profile = build_naive_profile(
-        recorder.records, dumper.store.snapshots, workload
+    pipeline = POLM2Pipeline(
+        workload_factory=lambda w=workload, s=seed: make_workload(w, seed=s),
+        config=SimConfig(seed=seed),
     )
+    # One profiling run feeds both profiles.
+    sttree_profile = pipeline.run_profiling_phase(duration_ms=profiling_ms)
+    naive_profile = build_naive_profile(sttree_profile.sttree, workload)
 
-    def production(profile: AllocationProfile) -> PhaseResult:
-        pipeline = POLM2Pipeline(
-            workload_factory=lambda w=workload, s=seed: make_workload(w, seed=s),
-            config=SimConfig(seed=seed),
-        )
-        return pipeline.run("polm2", duration_ms=production_ms, profile=profile)
-
-    with_tree = production(sttree_profile)
-    naive = production(naive_profile)
+    with_tree = pipeline.run(
+        "polm2", duration_ms=production_ms, profile=sttree_profile
+    )
+    naive = pipeline.run("polm2", duration_ms=production_ms, profile=naive_profile)
     return STTreeAblation(
         workload=workload,
         sttree_worst_ms=max(with_tree.pause_durations_ms() or [0.0]),
@@ -338,18 +321,11 @@ def run_madvise_ablation(
 ) -> MadviseAblation:
     totals: Dict[bool, int] = {}
     for mark in (True, False):
-        wl = make_workload(workload, seed=seed)
-        collector = NG2CCollector()
-        vm = VM(SimConfig(seed=seed), collector=collector)
-        recorder = Recorder(mark_no_need=mark)
-        dumper = Dumper(vm)
-        recorder.attach(vm, dumper)
-        for model in wl.class_models():
-            vm.classloader.load(model)
-        wl.setup(vm)
-        while vm.clock.now_ms < duration_ms:
-            wl.tick()
-        wl.teardown()
+        vm = VM(SimConfig(seed=seed), collector=NG2CCollector())
+        dumper = Dumper()
+        vm.attach_agent(Recorder(mark_no_need=mark))
+        vm.attach_agent(dumper)
+        drive(vm, make_workload(workload, seed=seed), duration_ms)
         totals[mark] = dumper.store.total_bytes()
     return MadviseAblation(
         workload=workload,

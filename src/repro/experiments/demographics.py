@@ -19,7 +19,9 @@ from typing import Dict, List, Sequence
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
+from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
+from repro.core.stages import LiveVMSource, ProfileBuilder
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.code import ClassModel
 from repro.runtime.vm import VM
@@ -89,33 +91,28 @@ def measure_workload(
 ) -> DemographicsRow:
     """Profile one workload and fold its survival distribution."""
     workload = workload or make_workload(workload_name, seed=seed)
-    collector = NG2CCollector()
-    vm = VM(SimConfig(seed=seed), collector=collector)
+    vm = VM(SimConfig(seed=seed), collector=NG2CCollector())
     recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    while vm.clock.now_ms < duration_ms:
-        workload.tick()
-    workload.teardown()
-
-    from repro.core.analyzer import Analyzer
-
-    analyzer = Analyzer(recorder.records, dumper.store.snapshots, min_samples=1)
-    counts = analyzer.survival_counts()
-    cutoff = analyzer._id_cutoff()
+    dumper = Dumper()
+    builder = ProfileBuilder()
+    source = LiveVMSource(builder, recorder, dumper)
+    for agent in (recorder, dumper, source):
+        vm.attach_agent(agent)
+    drive(vm, workload, duration_ms)
+    source.flush()
+    analyzer = builder.analyzer
+    analyzer.finish()
+    # The per-trace histograms already exclude ids allocated after the
+    # last snapshot (no lifetime signal); summing them over every trace
+    # gives the whole-run survival histogram.
     observed = 0
     survivors = {threshold: 0 for threshold in SURVIVAL_THRESHOLDS}
-    for object_id in recorder.records.recorded_object_ids():
-        if cutoff is not None and object_id > cutoff:
-            continue
-        observed += 1
-        survived = counts.get(object_id, 0)
-        for threshold in SURVIVAL_THRESHOLDS:
-            if survived >= threshold:
-                survivors[threshold] += 1
+    for dist in analyzer.distributions.values():
+        for survived, count in dist.buckets.items():
+            observed += count
+            for threshold in SURVIVAL_THRESHOLDS:
+                if survived >= threshold:
+                    survivors[threshold] += count
     survival = {
         threshold: (survivors[threshold] / observed if observed else 0.0)
         for threshold in SURVIVAL_THRESHOLDS

@@ -19,6 +19,7 @@ from repro.config import SimConfig
 from repro.core.dumper import Dumper
 from repro.core.recorder import Recorder
 from repro.gc.ng2c import NG2CCollector
+from repro.runtime.events import GC_END
 from repro.runtime.vm import VM
 from repro.snapshot.jmap import JmapDumper
 from repro.snapshot.snapshot import Snapshot
@@ -71,23 +72,23 @@ def run_workload(
     workload = make_workload(workload_name, seed=seed)
     collector = NG2CCollector()
     vm = VM(SimConfig(seed=seed), collector=collector)
-    recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
+    dumper = Dumper()
+    vm.attach_agent(Recorder())
+    vm.attach_agent(dumper)
 
     jmap = JmapDumper(vm.config.costs)
     shadow: List[Snapshot] = []
 
-    def shadow_jmap(pause) -> None:
-        # Runs after the Recorder's listener (registration order), so the
-        # CRIU snapshot for this cycle already exists; dump the same live
-        # set the jmap way, without advancing the clock.
+    def shadow_jmap(event) -> None:
+        # Subscribed after the Recorder's GC_END hook, so the CRIU
+        # snapshot for this cycle already exists; dump the same live set
+        # the jmap way, without advancing the clock.
         if len(shadow) < len(dumper.store):
             shadow.append(
                 jmap.dump(vm.heap, collector.last_live_objects, vm.clock.now_ms)
             )
 
-    collector.add_cycle_listener(shadow_jmap)
+    vm.events.subscribe(GC_END, shadow_jmap)
     for model in workload.class_models():
         vm.classloader.load(model)
     workload.setup(vm)

@@ -15,12 +15,10 @@ the profiling phase can run against realistic load.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
 from repro.core.exact_tracer import ExactLifetimeTracer
-from repro.core.profile import AllocationProfile
 from repro.core.recorder import Recorder
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
@@ -36,8 +34,6 @@ class OverheadResult:
     baseline_ms: float
     polm2_ms: float
     exact_ms: float
-    polm2_profile: Optional[AllocationProfile] = None
-    exact_profile: Optional[AllocationProfile] = None
 
     @property
     def polm2_overhead(self) -> float:
@@ -60,45 +56,33 @@ class OverheadResult:
         return "\n".join(lines)
 
 
-def _run(workload_name: str, seed: int, ticks: int, profiler: str):
+def _run(workload_name: str, seed: int, ticks: int, profiler: str) -> float:
     workload = make_workload(workload_name, seed=seed)
     collector = NG2CCollector()
     vm = VM(SimConfig(seed=seed), collector=collector)
-    agent = None
     if profiler == "polm2":
-        agent = Recorder()
-        agent.attach(vm, Dumper(vm))
+        vm.attach_agent(Recorder())
+        vm.attach_agent(Dumper())
     elif profiler == "exact":
-        agent = ExactLifetimeTracer()
-        agent.attach(vm)
+        vm.attach_agent(ExactLifetimeTracer())
     for model in workload.class_models():
         vm.classloader.load(model)
     workload.setup(vm)
     for _ in range(ticks):
         workload.tick()
     workload.teardown()
-    return vm.clock.now_ms, agent
+    return vm.clock.now_ms
 
 
 def run(
     workload: str = "cassandra-wi",
     ticks: int = 1500,
     seed: int = 42,
-    build_profiles: bool = False,
 ) -> OverheadResult:
-    baseline_ms, _ = _run(workload, seed, ticks, profiler="none")
-    polm2_ms, recorder = _run(workload, seed, ticks, profiler="polm2")
-    exact_ms, tracer = _run(workload, seed, ticks, profiler="exact")
-    result = OverheadResult(
+    return OverheadResult(
         workload=workload,
         ticks=ticks,
-        baseline_ms=baseline_ms,
-        polm2_ms=polm2_ms,
-        exact_ms=exact_ms,
+        baseline_ms=_run(workload, seed, ticks, profiler="none"),
+        polm2_ms=_run(workload, seed, ticks, profiler="polm2"),
+        exact_ms=_run(workload, seed, ticks, profiler="exact"),
     )
-    if build_profiles:
-        from repro.core.analyzer import Analyzer
-
-        # recorder was attached with a Dumper; rebuild the analyzer input.
-        result.exact_profile = tracer.build_profile(workload=workload)
-    return result

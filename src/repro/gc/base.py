@@ -1,9 +1,9 @@
-"""Shared collector machinery: tracing, pause accounting, cycle hooks."""
+"""Shared collector machinery: tracing, pause accounting, GC events."""
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.idset import IdSet
 from repro.errors import GCError
@@ -14,19 +14,14 @@ from repro.runtime.events import GC_END, GC_START, GCEndEvent, GCStartEvent
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.vm import VM
 
-#: Cycle listener: invoked with the pause event after every GC cycle.
-#: POLM2's Recorder registers one to trigger a heap snapshot at the end of
-#: each cycle (paper §3.2, "by default ... at the end of every GC cycle").
-CycleListener = Callable[[GCPause], None]
-
 
 class GenerationalCollector(abc.ABC):
     """Base class for the simulated collectors.
 
     Subclasses implement policy (when to collect what, where survivors
     go); this base provides the mechanics every policy shares — root
-    tracing, pause recording against the virtual clock, and post-cycle
-    listener dispatch.
+    tracing, pause recording against the virtual clock, and the
+    ``GC_START``/``GC_END`` events on the VM's bus.
     """
 
     name = "abstract"
@@ -35,13 +30,6 @@ class GenerationalCollector(abc.ABC):
         self.vm: Optional["VM"] = None
         self.pause_log = PauseLog()
         self.cycles = 0
-        #: ``(listener, bus wrapper)`` bindings for the legacy cycle-listener
-        #: API, which now rides the VM's ``GC_END`` event so legacy and bus
-        #: subscribers share one ordered dispatch list.
-        self._cycle_bindings: List = []
-        #: Listeners registered before the collector was attached to a VM;
-        #: drained into the bus by :meth:`attach`.
-        self._pending_cycle_listeners: List[CycleListener] = []
         #: Live objects found by the most recent trace (consumed by the
         #: Recorder's no-need page marking and by snapshot engines).
         self.last_live_objects: List[HeapObject] = []
@@ -59,38 +47,10 @@ class GenerationalCollector(abc.ABC):
 
     def attach(self, vm: "VM") -> None:
         self.vm = vm
-        pending, self._pending_cycle_listeners = self._pending_cycle_listeners, []
-        for listener in pending:
-            self.add_cycle_listener(listener)
         self._on_attach()
 
     def _on_attach(self) -> None:
         """Subclass hook: create generations, size policies."""
-
-    def add_cycle_listener(self, listener: CycleListener) -> None:
-        """Legacy seam: subscribe ``listener(pause)`` to the VM's GC_END.
-
-        Routing through the bus keeps one ordered dispatch list for legacy
-        and agent subscribers alike (registration order is preserved
-        across both APIs, which experiment shadows rely on).
-        """
-        if self.vm is None:
-            self._pending_cycle_listeners.append(listener)
-            return
-        wrapper = lambda event, fn=listener: fn(event.pause)  # noqa: E731
-        self._cycle_bindings.append((listener, wrapper))
-        self.vm.events.subscribe(GC_END, wrapper)
-
-    def remove_cycle_listener(self, listener: CycleListener) -> None:
-        if self.vm is None:
-            self._pending_cycle_listeners.remove(listener)
-            return
-        for index, (fn, wrapper) in enumerate(self._cycle_bindings):
-            if fn is listener:
-                del self._cycle_bindings[index]
-                self.vm.events.unsubscribe(GC_END, wrapper)
-                return
-        raise ValueError(f"listener {listener!r} is not registered")
 
     # -- abstract policy ---------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """A ``-Xlog:gc``-style textual GC log.
 
-Attachable to any collector; renders each pause the way HotSpot's unified
-logging does, which makes simulated runs easy to eyeball and lets the
-examples show familiar-looking output::
+Subscribes to ``GC_END`` on the VM's event bus, so it works with any
+collector; renders each pause the way HotSpot's unified logging does,
+which makes simulated runs easy to eyeball and lets the examples show
+familiar-looking output::
 
     [12.345s] GC(7) Pause Young (NG2C) 18M->6M(64M) 3.219ms
     [14.001s] GC(8) Pause Gen (NG2C) freed 142 regions wholesale 1.108ms
@@ -13,9 +14,9 @@ from __future__ import annotations
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.gc.events import GCPause
+from repro.runtime.events import GC_END, GCEndEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.gc.base import GenerationalCollector
     from repro.runtime.vm import VM
 
 _MIB = 1024 * 1024
@@ -30,9 +31,10 @@ class GCLog:
         self._before_bytes: Optional[int] = None
         if vm.collector is None:
             raise ValueError("attach a collector before enabling the GC log")
-        vm.collector.add_cycle_listener(self._on_pause)
+        vm.events.subscribe(GC_END, self._on_gc_end)
 
-    def _on_pause(self, pause: GCPause) -> None:
+    def _on_gc_end(self, event: GCEndEvent) -> None:
+        pause = event.pause
         heap = self.vm.heap
         after = heap.used_bytes
         before = self._before_bytes if self._before_bytes is not None else after

@@ -30,18 +30,19 @@ Event kinds
     in allocation order.  Consumers that charge per-allocation mutator
     time must charge it once per object (the virtual clock is a float
     accumulator; one ``n×cost`` addition is not byte-identical to ``n``
-    additions of ``cost``).  An agent defining only ``on_allocation``
-    (no batch hook) forces ``VM.allocate_batch`` onto the scalar
-    dispatch path so it never misses an allocation.
+    additions of ``cost``).  While ``ALLOCATION`` has more subscribers
+    than ``ALLOCATION_BATCH`` (an agent defining only ``on_allocation``,
+    or a bare callable), ``VM.allocate_batch`` takes the scalar dispatch
+    path so no subscriber misses an allocation.
 ``SAFEPOINT``
     A workload-declared safepoint (memtable flush, segment merge, batch
     completion).  Payload: :class:`SafepointEvent`.
 ``GC_START`` / ``GC_END``
     Bracketing one stop-the-world collection, with the cycle kind
     (young / mixed / gen / full / concurrent).  Payloads:
-    :class:`GCStartEvent` / :class:`GCEndEvent`.  ``GC_END`` replaces the
-    historical per-collector cycle-listener list; it is guaranteed to be
-    published before any ``SNAPSHOT_POINT`` of the same cycle.
+    :class:`GCStartEvent` / :class:`GCEndEvent`.  ``GC_END`` is
+    guaranteed to be published before any ``SNAPSHOT_POINT`` of the same
+    cycle.
 ``SNAPSHOT_POINT``
     The Recorder decided this cycle ends with a checkpoint: the no-need
     pages are already marked and the full live set is attached.  Payload:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
@@ -69,14 +68,13 @@ class VM:
             ALLOCATION
         )
         #: Same hot-path aliasing for the batched front-end's event list.
+        #: While ALLOCATION has more subscribers than ALLOCATION_BATCH,
+        #: some subscriber has no batch hook, so ``allocate_batch`` on a
+        #: record-hooked site falls back to scalar dispatch — no
+        #: subscriber ever misses an allocation.
         self._batch_alloc_listeners: List[Callable] = self.events.listener_list(
             ALLOCATION_BATCH
         )
-        #: ALLOCATION subscribers with no batch hook (legacy shims, agents
-        #: defining only ``on_allocation``).  While any exist,
-        #: ``allocate_batch`` on a record-hooked site falls back to scalar
-        #: dispatch so no subscriber ever misses an allocation.
-        self._scalar_only_alloc_listeners = 0
         self._agents: List = []
         self.classloader.on_loaded = self._publish_class_load
         self.ops_completed = 0
@@ -121,10 +119,6 @@ class VM:
             hook = getattr(agent, hook_name, None)
             if callable(hook):
                 self.events.subscribe(kind, hook)
-        if callable(getattr(agent, "on_allocation", None)) and not callable(
-            getattr(agent, "on_allocation_batch", None)
-        ):
-            self._scalar_only_alloc_listeners += 1
         self._agents.append(agent)
 
     def detach_agent(self, agent) -> None:
@@ -136,10 +130,6 @@ class VM:
             hook = getattr(agent, hook_name, None)
             if callable(hook):
                 self.events.unsubscribe(kind, hook)
-        if callable(getattr(agent, "on_allocation", None)) and not callable(
-            getattr(agent, "on_allocation_batch", None)
-        ):
-            self._scalar_only_alloc_listeners -= 1
         if callable(getattr(agent, "transform", None)):
             self.classloader.remove_transformer(agent)
         on_detach = getattr(agent, "on_detach", None)
@@ -161,30 +151,6 @@ class VM:
     def _publish_class_load(self, class_model: "ClassModel") -> None:
         if self.events.has_listeners(CLASS_LOAD):
             self.events.publish(CLASS_LOAD, ClassLoadEvent(class_model))
-
-    # -- legacy listener API (shims over the bus) ----------------------------------
-
-    def add_alloc_listener(self, listener: AllocListener) -> None:
-        """Deprecated seam: subscribe to ALLOCATION on :attr:`events`."""
-        warnings.warn(
-            "VM.add_alloc_listener is deprecated; subscribe to ALLOCATION "
-            "on vm.events, or attach a VMAgent defining on_allocation",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.events.subscribe(ALLOCATION, listener)
-        # A bare callable has no batch hook: keep allocate_batch honest.
-        self._scalar_only_alloc_listeners += 1
-
-    def remove_alloc_listener(self, listener: AllocListener) -> None:
-        warnings.warn(
-            "VM.remove_alloc_listener is deprecated; unsubscribe from "
-            "ALLOCATION on vm.events",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.events.unsubscribe(ALLOCATION, listener)
-        self._scalar_only_alloc_listeners -= 1
 
     # -- roots ----------------------------------------------------------------------
 
@@ -278,7 +244,8 @@ class VM:
         is not byte-identical to ``n`` adds of ``cost``.
 
         Falls back to the scalar path whenever batching could be observed:
-        scalar-only ALLOCATION subscribers on a record-hooked site,
+        a record-hooked site while ALLOCATION has more subscribers than
+        ALLOCATION_BATCH (some subscriber has no batch hook),
         over-region-size (humongous) objects, ``link_from`` while Merlin
         ref-write listeners are attached, and pretenured record-hooked
         batches (whose pretenure and logging clock charges interleave).
@@ -296,14 +263,18 @@ class VM:
         sizes_arr = sizes if isinstance(sizes, array) else array("q", sizes)
         max_size = max(sizes_arr)
         record_hook = site.record_hook
+        batch_listeners = self._batch_alloc_listeners
         if (
             max_size > heap.region_size
-            or (record_hook and self._scalar_only_alloc_listeners > 0)
+            or (
+                record_hook
+                and len(self._alloc_listeners) > len(batch_listeners)
+            )
             or (link_from is not None and heap.ref_write_listeners)
             or (
                 pretenure_index != 0
                 and record_hook
-                and (self._alloc_listeners or self._batch_alloc_listeners)
+                and (self._alloc_listeners or batch_listeners)
             )
         ):
             out = []
@@ -320,7 +291,6 @@ class VM:
             site.cached_site_id = site_id
         trace: tuple = ()
         trace_id = 0
-        batch_listeners = self._batch_alloc_listeners
         if record_hook and batch_listeners:
             # The stack cannot change mid-batch (no frame push/pop), so
             # the interned trace resolves once for the whole batch.

@@ -57,7 +57,7 @@ class BoundedLiveSource(VMAgent):
     """Streams snapshot points into a ProfileBuilder with bounded memory.
 
     The streaming twin of :class:`~repro.core.stages.LiveVMSource` for
-    always-on use: after each snapshot is fed to the stages it trims the
+    always-on use: after each snapshot is fed to the analyzer it trims the
     Dumper's store to the newest snapshot and severs the consumed
     delta's predecessor link, so a cycle retains at most two snapshots
     (the one being taken plus the previous chain head) at any instant.
@@ -88,7 +88,7 @@ class BoundedLiveSource(VMAgent):
         snapshot.release_predecessor()
 
     def flush(self) -> None:
-        """End of window: hand the Recorder's streams to the stages."""
+        """End of window: hand the Recorder's streams to the analyzer."""
         self.builder.feed_trace_flush(self.recorder.records)
 
     def telemetry(self) -> Dict[str, int]:
@@ -214,7 +214,6 @@ class ProfilingCycleEngine:
         vm = VM(self.config, collector=collector)
         recorder = Recorder(snapshot_every=self.snapshot_every)
         dumper = Dumper()
-        recorder.dumper = dumper
         builder = ProfileBuilder(
             max_generations=self.config.max_generations, push_up=self.push_up
         )
@@ -240,7 +239,7 @@ class ProfilingCycleEngine:
         if not window_complete or self.clock() >= deadline:
             truncated_after = STAGE_PROFILE
         else:
-            # Stage 2 — post-processing: close the streaming stages and
+            # Stage 2 — post-processing: close the streaming analyzer and
             # fold the survival counts into the cycle's STTree.
             stage_start = self.clock()
             source.flush()

@@ -1,8 +1,7 @@
 """Binary columnar snapshot store (``snapshots.bin``).
 
-The JSON-lines snapshot file spends most of its load time parsing id
-lists out of text and boxing them into frozensets.  This module replaces
-it with a columnar binary layout, schema ``polm2-snapshots-v2``:
+The one on-disk snapshot layout, schema ``polm2-snapshots-v2``: id
+columns stay binary, so loading never parses id lists out of text:
 
 ```
 magic    8 B   b"POLM2SNP"
@@ -32,9 +31,8 @@ Version policy matches the profile IR (``polm2-profile-v2``): this
 reader accepts exactly ``polm2-snapshots-v2``; a future
 ``polm2-snapshots-v3`` file fails with a one-line
 :class:`~repro.errors.ProfileFormatError` telling the user to upgrade,
-never a misparse.  Legacy ``snapshots.jsonl`` recordings keep loading
-through :meth:`repro.snapshot.snapshot.SnapshotStore.iter_file`, which
-sniffs the magic and falls back to the JSON-lines reader.
+never a misparse; so does a file without the magic (e.g. a JSON-lines
+snapshot file from before this layout).
 """
 
 from __future__ import annotations
@@ -132,6 +130,11 @@ def _read_column(blob: bytes, offset: int, path: str, field: str, seq) -> tuple:
 
 
 def _load_header(blob: bytes, path: str) -> dict:
+    if not blob.startswith(SNAPSHOTS_MAGIC):
+        raise ProfileFormatError(
+            f"{path}: not a binary snapshot store (expected "
+            f"{SNAPSHOTS_SCHEMA})"
+        )
     if len(blob) < len(SNAPSHOTS_MAGIC) + _LEN.size:
         raise ProfileFormatError(
             f"{path}: truncated snapshot store header (expected "
@@ -182,8 +185,8 @@ def iter_binary(path: str) -> Iterator["Snapshot"]:
     """Stream snapshots out of a binary store, chaining delta predecessors.
 
     Metadata columns are decoded up front (they are tiny); id columns
-    are decoded one snapshot at a time, so — exactly like the JSON-lines
-    reader — the caller decides how many snapshots stay alive.
+    are decoded one snapshot at a time, so the caller decides how many
+    snapshots stay alive.
     """
     from repro.snapshot.snapshot import Snapshot
 
@@ -228,12 +231,3 @@ def iter_binary(path: str) -> Iterator["Snapshot"]:
             f"{path}: {len(blob) - offset} trailing bytes after the last id "
             f"column ({SNAPSHOTS_SCHEMA})"
         )
-
-
-def is_binary_store(path: str) -> bool:
-    """True when ``path`` starts with the binary store magic."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(SNAPSHOTS_MAGIC)) == SNAPSHOTS_MAGIC
-    except OSError:
-        return False

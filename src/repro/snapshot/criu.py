@@ -29,16 +29,12 @@ class CRIUEngine:
     The first checkpoint is a full image; every later one is stored
     delta-encoded (``born_ids``/``dead_ids`` against its predecessor),
     mirroring the incremental image directories CRIU leaves on disk.
-    ``delta_encode=False`` restores the legacy full-set representation
-    (every snapshot owns its complete live-set), used by ablations and
-    format-compatibility tests.
     """
 
     name = "criu"
 
-    def __init__(self, costs: CostModel, delta_encode: bool = True) -> None:
+    def __init__(self, costs: CostModel) -> None:
         self.costs = costs
-        self.delta_encode = delta_encode
         self._seq = 0
         self._prev_live: Optional[IdSet] = None
         self._prev_snapshot: Optional[Snapshot] = None
@@ -91,7 +87,7 @@ class CRIUEngine:
             duration_us=duration_us,
             incremental=self._seq > 1,
         )
-        if self.delta_encode and self._prev_live is not None:
+        if self._prev_live is not None:
             # Logical content mirrors the physical image: only what
             # changed since the previous checkpoint is stored.
             snapshot = Snapshot(

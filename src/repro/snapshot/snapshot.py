@@ -1,7 +1,7 @@
 """Snapshot records and the store that orders them.
 
-Two on-disk/in-memory representations exist, mirroring the paper's two
-dump engines:
+Two in-memory representations exist, mirroring the paper's two dump
+engines:
 
 * **full** — the snapshot owns its complete ``live_object_ids`` set
   (what a jmap ``.hprof`` dump contains);
@@ -12,37 +12,30 @@ dump engines:
 
 Delta encoding cuts both resident memory and (de)serialization cost by
 roughly the live/dirty ratio — the same economics that make the paper's
-incremental checkpoints viable.  ``SnapshotStore.save``/``load`` round-trip
-either representation, and loading a legacy full-format file keeps
-working unchanged.
+incremental checkpoints viable.
 
 Id sets (``born_ids``/``dead_ids``/``live_object_ids``) are
 :class:`~repro.core.idset.IdSet` kernels, not frozensets: chunked
 sorted-run/bitmap containers whose set algebra runs as big-int bitwise
-passes.  On disk, two formats coexist: the default binary columnar store
+passes.  On disk, a store is one binary columnar file
 (``snapshots.bin``, schema ``polm2-snapshots-v2`` — see
-:mod:`repro.snapshot.binstore`) and the legacy JSON-lines file, which
-``iter_file`` still reads by sniffing the magic bytes.
+:mod:`repro.snapshot.binstore`) holding either representation.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.errors import ProfileFormatError
 
-#: On-disk snapshot formats ``SnapshotStore.save`` understands.
-SNAPSHOT_FORMATS = ("binary", "jsonl")
-
 
 class Snapshot:
     """One memory snapshot.
 
     ``live_object_ids`` is the *logical* content: the identity hash codes
-    of every reachable object at dump time, i.e. what the Analyzer sees
+    of every reachable object at dump time, i.e. what the analyzer sees
     after reconstructing the process image from the incremental chain and
     reading each object header (paper §4.3).  ``size_bytes`` and
     ``duration_us`` are the *physical* cost of producing this snapshot
@@ -206,8 +199,7 @@ class Snapshot:
     def __reduce__(self):
         return (Snapshot.from_dict, (self.to_full_dict(),))
 
-    # -- (de)serialization: snapshots are on-disk artifacts in the paper's
-    # -- workflow (CRIU image directories the Analyzer reads later).
+    # -- payload dicts: what pickling and the result cache ship.
 
     def to_dict(self) -> Dict:
         """Native representation: delta snapshots emit born/dead only."""
@@ -228,7 +220,7 @@ class Snapshot:
         return payload
 
     def to_full_dict(self) -> Dict:
-        """Legacy full representation (materializes the live-set)."""
+        """Full representation (materializes the live-set)."""
         payload = self.to_dict()
         payload.pop("born_ids", None)
         payload.pop("dead_ids", None)
@@ -283,8 +275,8 @@ class Snapshot:
 class SnapshotView(Sequence):
     """Read-only, zero-copy view over a store's snapshot list.
 
-    Returned by :attr:`SnapshotStore.snapshots`; the Analyzer and the
-    figure drivers iterate it in hot loops, so property access must be
+    Returned by :attr:`SnapshotStore.snapshots`; the figure drivers
+    iterate it in hot loops, so property access must be
     O(1) — the store used to return ``list(...)`` copies, O(n) per call.
     Slicing returns a plain list (callers take prefixes for plots).
     """
@@ -383,66 +375,35 @@ class SnapshotStore:
     def total_duration_us(self) -> float:
         return sum(s.duration_us for s in self._snapshots)
 
-    # -- persistence: binary columnar (default) or legacy JSON lines ---------------
+    # -- persistence: the binary columnar store ------------------------------------
 
-    def save(self, path: str, format: Optional[str] = None) -> None:
-        """Persist every snapshot in its native (delta or full) form.
+    def save(self, path: str) -> None:
+        """Persist every snapshot in its native (delta or full) form as
+        a binary columnar ``polm2-snapshots-v2`` file (see
+        :mod:`repro.snapshot.binstore`)."""
+        from repro.snapshot import binstore
 
-        ``format`` is ``"binary"`` (the default — the columnar
-        ``polm2-snapshots-v2`` layout of :mod:`repro.snapshot.binstore`)
-        or ``"jsonl"`` (the legacy one-JSON-object-per-line file).  When
-        omitted, a ``.jsonl`` path selects the legacy format so existing
-        callers writing ``snapshots.jsonl`` keep producing what the name
-        promises; every other path gets the binary store.
-        """
-        if format is None:
-            format = "jsonl" if path.endswith(".jsonl") else "binary"
-        if format not in SNAPSHOT_FORMATS:
-            raise ValueError(
-                f"unknown snapshot format {format!r} "
-                f"(expected one of {SNAPSHOT_FORMATS})"
-            )
-        if format == "binary":
-            from repro.snapshot import binstore
-
-            binstore.write_store(path, self._snapshots)
-            return
-        with open(path, "w") as handle:
-            for snapshot in self._snapshots:
-                handle.write(json.dumps(snapshot.to_dict()) + "\n")
+        binstore.write_store(path, self._snapshots)
 
     @classmethod
     def iter_file(cls, path: str) -> Iterator[Snapshot]:
-        """Stream snapshots from either on-disk format, one at a time.
+        """Stream snapshots from a binary store, one at a time.
 
-        The format is sniffed from the file's magic bytes: binary
-        columnar stores decode through :mod:`repro.snapshot.binstore`,
-        anything else is read as legacy JSON lines.  Unlike
-        :meth:`load`, nothing here retains the whole sequence: each
-        delta chains onto the previous snapshot (so lazy live-set
+        A file in any other layout fails with a one-line
+        :class:`~repro.errors.ProfileFormatError` naming ``path``.
+        Unlike :meth:`load`, nothing here retains the whole sequence:
+        each delta chains onto the previous snapshot (so lazy live-set
         decoding still works) but the *caller* decides what stays alive
         — the streaming analyzer keeps only the latest, so replaying a
         recording never materializes every live set at once.
         """
         from repro.snapshot import binstore
 
-        if binstore.is_binary_store(path):
-            yield from binstore.iter_binary(path)
-            return
-        previous: Optional[Snapshot] = None
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    snapshot = Snapshot.from_dict(
-                        json.loads(line), predecessor=previous, source=path
-                    )
-                    yield snapshot
-                    previous = snapshot
+        yield from binstore.iter_binary(path)
 
     @classmethod
     def load(cls, path: str) -> "SnapshotStore":
-        """Read either format; deltas chain onto the previous snapshot."""
+        """Read a binary store; deltas chain onto the previous snapshot."""
         store = cls()
         for snapshot in cls.iter_file(path):
             store.append(snapshot)

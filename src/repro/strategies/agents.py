@@ -61,9 +61,9 @@ class TelemetryAgent(VMAgent):
 class GenerationRotationAgent(VMAgent):
     """Rotates an NG2C generation at every ``flush`` safepoint.
 
-    Replaces the manual-NG2C ``workload.flush_hooks`` lambda: the paper's
-    Cassandra experts call ``newGeneration()`` at each memtable flush;
-    here that is an agent reacting to the workload's flush safepoint.
+    The paper's Cassandra experts call ``newGeneration()`` at each
+    memtable flush; here that is an agent reacting to the workload's
+    flush safepoint.
     """
 
     def __init__(

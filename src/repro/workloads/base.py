@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.core.profile import AllocationProfile, AllocDirective, CallDirective
 from repro.runtime.code import ClassModel
@@ -64,18 +64,15 @@ class Workload(abc.ABC):
     name: str = "abstract"
 
     def __init__(self) -> None:
-        #: Callbacks fired when the workload retires a large unit of state
-        #: (memtable flush, segment merge, batch completion).  The manual
-        #: NG2C baseline historically hooked generation rotation here;
-        #: agents now subscribe to the VM's SAFEPOINT event instead.
-        self.flush_hooks: List[Callable[[], None]] = []
         #: The VM this workload runs on; the pipeline driver sets it
         #: before loading classes (subclasses also set it in ``setup``).
         self.vm: Optional["VM"] = None
 
     def fire_flush_hooks(self) -> None:
-        for hook in self.flush_hooks:
-            hook()
+        """Publish the ``flush`` safepoint: the workload retired a large
+        unit of state (memtable flush, segment merge, batch completion).
+        Agents such as the manual-NG2C generation rotation subscribe to
+        the VM's ``SAFEPOINT`` event."""
         vm = getattr(self, "vm", None)
         if vm is not None:
             vm.safepoint("flush", source=self.name)

@@ -1,15 +1,10 @@
-"""Unit tests for the Analyzer's bucket algorithm and estimation."""
+"""Unit tests for the bucket algorithm and generation estimation."""
 
 from typing import List
 
-import pytest
-
-from repro.core.analyzer import (
-    Analyzer,
-    LifetimeDistribution,
-    survival_to_generation,
-)
+from repro.core.analyzer import LifetimeDistribution, survival_to_generation
 from repro.core.recorder import AllocationRecords
+from repro.core.stages import IncrementalAnalyzer, ProfileBuilder
 from repro.snapshot.snapshot import Snapshot
 
 
@@ -38,6 +33,23 @@ def build_records(young_ids: List[int], long_ids: List[int]) -> AllocationRecord
     return records
 
 
+def analyze(records, snapshots, **kwargs) -> IncrementalAnalyzer:
+    analyzer = IncrementalAnalyzer(**kwargs)
+    for snapshot in snapshots:
+        analyzer.on_snapshot(snapshot)
+    analyzer.on_trace_flush(records)
+    analyzer.finish()
+    return analyzer
+
+
+def build_profile(records, snapshots, workload):
+    builder = ProfileBuilder()
+    for snapshot in snapshots:
+        builder.feed_snapshot(snapshot)
+    builder.feed_trace_flush(records)
+    return builder.build(workload=workload)
+
+
 class TestSurvivalToGeneration:
     def test_zero_is_young(self):
         assert survival_to_generation(0, 16) == 0
@@ -62,30 +74,25 @@ class TestBucketAlgorithm:
             make_snapshot(2, {3}),
             make_snapshot(3, {3}),
         ]
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        counts = analyzer.survival_counts()
-        assert counts[3] == 3
-        assert 1 not in counts  # never seen live
+        analyzer = analyze(records, snapshots, min_samples=1)
+        assert analyzer.distributions[2].buckets == {3: 1}
+        # Never seen live: bucket zero.
+        assert analyzer.distributions[1].buckets == {0: 2}
 
     def test_unrecorded_ids_ignored(self):
         records = build_records(young_ids=[1], long_ids=[])
         snapshots = [make_snapshot(1, {999})]
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        assert 999 not in analyzer.survival_counts()
-
-    def test_snapshots_sorted_by_time(self):
-        records = build_records([], [1])
-        snapshots = [make_snapshot(2, {1}), make_snapshot(1, {1})]
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        assert [s.seq for s in analyzer.snapshots] == [1, 2]
+        analyzer = analyze(records, snapshots, min_samples=1)
+        assert list(analyzer.distributions) == [1]
+        assert analyzer.distributions[1].buckets == {0: 1}
 
 
 class TestDistributions:
     def test_distribution_buckets(self):
         records = build_records(young_ids=[1, 2, 3], long_ids=[10, 11])
         snapshots = [make_snapshot(1, {10, 11}), make_snapshot(2, {10, 11})]
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        dists = analyzer.distributions()
+        analyzer = analyze(records, snapshots, min_samples=1)
+        dists = analyzer.distributions
         long_dist = dists[2]  # trace id 2 = TRACE_B
         assert long_dist.buckets == {2: 2}
         young_dist = dists[1]
@@ -94,8 +101,8 @@ class TestDistributions:
     def test_id_cutoff_excludes_post_snapshot_allocations(self):
         records = build_records(young_ids=[], long_ids=[1, 2, 100])
         snapshots = [make_snapshot(1, {1, 2})]
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        dist = analyzer.distributions()[1]
+        analyzer = analyze(records, snapshots, min_samples=1)
+        dist = analyzer.distributions[1]
         # id 100 > max live id in last snapshot -> excluded.
         assert sum(dist.buckets.values()) == 2
 
@@ -115,22 +122,22 @@ class TestEstimation:
         # the whole stream; 18 of 19 objects never survive a snapshot.
         records = build_records(young_ids=list(range(1, 20)), long_ids=[])
         snapshots = [make_snapshot(1, {19})]
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        assert analyzer.estimate_generations()[1] == 0
+        analyzer = analyze(records, snapshots, min_samples=1)
+        assert analyzer.estimates[1] == 0
 
     def test_long_lived_estimated_old(self):
         long_ids = list(range(1, 30))
         records = build_records(young_ids=[], long_ids=long_ids)
         snapshots = [make_snapshot(i, set(long_ids)) for i in range(1, 6)]
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        gen = analyzer.estimate_generations()[1]
+        analyzer = analyze(records, snapshots, min_samples=1)
+        gen = analyzer.estimates[1]
         assert gen == survival_to_generation(5, 16)
 
     def test_min_samples_guard(self):
         records = build_records(young_ids=[], long_ids=[1, 2])
         snapshots = [make_snapshot(i, {1, 2}) for i in range(1, 5)]
-        analyzer = Analyzer(records, snapshots, min_samples=10)
-        assert analyzer.estimate_generations()[1] == 0
+        analyzer = analyze(records, snapshots, min_samples=10)
+        assert analyzer.estimates[1] == 0
 
 
 class TestSiteReport:
@@ -138,7 +145,7 @@ class TestSiteReport:
         long_ids = list(range(1, 30))
         records = build_records(young_ids=[100, 101, 102], long_ids=long_ids)
         snapshots = [make_snapshot(i, set(long_ids) | {102}) for i in (1, 2, 3)]
-        analyzer = Analyzer(records, snapshots, min_samples=1)
+        analyzer = analyze(records, snapshots, min_samples=1)
         report = analyzer.site_report()
         assert "long_site:20" in report
         assert "young_site:10" in report
@@ -152,7 +159,7 @@ class TestSiteReport:
         for i in range(60):
             records.log((("C", f"m{i}", i),), 1000 + i)
         snapshots = [make_snapshot(1, {1059})]
-        analyzer = Analyzer(records, snapshots, min_samples=1)
+        analyzer = analyze(records, snapshots, min_samples=1)
         report = analyzer.site_report(max_sites=10)
         # Header (2 lines) + 10 rows.
         assert len(report.splitlines()) == 12
@@ -164,8 +171,7 @@ class TestProfileBuilding:
         long_ids = list(range(100, 140))
         records = build_records(young_ids, long_ids)
         snapshots = [make_snapshot(i, set(long_ids)) for i in range(1, 5)]
-        analyzer = Analyzer(records, snapshots)
-        profile = analyzer.build_profile(workload="unit")
+        profile = build_profile(records, snapshots, workload="unit")
         sites = {d.location for d in profile.alloc_directives}
         assert ("C", "long_site", 20) in sites
         assert ("C", "young_site", 10) not in sites
@@ -183,8 +189,7 @@ class TestProfileBuilding:
             records.log(young_trace, oid)
         live = set(range(1, 30))
         snapshots = [make_snapshot(i, live | {129}) for i in range(1, 5)]
-        analyzer = Analyzer(records, snapshots)
-        profile = analyzer.build_profile(workload="unit")
+        profile = build_profile(records, snapshots, workload="unit")
         assert profile.conflicts_detected == 1
         directives = {d.location: d for d in profile.call_directives}
         assert directives[("C", "put", 1)].target_generation >= 1

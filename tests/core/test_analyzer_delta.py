@@ -1,15 +1,20 @@
-"""Analyzer hot-path tests: delta single-pass parity and memoization."""
+"""Streaming analyzer hot path: delta-chain parity and cached results."""
 
 import random
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
+from repro.core import stages
 from repro.core.dumper import Dumper
 from repro.core.recorder import AllocationRecords, Recorder
+from repro.core.stages import IncrementalAnalyzer, LiveVMSource, ProfileBuilder
 from repro.gc.g1 import G1Collector
 from repro.runtime.code import ClassModel
 from repro.runtime.vm import VM
 from repro.snapshot.snapshot import Snapshot
+from tests.core.survival_reference import (
+    reference_distributions,
+    reference_tree,
+)
 
 TRACE_A = (("C", "site_a", 10),)
 TRACE_B = (("C", "site_b", 20),)
@@ -75,100 +80,120 @@ def build_records(ids):
     return records
 
 
+def analyze(records, snapshots, **kwargs):
+    analyzer = IncrementalAnalyzer(**kwargs)
+    for snapshot in snapshots:
+        analyzer.on_snapshot(snapshot)
+    analyzer.on_trace_flush(records)
+    analyzer.finish()
+    return analyzer
+
+
+def buckets(distributions):
+    return {t: d.buckets for t, d in distributions.items()}
+
+
 class TestDeltaFastPathParity:
     def test_counts_match_intersection_fallback(self):
         rng = random.Random(7)
         ids = list(range(1, 120))
         live_sets = random_live_sets(rng, ids, 20)
         records = build_records(ids)
+        snaps = delta_snapshots(live_sets)
 
-        delta = Analyzer(records, delta_snapshots(live_sets))
-        full = Analyzer(
-            records,
-            [full_snapshot(i, s) for i, s in enumerate(live_sets, start=1)],
+        analyzer = analyze(records, snaps)
+        assert buckets(analyzer.distributions) == buckets(
+            reference_distributions(records, snaps)
         )
-        assert delta._has_delta_chain()
-        assert not full._has_delta_chain()
-        assert dict(delta.survival_counts()) == dict(full.survival_counts())
-        assert delta._id_cutoff() == full._id_cutoff()
-        assert {
-            t: d.buckets for t, d in delta.distributions().items()
-        } == {t: d.buckets for t, d in full.distributions().items()}
-        assert delta.estimate_generations() == full.estimate_generations()
+        assert analyzer.finish().digest() == reference_tree(records, snaps).digest()
 
     def test_fast_path_internal_methods_agree(self):
+        # The chained-delta path and the synthesized-delta path (full
+        # images) of on_snapshot must count identically.
         rng = random.Random(11)
         ids = list(range(1, 60))
         live_sets = random_live_sets(rng, ids, 12)
-        analyzer = Analyzer(build_records(ids), delta_snapshots(live_sets))
-        assert dict(analyzer._survival_counts_delta()) == dict(
-            analyzer._survival_counts_intersection()
+        records = build_records(ids)
+        chained = analyze(records, delta_snapshots(live_sets))
+        full = analyze(
+            records,
+            [full_snapshot(i, s) for i, s in enumerate(live_sets, start=1)],
         )
+        assert buckets(chained.distributions) == buckets(full.distributions)
+        assert chained.estimates == full.estimates
+        assert chained.finish().digest() == full.finish().digest()
 
     def test_fast_path_avoids_materializing_tail(self):
         live_sets = [{1, 2}, {2, 3}, {3, 4}, {4, 5}]
         snaps = delta_snapshots(live_sets)
-        analyzer = Analyzer(build_records([1, 2, 3, 4, 5]), snaps)
-        analyzer.distributions()
+        analyze(build_records([1, 2, 3, 4, 5]), snaps)
         # Neither survival counting nor the id cutoff needed the full
         # cumulative live-set of the later snapshots.
         assert not snaps[-1].is_materialized
 
     def test_broken_chain_falls_back(self):
-        live_sets = [{1, 2}, {2, 3}]
+        live_sets = [{5, 6}, {6, 7}]
         snaps = delta_snapshots(live_sets)
         # A foreign full snapshot in the middle breaks the chain.
-        mixed = [snaps[0], full_snapshot(5, {7}), snaps[1]]
-        analyzer = Analyzer(build_records([1, 2, 3, 7]), mixed)
-        assert not analyzer._has_delta_chain()
-        counts = analyzer.survival_counts()
-        assert counts[7] == 1
+        mixed = [snaps[0], full_snapshot(5, {1}), snaps[1]]
+        records = build_records([1, 5, 6, 7])
+        analyzer = analyze(records, mixed, min_samples=1)
+        # Ids 1, 5 and 7 (trace 1) are each live in exactly one snapshot;
+        # id 6 (trace 2) in two, across the foreign image.
+        assert buckets(analyzer.distributions) == {1: {1: 3}, 2: {2: 1}}
+        expected = reference_distributions(records, mixed)
+        assert buckets(analyzer.distributions) == buckets(expected)
 
 
 class TestMemoization:
     def test_results_cached_across_calls(self):
         live_sets = [{1, 2}, {2, 3}]
-        analyzer = Analyzer(
-            build_records([1, 2, 3]), delta_snapshots(live_sets)
-        )
-        assert analyzer.survival_counts() is analyzer.survival_counts()
-        assert analyzer.distributions() is analyzer.distributions()
-        assert (
-            analyzer.estimate_generations() is analyzer.estimate_generations()
-        )
+        analyzer = analyze(build_records([1, 2, 3]), delta_snapshots(live_sets))
+        tree = analyzer.finish()
+        distributions = analyzer.distributions
+        estimates = analyzer.estimates
+        analyzer.site_report()
+        assert analyzer.finish() is tree
+        assert analyzer.distributions is distributions
+        assert analyzer.estimates is estimates
 
     def test_survival_counts_computed_once(self, monkeypatch):
         live_sets = [{1, 2}, {2, 3}]
-        analyzer = Analyzer(
-            build_records([1, 2, 3]), delta_snapshots(live_sets)
-        )
+        builder = ProfileBuilder()
+        for snapshot in delta_snapshots(live_sets):
+            builder.feed_snapshot(snapshot)
+        builder.feed_trace_flush(build_records([1, 2, 3]))
         calls = {"n": 0}
-        original = Analyzer._survival_counts_delta
+        original = stages.lifetime_distributions
 
-        def counting(self):
+        def counting(*args):
             calls["n"] += 1
-            return original(self)
+            return original(*args)
 
-        monkeypatch.setattr(Analyzer, "_survival_counts_delta", counting)
-        analyzer.build_profile()
-        analyzer.site_report()
-        analyzer.build_profile()
+        monkeypatch.setattr(stages, "lifetime_distributions", counting)
+        builder.build()
+        builder.analyzer.site_report()
+        builder.build()
         assert calls["n"] == 1
 
 
 class TestHumongousMixedLifetimes:
     def test_delta_matches_intersection_with_humongous_objects(self):
-        """Fast path == fallback on a mixed-lifetime run with humongous objects.
+        """Delta cohorts == intersection counting with humongous objects.
 
         Multi-region objects never move and are reclaimed by a separate
         path than regular evacuation, so their ids enter and leave the
-        snapshot live-sets differently — the delta cohort algebra must
-        still count them exactly like the intersection fallback.
+        snapshot live-sets differently — the streaming analyzer's delta
+        cohort algebra must still count them exactly like the
+        snapshot-by-snapshot reference.
         """
         vm = VM(SimConfig.small(), collector=G1Collector())
         recorder = Recorder(snapshot_every=1)
-        dumper = Dumper(vm)
-        recorder.attach(vm, dumper)
+        dumper = Dumper()
+        builder = ProfileBuilder()
+        source = LiveVMSource(builder, recorder, dumper)
+        for agent in (recorder, dumper, source):
+            vm.attach_agent(agent)
         region = vm.heap.region_size
         model = ClassModel("H")
         method = model.add_method("run")
@@ -197,12 +222,11 @@ class TestHumongousMixedLifetimes:
         assert humongous_high_water > 0
         assert len(dumper.store) >= 3
 
-        analyzer = Analyzer(recorder.records, list(dumper.store))
-        assert analyzer._has_delta_chain()
-        recorded = analyzer._recorded_ids()
-        delta_counts = {
-            oid: count
-            for oid, count in analyzer._survival_counts_delta().items()
-            if oid in recorded
-        }
-        assert delta_counts == dict(analyzer._survival_counts_intersection())
+        source.flush()
+        records, snapshots = recorder.records, list(dumper.store)
+        analyzer = builder.analyzer
+        tree = analyzer.finish()
+        assert buckets(analyzer.distributions) == buckets(
+            reference_distributions(records, snapshots)
+        )
+        assert tree.digest() == reference_tree(records, snapshots).digest()

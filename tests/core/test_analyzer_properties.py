@@ -1,13 +1,14 @@
-"""Property-based tests for the Analyzer's bucket algorithm."""
+"""Property-based tests for the streaming analyzer's bucket algorithm."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analyzer import Analyzer, survival_to_generation
+from repro.core.analyzer import survival_to_generation
 from repro.core.recorder import AllocationRecords
+from repro.core.stages import IncrementalAnalyzer
 from repro.snapshot.snapshot import Snapshot
 
 
@@ -29,12 +30,15 @@ populations = st.lists(
 )
 
 
-def build_world(lifetimes: List[int], snapshot_count: int = 12):
-    """One trace; object i survives exactly ``lifetimes[i]`` snapshots."""
+def build_world(
+    lifetimes: List[int], snapshot_count: int = 12, trace_per_object=False
+):
+    """Object i survives exactly ``lifetimes[i]`` snapshots; one trace for
+    all objects, or (``trace_per_object``) trace i + 1 for object i."""
     records = AllocationRecords()
-    trace = (("C", "site", 1),)
     for index in range(len(lifetimes)):
-        records.log(trace, index + 1)
+        line = index + 1 if trace_per_object else 1
+        records.log((("C", "site", line),), index + 1)
     snapshots = []
     for seq in range(1, snapshot_count + 1):
         live = {
@@ -47,6 +51,15 @@ def build_world(lifetimes: List[int], snapshot_count: int = 12):
         live.add(len(lifetimes))
         snapshots.append(make_snapshot(seq, live))
     return records, snapshots
+
+
+def analyze(records, snapshots) -> IncrementalAnalyzer:
+    analyzer = IncrementalAnalyzer(min_samples=1)
+    for snapshot in snapshots:
+        analyzer.on_snapshot(snapshot)
+    analyzer.on_trace_flush(records)
+    analyzer.finish()
+    return analyzer
 
 
 class TestSurvivalToGenerationProperties:
@@ -71,29 +84,27 @@ class TestBucketAlgorithmProperties:
     @given(lifetimes=populations)
     @settings(max_examples=60, deadline=None)
     def test_survival_counts_match_ground_truth(self, lifetimes):
-        records, snapshots = build_world(lifetimes)
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        counts = analyzer.survival_counts()
+        records, snapshots = build_world(lifetimes, trace_per_object=True)
+        distributions = analyze(records, snapshots).distributions
         for index, lifetime in enumerate(lifetimes):
             object_id = index + 1
             expected = min(lifetime, len(snapshots))
             if object_id == len(lifetimes):
                 expected = len(snapshots)  # pinned visible in every snapshot
-            assert counts.get(object_id, 0) == expected
+            # Object i is alone in trace i + 1: its histogram is its count.
+            assert distributions[object_id].buckets == {expected: 1}
 
     @given(lifetimes=populations)
     @settings(max_examples=60, deadline=None)
     def test_distribution_accounts_every_object(self, lifetimes):
         records, snapshots = build_world(lifetimes)
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        dist = analyzer.distributions()[1]
+        dist = analyze(records, snapshots).distributions[1]
         assert dist.sample_count == len(lifetimes)
 
     @given(lifetimes=populations)
     @settings(max_examples=60, deadline=None)
     def test_estimate_within_observed_range(self, lifetimes):
         records, snapshots = build_world(lifetimes)
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        estimate = analyzer.estimate_generations()[1]
+        estimate = analyze(records, snapshots).estimates[1]
         max_possible = survival_to_generation(len(snapshots), 16)
         assert 0 <= estimate <= max_possible

@@ -13,16 +13,22 @@ def vm() -> VM:
     return VM(SimConfig.small(), collector=NG2CCollector())
 
 
+def attached(vm, **kwargs) -> Dumper:
+    dumper = Dumper(**kwargs)
+    vm.attach_agent(dumper)
+    return dumper
+
+
 class TestDumper:
     def test_snapshot_charged_to_clock(self, vm):
-        dumper = Dumper(vm)
+        dumper = attached(vm)
         obj = vm.allocate_anonymous(4096)
         before = vm.clock.now_us
         snapshot = dumper.take_snapshot([obj])
         assert vm.clock.now_us == before + snapshot.duration_us
 
     def test_snapshots_accumulate_in_store(self, vm):
-        dumper = Dumper(vm)
+        dumper = attached(vm)
         dumper.take_snapshot([])
         dumper.take_snapshot([])
         assert dumper.snapshots_taken == 2
@@ -30,7 +36,7 @@ class TestDumper:
         assert dumper.store[1].seq == 2
 
     def test_snapshot_times_are_virtual(self, vm):
-        dumper = Dumper(vm)
+        dumper = attached(vm)
         first = dumper.take_snapshot([])
         vm.clock.advance_ms(500.0)
         second = dumper.take_snapshot([])
@@ -40,12 +46,12 @@ class TestDumper:
         from repro.snapshot.snapshot import SnapshotStore
 
         store = SnapshotStore()
-        dumper = Dumper(vm, store=store)
+        dumper = attached(vm, store=store)
         dumper.take_snapshot([])
         assert len(store) == 1
 
     def test_incremental_across_snapshots(self, vm):
-        dumper = Dumper(vm)
+        dumper = attached(vm)
         vm.allocate_anonymous(8192)
         first = dumper.take_snapshot([])
         second = dumper.take_snapshot([])

@@ -12,7 +12,7 @@ from repro.runtime.vm import VM
 def build_vm():
     vm = VM(SimConfig.small(), collector=NG2CCollector())
     tracer = ExactLifetimeTracer(min_samples=1)
-    tracer.attach(vm)
+    vm.attach_agent(tracer)
     model = ClassModel("C")
     method = model.add_method("m")
     method.add_alloc_site(10, "Row", 512)

@@ -33,11 +33,11 @@ class TestAttachment:
     def test_requires_pretenuring_collector(self):
         vm = VM(SimConfig.small(), collector=G1Collector())
         with pytest.raises(PretenuringUnsupportedError):
-            Instrumenter(make_profile()).attach(vm)
+            vm.attach_agent(Instrumenter(make_profile()))
 
     def test_generations_created_at_launch(self):
         vm = VM(SimConfig.small(), collector=NG2CCollector())
-        Instrumenter(make_profile()).attach(vm)
+        vm.attach_agent(Instrumenter(make_profile()))
         assert vm.collector.created_generation_count == 1
 
 
@@ -45,7 +45,7 @@ class TestTransformation:
     def test_directives_applied_at_load(self):
         vm = VM(SimConfig.small(), collector=NG2CCollector())
         instrumenter = Instrumenter(make_profile())
-        instrumenter.attach(vm)
+        vm.attach_agent(instrumenter)
         loaded = vm.classloader.load(build_model())
         assert loaded.method("m").alloc_site(10).gen_annotated
         assert not loaded.method("m").alloc_site(11).gen_annotated
@@ -60,7 +60,7 @@ class TestTransformation:
             alloc_directives=[AllocDirective("C", "m", 10, pre_set_gen=4)],
             call_directives=[],
         )
-        Instrumenter(profile).attach(vm)
+        vm.attach_agent(Instrumenter(profile))
         loaded = vm.classloader.load(build_model())
         site = loaded.method("m").alloc_site(10)
         assert site.gen_annotated
@@ -69,7 +69,7 @@ class TestTransformation:
     def test_unrelated_class_untouched(self):
         vm = VM(SimConfig.small(), collector=NG2CCollector())
         instrumenter = Instrumenter(make_profile())
-        instrumenter.attach(vm)
+        vm.attach_agent(instrumenter)
         other = ClassModel("Other")
         other.add_method("x").add_alloc_site(10)
         loaded = vm.classloader.load(other)
@@ -78,7 +78,7 @@ class TestTransformation:
 
     def test_end_to_end_pretenuring(self):
         vm = VM(SimConfig.small(), collector=NG2CCollector())
-        Instrumenter(make_profile()).attach(vm)
+        vm.attach_agent(Instrumenter(make_profile()))
         model = build_model()
         callee = ClassModel("D")
         callee.add_method("n").add_alloc_site(30, "Inner", 128)

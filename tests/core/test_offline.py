@@ -34,7 +34,7 @@ class TestSnapshotPersistence:
                     incremental=seq > 1,
                 )
             )
-        path = str(tmp_path / "snaps.jsonl")
+        path = str(tmp_path / "snaps.bin")
         store.save(path)
         loaded = SnapshotStore.load(path)
         assert len(loaded) == 2
@@ -52,9 +52,14 @@ class TestRecordAnalyze:
 
     def test_recording_directory_contents(self, recording):
         assert os.path.exists(os.path.join(recording, "traces.json"))
-        # Recordings default to the binary columnar snapshot store.
+        # Recordings use the binary columnar snapshot store.
         assert os.path.exists(os.path.join(recording, "snapshots.bin"))
-        assert not os.path.exists(os.path.join(recording, "snapshots.jsonl"))
+        assert sorted(os.listdir(recording)) == [
+            "meta.json",
+            "snapshots.bin",
+            "streams.bin",
+            "traces.json",
+        ]
         with open(os.path.join(recording, "meta.json")) as handle:
             meta = json.load(handle)
         assert meta["workload"] == "cassandra-wi"
@@ -92,17 +97,8 @@ class TestRecordingFormatErrors:
 
     @pytest.fixture(scope="class")
     def recording(self, tmp_path_factory):
-        # Recorded in the legacy jsonl format: the corruption tests below
-        # exercise the JSON-lines error paths (binary-store corruption is
-        # covered in tests/snapshot/test_binary_store.py).
         out = str(tmp_path_factory.mktemp("rec-err") / "cassandra-wi")
-        record_to_dir(
-            "cassandra-wi",
-            out,
-            duration_ms=4_000.0,
-            seed=5,
-            snapshot_format="jsonl",
-        )
+        record_to_dir("cassandra-wi", out, duration_ms=4_000.0, seed=5)
         return out
 
     def _copy(self, recording, tmp_path):
@@ -157,7 +153,7 @@ class TestRecordingFormatErrors:
 
     def test_missing_snapshots_names_path(self, recording, tmp_path):
         broken = self._copy(recording, tmp_path)
-        snapshots_path = os.path.join(broken, "snapshots.jsonl")
+        snapshots_path = os.path.join(broken, "snapshots.bin")
         os.remove(snapshots_path)
         with pytest.raises(ProfileFormatError) as err:
             analyze_recording(broken)
@@ -165,34 +161,51 @@ class TestRecordingFormatErrors:
 
     def test_corrupt_snapshot_line_names_path(self, recording, tmp_path):
         broken = self._copy(recording, tmp_path)
-        snapshots_path = os.path.join(broken, "snapshots.jsonl")
-        with open(snapshots_path, "a") as handle:
-            handle.write("{broken line\n")
+        snapshots_path = os.path.join(broken, "snapshots.bin")
+        with open(snapshots_path, "ab") as handle:
+            handle.write(b"{broken line\n")
         with pytest.raises(ProfileFormatError) as err:
             analyze_recording(broken)
         message = str(err.value)
         assert snapshots_path in message
-        assert "corrupt snapshot line" in message
+        assert "trailing bytes" in message
+        assert "\n" not in message
 
 
-class TestLegacyStreamLayout:
-    """Pre-streams.bin recordings (one text file per trace) still analyze."""
+class TestLegacyLayouts:
+    """Recordings in a pre-binary layout fail with one line naming the file."""
 
-    def test_legacy_layout_round_trips(self, tmp_path):
-        modern = str(tmp_path / "modern")
-        record_to_dir("cassandra-wi", modern, duration_ms=4_000.0, seed=3)
+    @pytest.fixture(scope="class")
+    def recording(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("rec-legacy") / "cassandra-wi")
+        record_to_dir("cassandra-wi", out, duration_ms=4_000.0, seed=3)
+        return out
 
+    def _legacy_error(self, broken):
+        with pytest.raises(ProfileFormatError) as err:
+            analyze_recording(broken)
+        message = str(err.value)
+        assert "\n" not in message
+        return message
+
+    def test_per_trace_stream_files_rejected(self, recording, tmp_path):
         legacy = str(tmp_path / "legacy")
-        shutil.copytree(modern, legacy)
+        shutil.copytree(recording, legacy)
         records = AllocationRecords.load_from_dir(legacy)
         os.remove(os.path.join(legacy, "streams.bin"))
         for tid, stream in records.streams.items():
             with open(os.path.join(legacy, f"stream_{tid}.ids"), "w") as handle:
                 handle.write("\n".join(str(oid) for oid in stream))
+        message = self._legacy_error(legacy)
+        assert os.path.join(legacy, "streams.bin") in message
 
-        from_modern = analyze_recording(modern)
-        from_legacy = analyze_recording(legacy)
-        assert from_legacy.to_json() == from_modern.to_json()
-        assert (
-            from_legacy.sttree.digest() == from_modern.sttree.digest()
-        )
+    def test_json_lines_snapshots_rejected(self, recording, tmp_path):
+        legacy = str(tmp_path / "legacy")
+        shutil.copytree(recording, legacy)
+        snapshots_path = os.path.join(legacy, "snapshots.bin")
+        snapshots = SnapshotStore.load(snapshots_path)
+        os.remove(snapshots_path)
+        with open(os.path.join(legacy, "snapshots.jsonl"), "w") as handle:
+            for snapshot in snapshots:
+                handle.write(json.dumps(snapshot.to_dict()) + "\n")
+        assert snapshots_path in self._legacy_error(legacy)

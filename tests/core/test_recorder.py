@@ -18,8 +18,10 @@ from repro.runtime.vm import VM
 def build_vm_with_recorder(snapshot_every: int = 1, with_dumper: bool = True):
     vm = VM(SimConfig.small(), collector=NG2CCollector())
     recorder = Recorder(snapshot_every=snapshot_every)
-    dumper = Dumper(vm) if with_dumper else None
-    recorder.attach(vm, dumper)
+    dumper = Dumper() if with_dumper else None
+    vm.attach_agent(recorder)
+    if dumper is not None:
+        vm.attach_agent(dumper)
     model = ClassModel("C")
     model.add_method("m").add_alloc_site(10, "Obj", 512)
     vm.classloader.load(model)
@@ -67,22 +69,19 @@ class TestAllocationRecords:
         assert names == ["streams.bin", "traces.json"]
 
     def test_load_legacy_per_trace_layout(self, tmp_path):
-        # Write the historical layout by hand: traces.json plus one
-        # stream_<tid>.ids text file per trace.
+        # The historical layout (traces.json plus one stream_<tid>.ids
+        # text file per trace) is not read: a one-line error names the
+        # missing streams.bin.
         (tmp_path / "traces.json").write_text(
             '{"1": [["C", "m", 10]], "2": [["C", "n", 20]]}'
         )
         (tmp_path / "stream_1.ids").write_text("5\n6\n7")
         (tmp_path / "stream_2.ids").write_text("8")
-        loaded = AllocationRecords.load_from_dir(str(tmp_path))
-        assert loaded.traces == {1: (("C", "m", 10),), 2: (("C", "n", 20),)}
-        assert list(loaded.streams[1]) == [5, 6, 7]
-        assert list(loaded.streams[2]) == [8]
-
-    def test_load_legacy_missing_stream_file_is_empty(self, tmp_path):
-        (tmp_path / "traces.json").write_text('{"1": [["C", "m", 10]]}')
-        loaded = AllocationRecords.load_from_dir(str(tmp_path))
-        assert list(loaded.streams[1]) == []
+        with pytest.raises(ProfileFormatError) as err:
+            AllocationRecords.load_from_dir(str(tmp_path))
+        message = str(err.value)
+        assert str(tmp_path / "streams.bin") in message
+        assert "\n" not in message
 
     def test_load_corrupt_streams_file_raises(self, tmp_path):
         records = AllocationRecords()
@@ -185,8 +184,9 @@ class TestSingleFullTracePerSnapshot:
         config = dataclasses.replace(SimConfig.small(), use_remembered_sets=True)
         vm = VM(config, collector=G1Collector())
         recorder = Recorder(snapshot_every=1)
-        dumper = Dumper(vm)
-        recorder.attach(vm, dumper)
+        dumper = Dumper()
+        vm.attach_agent(recorder)
+        vm.attach_agent(dumper)
         model = ClassModel("C")
         model.add_method("m").add_alloc_site(10, "Obj", 512)
         vm.classloader.load(model)

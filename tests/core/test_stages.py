@@ -1,4 +1,4 @@
-"""Streaming stage pipeline: incremental == batch, bounded memory."""
+"""Streaming analyzer: matches the survival-count reference, bounded memory."""
 
 import gc
 import random
@@ -6,10 +6,12 @@ import weakref
 
 import pytest
 
-from repro.core.analyzer import Analyzer
+from repro.core.profile import AllocationProfile
 from repro.core.stages import IncrementalAnalyzer, ProfileBuilder
 from repro.errors import ProfileError
+from tests.core.survival_reference import reference_tree
 from tests.core.test_analyzer_delta import (
+    analyze,
     build_records,
     delta_snapshots,
     full_snapshot,
@@ -17,19 +19,11 @@ from tests.core.test_analyzer_delta import (
 )
 
 
-def streamed_tree(records, snapshots, **kwargs):
-    stage = IncrementalAnalyzer(**kwargs)
-    for snapshot in snapshots:
-        stage.on_snapshot(snapshot)
-    stage.on_trace_flush(records)
-    return stage.finish()
-
-
 def assert_tree_parity(records, snapshots, **kwargs):
-    batch = Analyzer(records, snapshots, **kwargs).build_sttree()
-    streamed = streamed_tree(records, snapshots, **kwargs)
-    assert streamed.digest() == batch.digest()
-    assert streamed.to_json() == batch.to_json()
+    expected = reference_tree(records, snapshots, **kwargs)
+    streamed = analyze(records, snapshots, **kwargs).finish()
+    assert streamed.digest() == expected.digest()
+    assert streamed.to_json() == expected.to_json()
 
 
 class TestIncrementalBatchParity:
@@ -47,13 +41,13 @@ class TestIncrementalBatchParity:
         assert_tree_parity(build_records(ids), snaps)
 
     def test_broken_chain(self):
-        # A foreign full snapshot in the middle: the batch Analyzer falls
-        # back to intersection counting; the stage synthesizes deltas.
+        # A foreign full snapshot in the middle breaks the chain: the
+        # stage synthesizes deltas against its live cohorts.
         live_sets = [{1, 2}, {2, 3}, {3, 7}, {7, 9}]
         snaps = delta_snapshots(live_sets)
         mixed = [snaps[0], snaps[1], full_snapshot(3, {3, 7}), snaps[3]]
         records = build_records([1, 2, 3, 7, 9])
-        assert not Analyzer(records, mixed)._has_delta_chain()
+        assert mixed[3].predecessor is not mixed[2]
         assert_tree_parity(records, mixed, min_samples=1)
 
     def test_resurrections_with_low_min_samples(self):
@@ -68,7 +62,7 @@ class TestIncrementalBatchParity:
 
     def test_ids_after_last_snapshot_excluded(self):
         # The cutoff: ids allocated after the final snapshot never appear
-        # live and must not be bucketed — in either implementation.
+        # live and must not be bucketed.
         live_sets = [{1, 2}, {2, 3}]
         records = build_records([1, 2, 3, 100, 102])
         assert_tree_parity(records, delta_snapshots(live_sets), min_samples=1)
@@ -129,23 +123,6 @@ class TestStageErrors:
             IncrementalAnalyzer(max_generations=1)
 
 
-class RecordingStage:
-    """A ProfileStage that just logs the events it receives."""
-
-    def __init__(self):
-        self.events = []
-
-    def on_snapshot(self, snapshot):
-        self.events.append(("snapshot", snapshot.seq))
-
-    def on_trace_flush(self, records):
-        self.events.append(("flush", records.trace_count))
-
-    def finish(self):
-        self.events.append(("finish",))
-        return None
-
-
 class TestProfileBuilder:
     def test_build_matches_batch_profile(self):
         live_sets = [{1, 2}, {2, 3}, {3, 4}]
@@ -158,10 +135,17 @@ class TestProfileBuilder:
         builder.feed_trace_flush(records)
         streamed = builder.build(workload="synthetic")
 
-        batch = Analyzer(records, snaps, min_samples=1).build_profile(
-            workload="synthetic"
+        expected = AllocationProfile.from_sttree(
+            reference_tree(records, snaps, min_samples=1),
+            workload="synthetic",
+            metadata={
+                "snapshots_analyzed": 3,
+                "traces_analyzed": 2,
+                "allocations_recorded": 4,
+                "push_up": True,
+            },
         )
-        assert streamed.to_json() == batch.to_json()
+        assert streamed.to_json() == expected.to_json()
 
     def test_metadata_keys(self):
         builder = ProfileBuilder(min_samples=1)
@@ -173,15 +157,3 @@ class TestProfileBuilder:
         assert profile.metadata["allocations_recorded"] == 2
         assert profile.metadata["push_up"] is True
         assert profile.metadata["extra"] is True
-
-    def test_extra_stages_see_every_event(self):
-        extra = RecordingStage()
-        builder = ProfileBuilder(extra_stages=[extra])
-        builder.feed_snapshot(full_snapshot(1, {1}))
-        builder.feed_snapshot(full_snapshot(2, {1, 2}))
-        builder.feed_trace_flush(build_records([1, 2]))
-        assert extra.events == [
-            ("snapshot", 1),
-            ("snapshot", 2),
-            ("flush", 2),
-        ]

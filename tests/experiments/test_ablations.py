@@ -21,30 +21,28 @@ class TestPushUpAblation:
 
 class TestNaiveProfile:
     def test_naive_profile_brackets_every_site(self):
-        from repro.core.recorder import AllocationRecords
-        from repro.snapshot.snapshot import Snapshot
+        from repro.core.sttree import STTree
 
-        records = AllocationRecords()
-        trace = (("C", "put", 1), ("Util", "clone", 9))
-        for oid in range(1, 40):
-            records.log(trace, oid)
-        snapshots = [
-            Snapshot(
-                seq=i,
-                time_ms=float(i),
-                engine="t",
-                pages_written=0,
-                size_bytes=0,
-                duration_us=0.0,
-                live_object_ids=frozenset(range(1, 40)),
-            )
-            for i in range(1, 5)
-        ]
-        profile = ablations.build_naive_profile(records, snapshots, "unit")
+        tree = STTree()
+        tree.insert((("C", "put", 1), ("Util", "clone", 9)), 3, 39)
+        profile = ablations.build_naive_profile(tree, "unit")
         assert len(profile.alloc_directives) == 1
         directive = profile.alloc_directives[0]
-        assert directive.pre_set_gen is not None
+        assert directive.pre_set_gen == 3
         assert profile.call_directives == []
+
+    def test_naive_vote_weighted_by_object_count(self):
+        from repro.core.sttree import STTree
+
+        # Two paths to one site: the heavier path's generation wins and
+        # the conflict is not resolved (that is the STTree's job).
+        tree = STTree()
+        tree.insert((("C", "put", 1), ("Util", "clone", 9)), 2, 10)
+        tree.insert((("C", "read", 2), ("Util", "clone", 9)), 0, 30)
+        tree.insert((("C", "scan", 3), ("Util", "clone", 9)), 2, 25)
+        profile = ablations.build_naive_profile(tree, "unit")
+        assert [d.pre_set_gen for d in profile.alloc_directives] == [2]
+        assert profile.workload == "unit-naive"
 
 
 class TestMadviseAblation:

@@ -42,7 +42,7 @@ class TestBinaryPretenuring:
             alloc_directives=[AllocDirective("C", "m", 1)],
             call_directives=[CallDirective("C", "r", 2, target_generation=4)],
         )
-        Instrumenter(profile).attach(vm)  # §4.5: GC-independent
+        vm.attach_agent(Instrumenter(profile))  # §4.5: GC-independent
 
     def test_colocated_cohorts_force_compaction(self):
         """Two different-lifetime cohorts in one space: when the short

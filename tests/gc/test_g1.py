@@ -5,6 +5,7 @@ import pytest
 from repro.config import SimConfig, YOUNG_GEN
 from repro.gc.events import FULL, MIXED, YOUNG
 from repro.gc.g1 import G1Collector
+from repro.runtime.events import GC_END
 from repro.runtime.vm import VM
 
 
@@ -138,6 +139,7 @@ class TestPauseAccounting:
     def test_cycle_listener_invoked(self):
         vm = build_vm()
         events = []
-        vm.collector.add_cycle_listener(events.append)
+        vm.events.subscribe(GC_END, events.append)
         fill_young(vm)
         assert len(events) == len(vm.collector.pauses)
+        assert [e.pause for e in events] == vm.collector.pauses

@@ -24,9 +24,10 @@ import json
 from typing import Dict, List, Optional
 
 from repro.config import SimConfig, resolve_object_scale
-from repro.core.analyzer import Analyzer
 from repro.core.dumper import Dumper
+from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
+from repro.core.stages import LiveVMSource, ProfileBuilder
 from repro.gc.c4 import C4Collector
 from repro.gc.g1 import G1Collector
 from repro.gc.ng2c import NG2CCollector
@@ -66,7 +67,11 @@ def _record_scenario(
     duration_ms: float,
     object_scale: Optional[int] = None,
 ):
-    """Run one scenario's profiling recording; returns (vm, recorder, dumper)."""
+    """Run one scenario's profiling recording.
+
+    The streaming analyzer rides along exactly as in the profiling
+    phase; returns ``(vm, recorder, dumper, sttree)``.
+    """
     _reset_identity_hashes()
     scale = resolve_object_scale(object_scale)
     duration_ms *= scale
@@ -80,16 +85,14 @@ def _record_scenario(
     )
     vm = VM(config, collector=_COLLECTORS[collector_name]())
     recorder = Recorder(snapshot_every=1)
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
-    workload = make_workload(workload_name, seed=seed)
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    while vm.clock.now_ms < duration_ms:
-        workload.tick()
-    workload.teardown()
-    return vm, recorder, dumper
+    dumper = Dumper()
+    builder = ProfileBuilder()
+    source = LiveVMSource(builder, recorder, dumper)
+    for agent in (recorder, dumper, source):
+        vm.attach_agent(agent)
+    drive(vm, make_workload(workload_name, seed=seed), duration_ms)
+    source.flush()
+    return vm, recorder, dumper, builder.analyzer.finish()
 
 
 def scenario_sttree(*scenario, object_scale: Optional[int] = None):
@@ -99,10 +102,7 @@ def scenario_sttree(*scenario, object_scale: Optional[int] = None):
     as realistic, structurally diverse trees for checking that
     ``STTree.merge`` is associative and commutative on real profiles.
     """
-    _vm, recorder, dumper = _record_scenario(
-        *scenario, object_scale=object_scale
-    )
-    return Analyzer(recorder.records, list(dumper.store)).build_sttree()
+    return _record_scenario(*scenario, object_scale=object_scale)[3]
 
 
 def run_scenario(
@@ -114,7 +114,7 @@ def run_scenario(
     object_scale: Optional[int] = None,
 ) -> Dict:
     """Run one profiling-phase scenario and return its canonical digest."""
-    vm, recorder, dumper = _record_scenario(
+    vm, recorder, dumper, sttree = _record_scenario(
         workload_name,
         collector_name,
         use_remsets,
@@ -154,9 +154,9 @@ def run_scenario(
         }
         for snap in dumper.store
     ]
-    # The analysis stage must also be invariant: the STTree built from the
-    # recording is reduced to its content hash (schema-versioned IR).
-    sttree = Analyzer(records, list(dumper.store)).build_sttree()
+    # The analysis must also be invariant: the STTree the streaming
+    # analyzer built during the run is reduced to its content hash
+    # (schema-versioned IR).
     return {
         "scenario": {
             "workload": workload_name,

@@ -1,9 +1,9 @@
-"""jsonl <-> binary snapshot-store parity on the golden scenarios.
+"""Binary snapshot-store round trip on the golden scenarios.
 
-Whatever the on-disk layout, a recording must analyze to the same
-profile: both formats are written from the same fixed-seed runs (the
-gc-loop parity scenarios), read back, and compared snapshot-for-snapshot
-and digest-for-digest through the streaming analyzer.
+Each gc-loop parity scenario's snapshot store is saved as
+``snapshots.bin``, streamed back with ``SnapshotStore.iter_file``, and
+must yield the same snapshots and analyze to the same STTree digest the
+streaming analyzer produced during the run.
 """
 
 import hashlib
@@ -12,42 +12,9 @@ import os
 
 import pytest
 
-from repro.config import SimConfig
-from repro.core.dumper import Dumper
-from repro.core.recorder import Recorder
 from repro.core.stages import ProfileBuilder
-from repro.heap.objects import _reset_identity_hashes
-from repro.runtime.vm import VM
 from repro.snapshot.snapshot import SnapshotStore
-from repro.workloads import make_workload
-
-from tests.integration.parity_harness import SCENARIOS, _COLLECTORS
-
-# The two quick scenarios run per-test; the full matrix is covered by the
-# module-level round-trip below.
-_FAST = [s for s in SCENARIOS if s[4] <= 1500.0]
-
-
-def _record(workload_name, collector_name, use_remsets, seed, duration_ms):
-    _reset_identity_hashes()
-    config = SimConfig(
-        heap_bytes=16 * 1024 * 1024,
-        young_bytes=2 * 1024 * 1024,
-        seed=seed,
-        use_remembered_sets=use_remsets,
-    )
-    vm = VM(config, collector=_COLLECTORS[collector_name]())
-    recorder = Recorder(snapshot_every=1)
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
-    workload = make_workload(workload_name, seed=seed)
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    while vm.clock.now_ms < duration_ms:
-        workload.tick()
-    workload.teardown()
-    return recorder, dumper
+from tests.integration.parity_harness import SCENARIOS, _record_scenario
 
 
 def _digest_snapshots(snapshots):
@@ -68,42 +35,46 @@ def _digest_snapshots(snapshots):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "scenario", SCENARIOS, ids=["-".join(map(str, s[:2])) for s in SCENARIOS]
+@pytest.fixture(
+    scope="module",
+    params=SCENARIOS,
+    ids=["-".join(map(str, s[:2])) for s in SCENARIOS],
 )
-def test_jsonl_binary_round_trip_identical(scenario, tmp_path):
-    _reset_identity_hashes()
-    _, dumper = _record(*scenario[:4], min(scenario[4], 900.0))
-    jsonl = str(tmp_path / "snapshots.jsonl")
-    binary = str(tmp_path / "snapshots.bin")
-    dumper.store.save(jsonl, format="jsonl")
-    dumper.store.save(binary, format="binary")
-    original = _digest_snapshots(dumper.store)
-    assert _digest_snapshots(SnapshotStore.load(jsonl)) == original
-    assert _digest_snapshots(SnapshotStore.load(binary)) == original
+def recording(request):
+    """One scenario's ``(recorder, dumper, sttree)``, recorded once."""
+    scenario = request.param
+    _, recorder, dumper, sttree = _record_scenario(
+        *scenario[:4], min(scenario[4], 900.0)
+    )
+    return recorder, dumper, sttree
 
 
-@pytest.mark.parametrize(
-    "scenario", _FAST, ids=["-".join(map(str, s[:2])) for s in _FAST]
-)
-def test_profiles_identical_across_formats(scenario, tmp_path):
-    recorder, dumper = _record(*scenario[:4], min(scenario[4], 900.0))
-    digests = {}
-    for fmt, name in (("jsonl", "snapshots.jsonl"), ("binary", "snapshots.bin")):
-        path = str(tmp_path / name)
-        dumper.store.save(path, format=fmt)
-        builder = ProfileBuilder()
-        for snapshot in SnapshotStore.iter_file(path):
-            builder.feed_snapshot(snapshot)
-        builder.feed_trace_flush(recorder.records)
-        digests[fmt] = builder.analyzer.finish().digest()
-    assert digests["jsonl"] == digests["binary"]
+def test_binary_round_trip_identical(recording, tmp_path):
+    _, dumper, _ = recording
+    path = str(tmp_path / "snapshots.bin")
+    dumper.store.save(path)
+    loaded = list(SnapshotStore.iter_file(path))
+    assert _digest_snapshots(loaded) == _digest_snapshots(dumper.store)
+
+
+def test_reread_profile_identical(recording, tmp_path):
+    recorder, dumper, sttree = recording
+    path = str(tmp_path / "snapshots.bin")
+    dumper.store.save(path)
+    builder = ProfileBuilder()
+    for snapshot in SnapshotStore.iter_file(path):
+        builder.feed_snapshot(snapshot)
+    builder.feed_trace_flush(recorder.records)
+    assert builder.analyzer.finish().digest() == sttree.digest()
 
 
 def test_binary_is_smaller_on_disk(tmp_path):
-    _, dumper = _record(*SCENARIOS[0][:4], 900.0)
-    jsonl = str(tmp_path / "snapshots.jsonl")
+    # Against the same store rendered as JSON lines, one object per
+    # snapshot (the text layout snapshots.bin replaced).
+    _, _, dumper, _ = _record_scenario(*SCENARIOS[0][:4], 900.0)
     binary = str(tmp_path / "snapshots.bin")
-    dumper.store.save(jsonl, format="jsonl")
-    dumper.store.save(binary, format="binary")
-    assert os.path.getsize(binary) < os.path.getsize(jsonl)
+    dumper.store.save(binary)
+    text_bytes = sum(
+        len(json.dumps(snapshot.to_dict())) + 1 for snapshot in dumper.store
+    )
+    assert os.path.getsize(binary) < text_bytes

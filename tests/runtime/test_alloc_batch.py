@@ -196,15 +196,6 @@ class TestBatchEvents:
         vm, site = build_vm(G1Collector, record_hook=True)
         events = []
         vm.events.subscribe(ALLOCATION_BATCH, events.append)
-        scalar_hits = []
-        vm.events.subscribe(
-            ALLOCATION, lambda obj, s, trace: scalar_hits.append(obj)
-        )
-
-        # A scalar-only ALLOCATION subscriber must force the fallback —
-        # but vm.events.subscribe is the raw bus, which the VM cannot
-        # introspect; only agents and the legacy shim are counted.  Use
-        # an agent defining both hooks so batching stays legal.
         sizes = [64] * 100
         thread = vm.new_thread("t")
         with thread.entry("C", "run"):
@@ -254,6 +245,20 @@ class TestBatchEvents:
         assert agent.scalar == 1
 
 
+class BatchObserver(VMAgent):
+    """Journals batch events; defines both hooks, so attaching it never
+    changes whether a batch falls back to scalar dispatch."""
+
+    def __init__(self):
+        self.batch_events = []
+
+    def on_allocation(self, obj, site, trace):
+        pass
+
+    def on_allocation_batch(self, event):
+        self.batch_events.append(event)
+
+
 class TestScalarFallbacks:
     def test_scalar_only_agent_forces_fallback(self):
         class ScalarOnly(VMAgent):
@@ -266,13 +271,13 @@ class TestScalarFallbacks:
         vm, site = build_vm(G1Collector, record_hook=True)
         agent = ScalarOnly()
         vm.attach_agent(agent)
-        batch_events = []
-        vm.events.subscribe(ALLOCATION_BATCH, batch_events.append)
+        observer = BatchObserver()
+        vm.attach_agent(observer)
         thread = vm.new_thread("t")
         with thread.entry("C", "run"):
             vm.allocate_batch(thread, site, [64] * 30)
         assert agent.seen == 30
-        assert batch_events == []
+        assert observer.batch_events == []
 
     def test_detaching_scalar_only_agent_reenables_batching(self):
         class ScalarOnly(VMAgent):
@@ -280,11 +285,17 @@ class TestScalarFallbacks:
                 pass
 
         vm, site = build_vm(G1Collector, record_hook=True)
+        observer = BatchObserver()
+        vm.attach_agent(observer)
         agent = ScalarOnly()
         vm.attach_agent(agent)
-        assert vm._scalar_only_alloc_listeners == 1
-        vm.detach_agent(agent)
-        assert vm._scalar_only_alloc_listeners == 0
+        thread = vm.new_thread("t")
+        with thread.entry("C", "run"):
+            vm.allocate_batch(thread, site, [64] * 10)
+            assert observer.batch_events == []
+            vm.detach_agent(agent)
+            vm.allocate_batch(thread, site, [64] * 10)
+        assert sum(event.count for event in observer.batch_events) == 10
 
     def test_humongous_batch_falls_back(self):
         vm, site = build_vm(G1Collector)
@@ -294,15 +305,32 @@ class TestScalarFallbacks:
             objs = vm.allocate_batch(thread, site, [huge, 64], materialize=True)
         assert [o.size for o in objs] == [huge, 64]
 
-    def test_legacy_shim_listener_forces_fallback(self):
+    def test_bare_subscriber_sees_batched_allocations(self):
+        # Regression: a callable subscribed straight on the bus has no
+        # batch hook; it must still see every allocation, batched or not.
         vm, site = build_vm(G1Collector, record_hook=True)
         hits = []
-        with pytest.deprecated_call():
-            vm.add_alloc_listener(lambda obj, s, trace: hits.append(obj))
+        vm.events.subscribe(ALLOCATION, lambda obj, s, trace: hits.append(obj))
+        thread = vm.new_thread("t")
+        with thread.entry("C", "run"):
+            vm.allocate_batch(thread, site, [64] * 5)
+            vm.allocate_at_site(thread, site, 64)
+        assert len(hits) == 6
+
+    def test_bare_subscriber_beside_both_hooks_agent(self):
+        # An agent with both hooks plus a bare ALLOCATION callable: one
+        # ALLOCATION subscriber has no batch counterpart, so the batch
+        # still runs scalar and the callable sees all five.
+        vm, site = build_vm(G1Collector, record_hook=True)
+        observer = BatchObserver()
+        vm.attach_agent(observer)
+        hits = []
+        vm.events.subscribe(ALLOCATION, lambda obj, s, trace: hits.append(obj))
         thread = vm.new_thread("t")
         with thread.entry("C", "run"):
             vm.allocate_batch(thread, site, [64] * 5)
         assert len(hits) == 5
+        assert observer.batch_events == []
 
 
 class TestThreadAllocBatch:

@@ -151,18 +151,6 @@ class TestAttachDetachSymmetry:
         assert vm.agents == []
         assert not vm.events.has_listeners(ALLOCATION)
 
-    def test_legacy_alloc_listener_api_rides_the_bus(self, small_config):
-        vm = VM(small_config, collector=G1Collector())
-        hits = []
-        listener = lambda obj, site, trace: hits.append(obj)  # noqa: E731
-        with pytest.deprecated_call():
-            vm.add_alloc_listener(listener)
-        assert vm.events.has_listeners(ALLOCATION)
-        with pytest.deprecated_call():
-            vm.remove_alloc_listener(listener)
-        assert not vm.events.has_listeners(ALLOCATION)
-
-
 class TestEventOrdering:
     def test_class_load_precedes_first_allocation(self):
         # Full-size heap: graphchi-pr overruns the 8 MiB test config.
@@ -187,8 +175,8 @@ class TestEventOrdering:
         # the Recorder's, which is what publishes the SNAPSHOT_POINT.
         agent = _JournalAgent()
         vm.attach_agent(agent)
-        recorder = Recorder()
-        recorder.attach(vm, Dumper())
+        vm.attach_agent(Recorder())
+        vm.attach_agent(Dumper())
         _run_workload(vm)
         kinds = agent.kinds()
         assert GC_START in kinds and GC_END in kinds

@@ -5,11 +5,7 @@ import json
 import pytest
 
 from repro.errors import ProfileFormatError
-from repro.snapshot.binstore import (
-    SNAPSHOTS_MAGIC,
-    SNAPSHOTS_SCHEMA,
-    is_binary_store,
-)
+from repro.snapshot.binstore import SNAPSHOTS_MAGIC, SNAPSHOTS_SCHEMA
 from repro.snapshot.snapshot import Snapshot, SnapshotStore
 
 
@@ -62,7 +58,8 @@ class TestRoundTrip:
         path = str(tmp_path / "snapshots.bin")
         store = build_store()
         store.save(path)
-        assert is_binary_store(path)
+        with open(path, "rb") as handle:
+            assert handle.read(len(SNAPSHOTS_MAGIC)) == SNAPSHOTS_MAGIC
         loaded = SnapshotStore.load(path)
         assert len(loaded) == len(store)
         for original, restored in zip(store, loaded):
@@ -85,26 +82,19 @@ class TestRoundTrip:
         SnapshotStore().save(path)
         assert list(SnapshotStore.iter_file(path)) == []
 
-    def test_format_inference_by_extension(self, tmp_path):
-        store = build_store()
-        jsonl = str(tmp_path / "snapshots.jsonl")
-        binary = str(tmp_path / "snapshots.bin")
-        store.save(jsonl)
-        store.save(binary)
-        with open(jsonl) as handle:
-            json.loads(handle.readline())  # really JSON lines
-        assert is_binary_store(binary)
-        assert not is_binary_store(jsonl)
-        assert SnapshotStore.load(jsonl)[3] == SnapshotStore.load(binary)[3]
-
-    def test_explicit_format_overrides_extension(self, tmp_path):
-        path = str(tmp_path / "snapshots.jsonl")
-        build_store().save(path, format="binary")
-        assert is_binary_store(path)
-
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown snapshot format"):
-            build_store().save(str(tmp_path / "x"), format="parquet")
+        # A JSON-lines snapshot file (the layout before snapshots.bin) is
+        # not read: one line naming the file.
+        path = str(tmp_path / "snapshots.jsonl")
+        with open(path, "w") as handle:
+            for snapshot in build_store():
+                handle.write(json.dumps(snapshot.to_dict()) + "\n")
+        with pytest.raises(ProfileFormatError) as excinfo:
+            list(SnapshotStore.iter_file(path))
+        message = str(excinfo.value)
+        assert path in message
+        assert "not a binary snapshot store" in message
+        assert len(message.splitlines()) == 1
 
 
 class TestCorruption:
@@ -211,15 +201,6 @@ class TestDeltaPayloadStrictness:
         assert "/rec/snapshots.jsonl" in message
         assert "dead_ids" in message
         assert "seq 2" in message
-
-    def test_jsonl_line_missing_field_names_path(self, tmp_path):
-        path = str(tmp_path / "snapshots.jsonl")
-        payload = dict(self.COMMON, born_ids=[1])
-        with open(path, "w") as handle:
-            handle.write(json.dumps(payload) + "\n")
-        with pytest.raises(ProfileFormatError) as excinfo:
-            list(SnapshotStore.iter_file(path))
-        assert path in str(excinfo.value)
 
     def test_full_payload_still_loads(self):
         payload = dict(self.COMMON, live_object_ids=[1, 2, 3])

@@ -1,6 +1,5 @@
 """Unit tests for the snapshot store and the delta representation."""
 
-import json
 import pickle
 
 import pytest
@@ -117,23 +116,22 @@ class TestDeltaSnapshots:
 
     def test_roundtrip_save_load(self, tmp_path):
         store = delta_chain(self.LIVE_SETS)
-        path = str(tmp_path / "snapshots.jsonl")
+        path = str(tmp_path / "snapshots.bin")
         store.save(path)
-        # Delta lines stay delta-encoded on disk.
-        lines = [json.loads(l) for l in open(path) if l.strip()]
-        assert "born_ids" in lines[1] and "live_object_ids" not in lines[1]
         loaded = SnapshotStore.load(path)
+        # Deltas stay delta-encoded on disk.
+        assert all(s.is_delta for s in loaded)
         assert list(loaded) == list(store)
 
     def test_legacy_full_format_still_loads(self, tmp_path):
+        # Full (jmap-style) snapshots round-trip through the same store.
         store = SnapshotStore()
         store.append(snap(1, 0.0, live={1, 2}))
         store.append(snap(2, 1.0, live={2, 3}))
-        path = str(tmp_path / "snapshots.jsonl")
+        path = str(tmp_path / "snapshots.bin")
         store.save(path)
-        lines = [json.loads(l) for l in open(path) if l.strip()]
-        assert all("live_object_ids" in line for line in lines)
         loaded = SnapshotStore.load(path)
+        assert not any(s.is_delta for s in loaded)
         assert list(loaded) == list(store)
 
     def test_delta_and_full_stores_are_equivalent(self, tmp_path):
@@ -152,8 +150,8 @@ class TestDeltaSnapshots:
                 )
             )
         assert list(delta) == list(full)
-        delta_path = str(tmp_path / "delta.jsonl")
-        full_path = str(tmp_path / "full.jsonl")
+        delta_path = str(tmp_path / "delta.bin")
+        full_path = str(tmp_path / "full.bin")
         delta.save(delta_path)
         full.save(full_path)
         assert list(SnapshotStore.load(delta_path)) == list(

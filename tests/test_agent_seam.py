@@ -1,44 +1,54 @@
 """Guard: the event bus stays the only seam into the VM.
 
 The agent/event refactor routed every profiler through
-``vm.attach_agent``.  This test keeps it that way: no module outside
-``repro/runtime`` may call ``VM.add_alloc_listener`` directly — new
-observers must be agents on the bus.
+``vm.attach_agent`` and left one analysis path (the streaming
+``ProfileBuilder``) and one recording layout.  This test keeps it that
+way: no package module or example may use the removed listener shims,
+legacy attach seams, the batch analyzer, or the second snapshot format.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import repro
 
-#: Modules allowed to reference the legacy listener API: the runtime
-#: itself (where the shim lives).
-_ALLOWED_PREFIX = os.path.join("repro", "runtime") + os.sep
+#: Removed names; any use under ``src/repro`` or ``examples`` fails.
+_REMOVED = re.compile(
+    r"\.add_alloc_listener\(|\.remove_alloc_listener\(|"
+    r"\.add_cycle_listener\(|\.remove_cycle_listener\(|\bCycleListener\b|"
+    r"\b(?:recorder|instrumenter|tracer|agent)\.attach\(|"
+    r"(?:Instrumenter|Tracer)\([^)]*\)\.attach\(|\bDumper\(vm\b|"
+    r"\bdelta_encode\b|\bextra_stages\b|\bProfileStage\b|"
+    r"\bSNAPSHOT_FORMATS\b|\bresolve_snapshot_format\b|"
+    r"\bsnapshot_format=|--snapshot-format|REPRO_SNAPSHOT_FORMAT|"
+    r"\bflush_hooks\b|\bbuild_profiles\b|"
+    r"\bfrom repro\.core\.analyzer import Analyzer\b|(?<!Incremental)Analyzer\("
+)
 
 
-def _package_sources():
-    root = os.path.dirname(os.path.abspath(repro.__file__))
-    parent = os.path.dirname(root)
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for filename in sorted(filenames):
-            if filename.endswith(".py"):
-                path = os.path.join(dirpath, filename)
-                yield os.path.relpath(path, parent), path
+def _sources():
+    package = os.path.dirname(os.path.abspath(repro.__file__))
+    root = os.path.dirname(os.path.dirname(package))
+    for top in (package, os.path.join(root, "examples")):
+        for dirpath, dirnames, filenames in os.walk(top):
+            dirnames.sort()
+            for filename in sorted(filenames):
+                if filename.endswith(".py"):
+                    path = os.path.join(dirpath, filename)
+                    yield os.path.relpath(path, root), path
 
 
 def test_no_direct_alloc_listener_calls_outside_runtime():
     offenders = []
-    for rel, path in _package_sources():
-        if rel.startswith(_ALLOWED_PREFIX):
-            continue
+    for rel, path in _sources():
         with open(path) as handle:
-            source = handle.read()
-        if ".add_alloc_listener(" in source:
-            offenders.append(rel)
+            for number, line in enumerate(handle, start=1):
+                if _REMOVED.search(line):
+                    offenders.append(f"{rel}:{number}: {line.strip()}")
     assert offenders == [], (
-        "these modules bypass the agent seam with direct "
-        f"VM.add_alloc_listener calls: {offenders}; subscribe via "
-        "vm.attach_agent(...) instead"
+        "these lines use removed seams (subscribe via vm.attach_agent / "
+        "vm.events, analyze with ProfileBuilder, record snapshots.bin): "
+        + "; ".join(offenders)
     )

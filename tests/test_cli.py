@@ -201,12 +201,9 @@ class TestMatrixCommand:
 
 
 class TestSnapshotFormatOption:
-    def _record(self, tmp_path, *extra):
+    def _record(self, tmp_path):
         rec_dir = str(tmp_path / "rec")
-        code = main(
-            ["record", "lucene", "-o", rec_dir, "--duration-ms", "1000"]
-            + list(extra)
-        )
+        code = main(["record", "lucene", "-o", rec_dir, "--duration-ms", "1000"])
         assert code == 0
         return rec_dir
 
@@ -220,40 +217,24 @@ class TestSnapshotFormatOption:
         with open(os.path.join(rec_dir, "meta.json")) as handle:
             assert json.load(handle)["snapshot_format"] == "binary"
 
-    def test_jsonl_flag_writes_legacy_file(self, tmp_path):
+    def test_legacy_jsonl_recording_is_one_line_error(self, tmp_path, capsys):
         import json
         import os
 
-        rec_dir = self._record(tmp_path, "--snapshot-format", "jsonl")
-        assert os.path.exists(os.path.join(rec_dir, "snapshots.jsonl"))
-        assert not os.path.exists(os.path.join(rec_dir, "snapshots.bin"))
-        with open(os.path.join(rec_dir, "meta.json")) as handle:
-            assert json.load(handle)["snapshot_format"] == "jsonl"
-        # Legacy recordings still analyze.
-        assert main(["analyze", rec_dir, "-o", str(tmp_path / "p.json")]) == 0
+        from repro.snapshot.snapshot import SnapshotStore
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_SNAPSHOT_FORMAT", "jsonl")
         rec_dir = self._record(tmp_path)
-        assert os.path.exists(os.path.join(rec_dir, "snapshots.jsonl"))
-
-    def test_invalid_env_value_is_one_line_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_FORMAT", "xml")
-        code = main(
-            ["record", "lucene", "-o", str(tmp_path / "rec"), "--duration-ms", "500"]
-        )
+        snapshots_path = os.path.join(rec_dir, "snapshots.bin")
+        snapshots = SnapshotStore.load(snapshots_path)
+        with open(snapshots_path, "w") as handle:
+            for snapshot in snapshots:
+                handle.write(json.dumps(snapshot.to_dict()) + "\n")
+        code = main(["analyze", rec_dir, "-o", str(tmp_path / "p.json")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "REPRO_SNAPSHOT_FORMAT" in err
-
-    def test_flag_rejects_unknown_format(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["record", "lucene", "--snapshot-format", "xml"]
-            )
+        assert snapshots_path in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_profile_keep_recording(self, tmp_path):
         import os
@@ -270,8 +251,6 @@ class TestSnapshotFormatOption:
                 "1000",
                 "--keep-recording",
                 rec_dir,
-                "--snapshot-format",
-                "binary",
             ]
         )
         assert code == 0

@@ -1,6 +1,10 @@
 """Unit tests for the Workload base class and the manual-NG2C adapter."""
 
+from repro.config import SimConfig
 from repro.core.profile import AllocDirective, CallDirective
+from repro.gc.g1 import G1Collector
+from repro.runtime.events import SAFEPOINT
+from repro.runtime.vm import VM
 from repro.workloads.base import ManualNG2CStrategy, Workload
 
 
@@ -19,12 +23,15 @@ class MinimalWorkload(Workload):
 
 class TestFlushHooks:
     def test_hooks_fire_in_order(self):
+        # The flush reaches SAFEPOINT subscribers in subscription order.
+        vm = VM(SimConfig.small(), collector=G1Collector())
         workload = MinimalWorkload()
+        workload.vm = vm
         calls = []
-        workload.flush_hooks.append(lambda: calls.append("a"))
-        workload.flush_hooks.append(lambda: calls.append("b"))
+        vm.events.subscribe(SAFEPOINT, lambda e: calls.append(("a", e.kind)))
+        vm.events.subscribe(SAFEPOINT, lambda e: calls.append(("b", e.source)))
         workload.fire_flush_hooks()
-        assert calls == ["a", "b"]
+        assert calls == [("a", "flush"), ("b", "minimal")]
 
     def test_no_hooks_is_fine(self):
         MinimalWorkload().fire_flush_hooks()
