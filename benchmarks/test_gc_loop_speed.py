@@ -8,8 +8,9 @@ legacy one (embedded here verbatim as the reference):
 
 * **alloc logging** — per-allocation profiling work.  Legacy: capture the
   frame stack as a tuple, intern it (tuple hash), log it (tuple hash
-  again).  Current: stack-token cache hit on the ``AllocSite`` plus two
-  int-keyed dict operations and an ``array('q')`` append.
+  again).  Current: one trace-cache hit keyed on the allocating frame's
+  interned caller prefix and the site id, plus two int-keyed dict
+  operations and an ``array('q')`` append.
 * **trace live** — full-heap liveness work at a profiled snapshot
   safepoint.  Legacy: iterative DFS with a per-cycle visited id-set, run
   TWICE — once by the Recorder (whose trace the collector never saw) and
@@ -185,30 +186,57 @@ def run_legacy_logging(thread: SimThread, sites: list) -> LegacyRecords:
     return records
 
 
+def prefix_id_of(frames: list, depth: int, prefix_ids: Dict[tuple, int]) -> int:
+    """``VM._prefix_id``: the interned id of ``frames[depth]``'s callers,
+    cached on the frame on first use."""
+    frame = frames[depth]
+    if not frame.prefix_id:
+        if depth == 0:
+            key: tuple = ()
+        else:
+            caller = frames[depth - 1]
+            key = (
+                prefix_id_of(frames, depth - 1, prefix_ids),
+                caller.method.class_name,
+                caller.method.name,
+                caller.current_line,
+            )
+        frame.prefix_id = prefix_ids.setdefault(key, len(prefix_ids) + 1)
+    return frame.prefix_id
+
+
 def run_fast_logging(thread: SimThread, sites: list) -> AllocationRecords:
-    """Current per-allocation work: the VM's stack-token trace cache plus
+    """Current per-allocation work: the VM's prefix-keyed trace cache plus
     the Recorder's int-keyed stream append (both replicated inline so the
     loop measures exactly the per-event path)."""
     registry = SiteRegistry()
     records = AllocationRecords()
     record_ids_by_vm_trace: Dict[int, int] = {}
     streams = records.streams
-    frame = thread.frames[-1]
-    for site in sites:  # fresh run: invalidate the per-site caches
-        site.cached_trace_token = 0
+    prefix_ids: Dict[tuple, int] = {}
+    traces_by_prefix: Dict[Tuple[int, int], Tuple[tuple, int]] = {}
+    frames = thread.frames
+    frame = frames[-1]
+    # Fresh run: invalidate the per-frame and per-site caches.
+    for each in frames:
+        each.prefix_id = 0
+    for site in sites:
+        site.cached_site_id = 0
     for i in range(ALLOC_EVENTS):
         site = sites[i % ALLOC_SITES]
         frame.current_line = site.line
-        token = thread.stack_token
-        if site.cached_trace_token == token:
-            trace = site.cached_trace
-            trace_id = site.cached_trace_id
-        else:
-            trace = thread.current_stack_trace()
-            trace_id = registry.trace_id(trace)
-            site.cached_trace = trace
-            site.cached_trace_id = trace_id
-            site.cached_trace_token = token
+        site_id = site.cached_site_id
+        if site_id == 0:
+            site_id = registry.site_id(site.location)
+            site.cached_site_id = site_id
+        hit = traces_by_prefix.get((frame.prefix_id, site_id))
+        if hit is None:
+            key = (prefix_id_of(frames, len(frames) - 1, prefix_ids), site_id)
+            hit = traces_by_prefix.get(key)
+            if hit is None:
+                trace = thread.current_stack_trace()
+                hit = traces_by_prefix[key] = (trace, registry.trace_id(trace))
+        trace, trace_id = hit
         record_id = record_ids_by_vm_trace.get(trace_id)
         if record_id is None:
             record_id = records.intern_trace(trace)

@@ -190,9 +190,9 @@ class Recorder(VMAgent):
         self.vm: Optional["VM"] = None
         self._cycles_since_snapshot = 0
         #: VM trace id -> record trace id.  The VM interns each distinct
-        #: stack trace once (see ``AllocSite.cached_trace_id``), so after
-        #: the first sighting an allocation is logged with two int-keyed
-        #: dict hits — the trace tuple is never hashed again.
+        #: stack trace once (see ``VM._recorded_trace``), so after the
+        #: first sighting an allocation is logged with two int-keyed dict
+        #: hits — the trace tuple is never hashed again.
         self._record_ids_by_vm_trace: Dict[int, int] = {}
 
     # -- agent lifecycle -----------------------------------------------------------
@@ -224,22 +224,23 @@ class Recorder(VMAgent):
         self, obj: "HeapObject", site: AllocSite, trace: tuple
     ) -> None:
         vm_trace_id = obj.trace_id
-        if vm_trace_id:
-            record_id = self._record_ids_by_vm_trace.get(vm_trace_id)
-            if record_id is None:
-                # First sighting of this trace: intern the tuple once.
-                # VM interning is injective, so record ids still follow
-                # first-encounter order exactly as trace-keyed logging did.
-                record_id = self.records.intern_trace(trace)
-                self._record_ids_by_vm_trace[vm_trace_id] = record_id
+        record_id = self._record_ids_by_vm_trace.get(vm_trace_id)
+        if record_id is not None:
             self.records.streams[record_id].append(obj.object_id)
+        elif vm_trace_id:
+            # First sighting of this trace: intern the tuple once.
+            # VM interning is injective, so record ids still follow
+            # first-encounter order exactly as trace-keyed logging did.
+            record_id = self.records.log(trace, obj.object_id)
+            self._record_ids_by_vm_trace[vm_trace_id] = record_id
         else:
             # No VM-interned id (direct calls outside a site): slow path.
             self.records.log(trace, obj.object_id)
-        if self.vm is not None:
+        vm = self.vm
+        if vm is not None:
             # Logging costs mutator time; this is the profiling overhead
             # the paper accepts in exchange for offline analysis.
-            self.vm.clock.advance_us(self.vm.config.costs.record_log_us)
+            vm.clock.advance_us(vm.config.costs.record_log_us)
 
     def on_allocation_batch(self, event) -> None:
         """Log a whole quiet run: one stream extend instead of N appends.

@@ -22,6 +22,7 @@ import random
 from typing import List
 
 from repro.config import YOUNG_GEN
+from repro.errors import GCError
 from repro.gc.base import GenerationalCollector
 from repro.gc.events import CONCURRENT
 from repro.heap.evacuation import FixedDestination
@@ -69,10 +70,12 @@ class C4Collector(GenerationalCollector):
     # -- policy -------------------------------------------------------------------
 
     def before_allocation(self, size: int) -> None:
-        vm = self._require_vm()
+        vm = self.vm
+        if vm is None:
+            raise GCError(f"{self.name}: collector not attached to a VM")
         heap = vm.heap
         trigger = self.CYCLE_TRIGGER_OCCUPANCY * vm.config.heap_bytes
-        if heap.used_bytes + size > trigger or heap.free_region_count < 8:
+        if heap.used_bytes + size > trigger or len(heap._free_regions) < 8:
             self.concurrent_cycle()
 
     def resolve_allocation_gen(self, pretenure_index: int) -> int:

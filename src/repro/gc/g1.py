@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.config import YOUNG_GEN
+from repro.errors import GCError
 from repro.gc import costmodel
 from repro.gc.base import GenerationalCollector
 from repro.gc.events import FULL, MIXED, YOUNG
@@ -88,16 +89,21 @@ class G1Collector(GenerationalCollector):
     # -- policy -------------------------------------------------------------------
 
     def before_allocation(self, size: int) -> None:
-        vm = self._require_vm()
+        # Runs once per allocation: plain attribute reads only (no
+        # properties or helpers) on the no-collection path.
+        vm = self.vm
+        if vm is None:
+            raise GCError(f"{self.name}: collector not attached to a VM")
         heap = vm.heap
-        if heap.young.used_bytes + size > self._young_target:
+        if heap.generations[YOUNG_GEN]._used_bytes + size > self._young_target:
             self.collect_young()
             if self._old_occupancy() >= vm.config.mixed_trigger_occupancy:
                 self.collect_mixed()
-        if heap.free_region_count < self._free_reserve():
+        reserve = self._free_reserve_regions
+        if len(heap._free_regions) < reserve:
             self.collect_young()
             self.collect_mixed()
-            if heap.free_region_count < max(2, self._free_reserve() // 2):
+            if len(heap._free_regions) < max(2, reserve // 2):
                 self.full_collect()
 
     def resolve_allocation_gen(self, pretenure_index: int) -> int:
@@ -116,7 +122,7 @@ class G1Collector(GenerationalCollector):
         """
         vm = self._require_vm()
         heap = vm.heap
-        spare = heap.free_region_count - self._free_reserve()
+        spare = heap.free_region_count - self._free_reserve_regions
         if spare < 0:
             return (0, 0)
         young_used = heap.young.used_bytes
@@ -135,9 +141,6 @@ class G1Collector(GenerationalCollector):
         vm = self._require_vm()
         old_capacity = vm.config.heap_bytes - vm.config.young_bytes
         return vm.heap.generation(self.old_gen_id).used_bytes / old_capacity
-
-    def _free_reserve(self) -> int:
-        return self._free_reserve_regions
 
     # -- collections --------------------------------------------------------------
 

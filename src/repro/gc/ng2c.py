@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.config import YOUNG_GEN
-from repro.errors import UnknownGenerationError
+from repro.errors import GCError, UnknownGenerationError
 from repro.gc import costmodel
 from repro.gc.base import GenerationalCollector
 from repro.gc.events import FULL, GEN, YOUNG
@@ -102,6 +102,8 @@ class NG2CCollector(GenerationalCollector):
         return self.ensure_generation(index)
 
     def resolve_allocation_gen(self, pretenure_index: int) -> int:
+        if pretenure_index <= 0:
+            return YOUNG_GEN
         return self.ensure_generation(pretenure_index)
 
     @property
@@ -111,9 +113,14 @@ class NG2CCollector(GenerationalCollector):
     # -- policy ---------------------------------------------------------------------
 
     def before_allocation(self, size: int) -> None:
-        vm = self._require_vm()
+        # Runs once per allocation: plain attribute reads only (no
+        # properties or helpers) on the no-collection path.
+        vm = self.vm
+        if vm is None:
+            raise GCError(f"{self.name}: collector not attached to a VM")
         heap = vm.heap
-        if heap.young.used_bytes + size > vm.config.young_bytes:
+        young_bytes = vm.config.young_bytes
+        if heap.generations[YOUNG_GEN]._used_bytes + size > young_bytes:
             self.collect_young()
             # NG2C reclaims dying generations eagerly: most regions are
             # wholly dead (pretenured cohorts die together), so generation
@@ -123,18 +130,19 @@ class NG2CCollector(GenerationalCollector):
                 self.collect_generations(
                     None if self.last_trace_was_partial else self.last_live_objects
                 )
-        elif self._pretenured_since_gc >= vm.config.young_bytes:
+        elif self._pretenured_since_gc >= young_bytes:
             # Pretenured allocation grows the dynamic generations without
             # ever filling the young generation, so a pretenured-byte
             # budget (symmetric with the young-collection trigger) drives
             # generation collections on its own.
             self.collect_generations()
-        if heap.free_region_count < self._free_reserve():
+        reserve = self._free_reserve_regions
+        if len(heap._free_regions) < reserve:
             self.collect_young()
             self.collect_generations(
                 None if self.last_trace_was_partial else self.last_live_objects
             )
-            if heap.free_region_count < max(2, self._free_reserve() // 2):
+            if len(heap._free_regions) < max(2, reserve // 2):
                 self.full_collect()
 
     def after_allocation(self, size: int, gen_id: int) -> None:
@@ -154,7 +162,7 @@ class NG2CCollector(GenerationalCollector):
         """
         vm = self._require_vm()
         heap = vm.heap
-        spare = heap.free_region_count - self._free_reserve()
+        spare = heap.free_region_count - self._free_reserve_regions
         if spare < 0:
             return (0, 0)
         young_budget = vm.config.young_bytes
@@ -182,9 +190,6 @@ class NG2CCollector(GenerationalCollector):
             if gid != YOUNG_GEN
         )
         return used / capacity
-
-    def _free_reserve(self) -> int:
-        return self._free_reserve_regions
 
     # -- collections --------------------------------------------------------------------
 

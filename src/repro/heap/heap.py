@@ -201,27 +201,24 @@ class SimHeap:
         The newly written memory is marked dirty in the page table, exactly
         as the MMU would after the store of the object body.
         """
-        gen = self.generation(gen_id)
-        obj = HeapObject(
-            size=size,
-            class_id=class_id,
-            site_id=site_id,
-            trace_id=trace_id,
-            birth_cycle=birth_cycle,
-        )
+        try:
+            gen = self.generations[gen_id]
+        except KeyError:
+            raise UnknownGenerationError(f"no generation with id {gen_id}") from None
+        obj = HeapObject(size, class_id, site_id, trace_id, birth_cycle)
         if size > self.region_size:
             address = self._allocate_humongous(obj, gen_id)
         else:
             address = gen.allocate(obj)
-        self.page_table.mark_written_range(address, size)
-        self.page_table.track_object(address, size)
-        if refs and gen_id != YOUNG_GEN:
+        self.page_table.place_object(address, size)
+        if refs:
             # A pretenured object born pointing at young children is an
             # old->young edge the write barrier would otherwise miss.
-            if any(child.gen_id == YOUNG_GEN for child in refs):
+            if gen_id != YOUNG_GEN and any(
+                child.gen_id == YOUNG_GEN for child in refs
+            ):
                 self.old_to_young_remset[obj.object_id] = obj
-        if refs:
-            obj._replace_refs(refs)
+            obj._refs = list(refs)
         self.total_allocated_bytes += size
         self.total_allocated_objects += 1
         return obj
@@ -370,8 +367,10 @@ class SimHeap:
 
     def write_ref(self, parent: HeapObject, child: HeapObject) -> None:
         """Add ``parent -> child``; dirties the parent's pages."""
-        parent._append_ref(child)
-        self._dirty_object(parent)
+        parent._refs.append(child)
+        address = parent.address
+        if address >= 0:
+            self.page_table.mark_dirty_range(address, parent.size)
         if parent.gen_id != YOUNG_GEN and child.gen_id == YOUNG_GEN:
             self.old_to_young_remset[parent.object_id] = parent
         if self.ref_write_listeners:
@@ -570,8 +569,7 @@ class SimHeap:
                     continue
                 dest = destination_for(obj)
                 address = dest.allocate(obj)
-                page_table.mark_written_range(address, obj.size)
-                page_table.track_object(address, obj.size)
+                page_table.place_object(address, obj.size)
                 if dest.gen_id != region.gen_id:
                     promoted_bytes += obj.size
                 else:

@@ -106,11 +106,14 @@ class HeapObject:
         trace_id: int = 0,
         birth_cycle: int = 0,
     ) -> None:
+        global _next_identity_hash
         if size < HEADER_BYTES:
             raise ValueError(
                 f"object size {size} smaller than header ({HEADER_BYTES} bytes)"
             )
-        self.object_id = next_identity_hash()
+        # next_identity_hash(), inlined: this runs once per allocation.
+        self.object_id = _next_identity_hash
+        _next_identity_hash += 1
         self.class_id = class_id
         self.size = size
         self.site_id = site_id
@@ -181,9 +184,6 @@ class HeapObject:
 
     def iter_refs(self) -> Iterator["HeapObject"]:
         return iter(self._refs)
-
-    def _append_ref(self, target: "HeapObject") -> None:
-        self._refs.append(target)
 
     def _remove_ref(self, target: "HeapObject") -> None:
         self._refs.remove(target)

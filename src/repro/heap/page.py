@@ -34,6 +34,7 @@ from repro.errors import InvalidAddressError
 
 _DIRTY = 0x1
 _NO_NEED = 0x2
+_DIRTY_BYTE = bytes((_DIRTY,))
 
 #: translate() tables for whole-array flag rewrites.  Flag bytes only ever
 #: hold combinations of the two bits above, but the tables cover all 256
@@ -87,6 +88,9 @@ class PageTable:
         page_size = self.page_size
         first = address // page_size
         last = (address + length - 1) // page_size
+        if first == last:
+            flags[first] |= _DIRTY
+            return
         for page in range(first, last + 1):
             flags[page] |= _DIRTY
 
@@ -165,14 +169,27 @@ class PageTable:
 
     # -- object occupancy (incremental page liveness) -------------------------
 
-    def track_object(self, address: int, length: int) -> None:
-        """Count an object placed at ``address`` on every page it overlaps."""
+    def place_object(self, address: int, length: int) -> None:
+        """An object body freshly written at ``address`` (allocation, or a
+        per-object evacuation copy): dirty its pages, clear any stale
+        no-need advice, and count the object on every page it overlaps.
+
+        The :meth:`mark_written_range` write and the occupancy count in one
+        pass, with a single-page fast path: most objects fit in one page.
+        """
         if length <= 0:
             return
-        occupancy = self._occupancy
         page_size = self.page_size
         first = address // page_size
         last = (address + length - 1) // page_size
+        if first == last:
+            # Flag bytes hold only the two modelled bits, so "dirty, not
+            # no-need" is exactly the byte _DIRTY.
+            self._flags[first] = _DIRTY
+            self._occupancy[first] += 1
+            return
+        self._flags[first : last + 1] = _DIRTY_BYTE * (last + 1 - first)
+        occupancy = self._occupancy
         for page in range(first, last + 1):
             occupancy[page] += 1
 
@@ -200,12 +217,12 @@ class PageTable:
 
         The run's objects start at ``base + offsets[lo:hi]`` (ascending,
         gap-free prefix sums — the columnar region layout) and tile the
-        span up to ``base + end_offset``.  Equivalent to calling
-        :meth:`track_object`/:meth:`untrack_object` once per object with
-        ``delta`` of +1/-1, but does two bisects per touched page instead
-        of one Python call per object: a page's overlap count is the
-        number of run starts inside it, plus one when an earlier run
-        object straddles its left edge.
+        span up to ``base + end_offset``.  Equivalent to counting each
+        object as :meth:`place_object` (``delta`` +1) or
+        :meth:`untrack_object` (-1) does, but does two bisects per
+        touched page instead of one Python call per object: a page's
+        overlap count is the number of run starts inside it, plus one when
+        an earlier run object straddles its left edge.
         """
         if hi <= lo or delta == 0:
             return

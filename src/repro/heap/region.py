@@ -205,25 +205,28 @@ class Region:
     def bump_allocate(self, obj: HeapObject) -> int:
         """Place ``obj`` at the bump pointer and return its address."""
         top = self.top
-        if top + obj.size > self.size:
+        size = obj.size
+        if top + size > self.size:
             raise RegionFullError(
-                f"region {self.index}: {obj.size} bytes requested, "
+                f"region {self.index}: {size} bytes requested, "
                 f"{self.size - top} free"
             )
         address = self.base + top
-        self.top = top + obj.size
+        self.top = top + size
         obj.address = address
         obj._region = self
-        obj._slot = len(self.objects)
+        objects = self.objects
+        obj._slot = len(objects)
         ids = self._ids
-        if ids and obj.object_id != ids[-1] + 1:
+        object_id = obj.object_id
+        if ids and object_id != ids[-1] + 1:
             self._id_breaks.append(len(ids))
-        self._ids.append(obj.object_id)
-        self._sizes.append(obj.size)
+        ids.append(object_id)
+        self._sizes.append(size)
         self._sites.append(obj.site_id)
         self._offsets.append(top)
         self._ages.append(obj._age)
-        self.objects.append(obj)
+        objects.append(obj)
         return address
 
     def append_batch(

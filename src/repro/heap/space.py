@@ -42,12 +42,13 @@ class Generation:
             OutOfMemoryError: no current region has room and the heap has
                 no free regions left.
         """
+        size = obj.size
         region = self._alloc_region
-        if region is None or not region.has_room(obj.size):
-            region = self._claim_region(obj.size)
+        if region is None or region.top + size > region.size:
+            region = self._claim_region(size)
         address = region.bump_allocate(obj)
         obj.gen_id = self.gen_id
-        self._used_bytes += obj.size
+        self._used_bytes += size
         return address
 
     def _claim_region(self, needed: int) -> Region:

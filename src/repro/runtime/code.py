@@ -57,15 +57,6 @@ class AllocSite:
     record_hook: bool = False
     #: Interned site id, filled in lazily by the VM (hot-path cache).
     cached_site_id: int = 0
-    #: Interned-trace cache: while the allocating thread's stack token
-    #: equals ``cached_trace_token``, the captured trace and its interned
-    #: id are ``cached_trace`` / ``cached_trace_id``.  Valid because the
-    #: token changes on every frame push/pop, outer frames' current lines
-    #: cannot change while inner frames exist, and the innermost line is
-    #: this site's own — so (site, token) fully determines the trace.
-    cached_trace_token: int = 0
-    cached_trace: tuple = ()
-    cached_trace_id: int = 0
 
     @property
     def location(self) -> CodeLocation:
@@ -73,12 +64,9 @@ class AllocSite:
 
     def copy(self) -> "AllocSite":
         clone = dataclasses.replace(self)
-        # Caches are per loaded copy (per VM): interned ids from another
+        # The cache is per loaded copy (per VM): an interned id from another
         # VM's registry must never leak through a class-model copy.
         clone.cached_site_id = 0
-        clone.cached_trace_token = 0
-        clone.cached_trace = ()
-        clone.cached_trace_id = 0
         return clone
 
 

@@ -17,14 +17,20 @@ class Frame:
 
     ``locals`` holds heap objects referenced from the frame; they are GC
     roots until the frame pops.
+
+    ``prefix_id`` is the VM's interned id for the locations of this
+    frame's callers, filled in lazily by the VM's trace cache (0 until
+    then).  It stays valid for the frame's whole activation: a caller's
+    line only changes while that caller is the top frame.
     """
 
-    __slots__ = ("method", "current_line", "locals")
+    __slots__ = ("method", "current_line", "locals", "prefix_id")
 
     def __init__(self, method: MethodModel) -> None:
         self.method = method
         self.current_line = 0
         self.locals: List[HeapObject] = []
+        self.prefix_id = 0
 
     @property
     def location(self) -> CodeLocation:

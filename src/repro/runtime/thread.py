@@ -11,7 +11,6 @@ whether the call flips the thread-local *target generation* (NG2C's
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import NoActiveFrameError
@@ -20,15 +19,6 @@ from repro.runtime.stack import Frame, capture_stack_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.vm import VM
-
-#: Globally unique stack-shape tokens.  Every frame push or pop on any
-#: thread draws a fresh token, so two observations of the same token value
-#: guarantee the observing thread's frame stack (identities *and* the
-#: callers' current lines, which can only change while a frame is on top)
-#: is unchanged.  Allocation sites key their interned-trace cache on this
-#: (see :class:`repro.runtime.code.AllocSite`).
-_stack_token_counter = itertools.count(1)
-
 
 class _FrameContext:
     """Lightweight context manager for one method activation.
@@ -45,15 +35,12 @@ class _FrameContext:
         self.saved_gen = saved_gen
 
     def __enter__(self) -> Frame:
-        thread = self.thread
-        thread.frames.append(self.frame)
-        thread.stack_token = next(_stack_token_counter)
+        self.thread.frames.append(self.frame)
         return self.frame
 
     def __exit__(self, exc_type, exc, tb) -> None:
         thread = self.thread
         thread.frames.pop()
-        thread.stack_token = next(_stack_token_counter)
         if self.saved_gen is not None:
             thread.target_gen = self.saved_gen
 
@@ -68,8 +55,6 @@ class SimThread:
         #: NG2C thread-local target generation, as a *profile index*
         #: (0 = young).  ``@Gen`` allocation sites pretenure into this.
         self.target_gen = 0
-        #: Current stack-shape token; refreshed on every push/pop.
-        self.stack_token = next(_stack_token_counter)
 
     # -- frame management -------------------------------------------------------
 
@@ -118,9 +103,10 @@ class SimThread:
         ``keep`` is true the object is rooted in the current frame (a local
         variable) until the frame pops.
         """
-        if not self.frames:
+        frames = self.frames
+        if not frames:
             raise NoActiveFrameError(f"thread {self.name!r} has no active frame")
-        frame = self.frames[-1]
+        frame = frames[-1]
         frame.current_line = line
         site = frame.method.alloc_sites.get(line)
         if site is None:
@@ -137,14 +123,14 @@ class SimThread:
         else:
             pretenure_index = 0
         obj = self.vm.allocate_at_site(
-            thread=self,
-            site=site,
-            size=size if size is not None else site.size_hint,
-            pretenure_index=pretenure_index,
-            refs=refs,
+            self,
+            site,
+            size if size is not None else site.size_hint,
+            pretenure_index,
+            refs,
         )
         if keep:
-            frame.keep(obj)
+            frame.locals.append(obj)
         return obj
 
     def alloc_batch(

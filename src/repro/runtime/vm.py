@@ -5,7 +5,16 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable, Iterator, List, Optional, Sequence, TYPE_CHECKING
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from repro.config import SimConfig
 from repro.errors import OutOfMemoryError, ReproError
@@ -26,6 +35,7 @@ from repro.runtime.events import (
     SafepointEvent,
 )
 from repro.runtime.roots import RootRegistry
+from repro.runtime.stack import Frame
 from repro.runtime.thread import SimThread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,6 +85,11 @@ class VM:
         self._batch_alloc_listeners: List[Callable] = self.events.listener_list(
             ALLOCATION_BATCH
         )
+        #: The recorded-allocation trace cache (see :meth:`_recorded_trace`):
+        #: ``(caller prefix id, site id) -> (trace, trace id)``, and the
+        #: caller-prefix intern table behind those prefix ids.
+        self._traces_by_prefix: Dict[Tuple[int, int], Tuple[tuple, int]] = {}
+        self._prefix_ids: Dict[tuple, int] = {}
         self._agents: List = []
         self.classloader.on_loaded = self._publish_class_load
         self.ops_completed = 0
@@ -170,46 +185,100 @@ class VM:
         refs: Sequence[HeapObject] = (),
     ) -> HeapObject:
         """Allocate through a declared allocation site (the normal path)."""
-        if self.collector is None:
+        collector = self.collector
+        if collector is None:
             raise OutOfMemoryError("no collector attached to the VM")
-        self.collector.before_allocation(size)
-        gen_id = self.collector.resolve_allocation_gen(pretenure_index)
+        collector.before_allocation(size)
+        gen_id = collector.resolve_allocation_gen(pretenure_index)
         site_id = site.cached_site_id
         if site_id == 0:
             site_id = self.sites.site_id(site.location)
             site.cached_site_id = site_id
         trace: tuple = ()
         trace_id = 0
-        if site.record_hook and self._alloc_listeners:
-            # Interned-trace fast path: the stack token pins the whole
-            # frame stack (shape and caller lines), and the innermost line
-            # is this site's own, so a token hit reuses the captured trace
-            # and its interned id without touching a single frame.
-            token = thread.stack_token
-            if site.cached_trace_token == token:
-                trace = site.cached_trace
-                trace_id = site.cached_trace_id
-            else:
-                trace = thread.current_stack_trace()
-                trace_id = self.sites.trace_id(trace)
-                site.cached_trace = trace
-                site.cached_trace_id = trace_id
-                site.cached_trace_token = token
+        record_hook = site.record_hook
+        if record_hook and self._alloc_listeners:
+            # Trace-cache hit: one dict lookup on (caller prefix, site).
+            frames = thread.frames
+            hit = (
+                self._traces_by_prefix.get((frames[-1].prefix_id, site_id))
+                if frames
+                else None
+            )
+            if hit is None:
+                hit = self._recorded_trace(thread, site_id)
+            trace, trace_id = hit
+        heap = self.heap
         try:
-            obj = self._heap_alloc(size, gen_id, site_id, trace_id, refs)
+            # Positional (class_id 0): keywords double this per-object call's cost.
+            obj = heap.allocate(
+                size, gen_id, 0, site_id, trace_id, collector.cycles, refs
+            )
         except OutOfMemoryError:
-            self.collector.handle_oom()
-            obj = self._heap_alloc(size, gen_id, site_id, trace_id, refs)
+            collector.handle_oom()
+            obj = heap.allocate(
+                size, gen_id, 0, site_id, trace_id, collector.cycles, refs
+            )
         if gen_id != 0:
             # Pretenured allocation takes the non-TLAB slow path.
             self.clock.advance_us(
                 self.config.costs.pretenure_alloc_kib_us * (size / 1024.0)
             )
-        self.collector.after_allocation(size, gen_id)
-        if site.record_hook:
+        collector.after_allocation(size, gen_id)
+        if record_hook:
             for listener in self._alloc_listeners:
                 listener(obj, site, trace)
         return obj
+
+    def _recorded_trace(self, thread: SimThread, site_id: int) -> Tuple[tuple, int]:
+        """``(trace, trace_id)`` for a recorded allocation at ``site_id``.
+
+        The trace cache keys on ``(caller prefix id, site id)``: the
+        prefix id names the locations of the allocating frame's callers,
+        which cannot change while that frame is on the stack (a caller's
+        line only moves while it is the top frame), and the innermost
+        location is the site's own.  So a key determines the whole trace,
+        and the stack is captured and interned once per distinct trace.
+        """
+        frames = thread.frames
+        if not frames:
+            return (), self.sites.trace_id(())
+        key = (self._prefix_id(frames, len(frames) - 1), site_id)
+        hit = self._traces_by_prefix.get(key)
+        if hit is None:
+            trace = thread.current_stack_trace()
+            hit = (trace, self.sites.trace_id(trace))
+            self._traces_by_prefix[key] = hit
+        return hit
+
+    def _prefix_id(self, frames: List[Frame], depth: int) -> int:
+        """Interned id of the caller locations of ``frames[depth]``.
+
+        Cached on the frame on first use.  A prefix is interned as its
+        caller's own prefix id plus the caller's location, in a table of
+        its own, so prefixes never consume trace ids and VM trace ids keep
+        first-encounter order.
+        """
+        frame = frames[depth]
+        prefix_id = frame.prefix_id
+        if not prefix_id:
+            if depth == 0:
+                key: tuple = ()
+            else:
+                caller = frames[depth - 1]
+                method = caller.method
+                key = (
+                    self._prefix_id(frames, depth - 1),
+                    method.class_name,
+                    method.name,
+                    caller.current_line,
+                )
+            prefix_ids = self._prefix_ids
+            prefix_id = prefix_ids.get(key)
+            if prefix_id is None:
+                prefix_id = prefix_ids[key] = len(prefix_ids) + 1
+            frame.prefix_id = prefix_id
+        return prefix_id
 
     def allocate_batch(
         self,
@@ -294,16 +363,7 @@ class VM:
         if record_hook and batch_listeners:
             # The stack cannot change mid-batch (no frame push/pop), so
             # the interned trace resolves once for the whole batch.
-            token = thread.stack_token
-            if site.cached_trace_token == token:
-                trace = site.cached_trace
-                trace_id = site.cached_trace_id
-            else:
-                trace = thread.current_stack_trace()
-                trace_id = self.sites.trace_id(trace)
-                site.cached_trace = trace
-                site.cached_trace_id = trace_id
-                site.cached_trace_token = token
+            trace, trace_id = self._recorded_trace(thread, site_id)
         ends = array("q", accumulate(sizes_arr))
         starts = array("q", (0,))
         starts.extend(ends[: n - 1])
@@ -373,10 +433,16 @@ class VM:
                 # the real before_allocation that just ran.
                 size = sizes_arr[p]
                 try:
-                    obj = self._heap_alloc(size, gen_id, site_id, trace_id, ())
+                    obj = heap.allocate(
+                        size, gen_id, site_id=site_id, trace_id=trace_id,
+                        birth_cycle=collector.cycles,
+                    )
                 except OutOfMemoryError:
                     collector.handle_oom()
-                    obj = self._heap_alloc(size, gen_id, site_id, trace_id, ())
+                    obj = heap.allocate(
+                        size, gen_id, site_id=site_id, trace_id=trace_id,
+                        birth_cycle=collector.cycles,
+                    )
                 if gen_id != 0:
                     clock.advance_us(
                         costs.pretenure_alloc_kib_us * (size / 1024.0)
@@ -412,39 +478,28 @@ class VM:
         historically skipped, which let anonymous allocations dodge
         NG2C's pretenured-byte budget).
         """
-        if self.collector is None:
+        collector = self.collector
+        if collector is None:
             raise OutOfMemoryError("no collector attached to the VM")
-        self.collector.before_allocation(size)
-        gen_id = self.collector.resolve_allocation_gen(0)
+        collector.before_allocation(size)
+        gen_id = collector.resolve_allocation_gen(0)
+        heap = self.heap
         try:
-            obj = self._heap_alloc(size, gen_id, 0, 0, refs)
+            obj = heap.allocate(
+                size, gen_id, birth_cycle=collector.cycles, refs=refs
+            )
         except OutOfMemoryError:
-            self.collector.handle_oom()
-            obj = self._heap_alloc(size, gen_id, 0, 0, refs)
+            collector.handle_oom()
+            obj = heap.allocate(
+                size, gen_id, birth_cycle=collector.cycles, refs=refs
+            )
         if gen_id != 0:
             # Pretenured allocation takes the non-TLAB slow path.
             self.clock.advance_us(
                 self.config.costs.pretenure_alloc_kib_us * (size / 1024.0)
             )
-        self.collector.after_allocation(size, gen_id)
+        collector.after_allocation(size, gen_id)
         return obj
-
-    def _heap_alloc(
-        self,
-        size: int,
-        gen_id: int,
-        site_id: int,
-        trace_id: int,
-        refs: Sequence[HeapObject],
-    ) -> HeapObject:
-        return self.heap.allocate(
-            size=size,
-            gen_id=gen_id,
-            site_id=site_id,
-            trace_id=trace_id,
-            birth_cycle=self.collector.cycles if self.collector else 0,
-            refs=refs,
-        )
 
     # -- mutator time ------------------------------------------------------------------
 

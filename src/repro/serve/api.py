@@ -34,6 +34,11 @@ from repro.errors import ProfileError, ReproError
 #: shipped, returns a response payload (e.g. the new latest hash).
 SubmitFn = Callable[[str], Dict[str, object]]
 
+#: Largest ``POST /recordings`` body accepted, in bytes.  Real profiles
+#: are a few KiB; a longer declared ``Content-Length`` gets a 413 before
+#: any of the body is read.
+MAX_RECORDING_BYTES = 8 * 1024 * 1024
+
 
 class ProfileService:
     """Serves a :class:`ProfileStore` (and daemon telemetry) over HTTP."""
@@ -109,6 +114,10 @@ class _ProfileRequestHandler(BaseHTTPRequestHandler):
 
     service: ProfileService  # set on the per-service subclass
     protocol_version = "HTTP/1.1"
+    #: ``_send`` writes headers and body separately; with Nagle's
+    #: algorithm on, the body waits for the client's delayed ACK of the
+    #: headers (about 40 ms per keep-alive response).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------------
 
@@ -133,6 +142,17 @@ class _ProfileRequestHandler(BaseHTTPRequestHandler):
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send(status, json.dumps({"error": message}))
+
+    def _reject_body(self, status: int, message: str) -> None:
+        """Answer without reading the request body, then close the
+        connection: the unread body would otherwise be parsed as the next
+        request."""
+        self.close_connection = True
+        self._send(
+            status,
+            json.dumps({"error": message}),
+            extra_headers={"Connection": "close"},
+        )
 
     def _send_profile(self, profile: AllocationProfile) -> None:
         from repro.core.profilestore import profile_content_hash
@@ -188,8 +208,22 @@ class _ProfileRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError as exc:
+            self._reject_body(400, f"bad Content-Length: {exc}")
+            return
+        if length < 0:
+            self._reject_body(400, f"bad Content-Length: {length} is negative")
+            return
+        if length > MAX_RECORDING_BYTES:
+            self._reject_body(
+                413,
+                f"recording of {length} bytes exceeds the "
+                f"{MAX_RECORDING_BYTES}-byte limit",
+            )
+            return
+        try:
             body = self.rfile.read(length).decode("utf-8")
-        except (ValueError, UnicodeDecodeError) as exc:
+        except UnicodeDecodeError as exc:
             self._send_error_json(400, f"unreadable request body: {exc}")
             return
         try:

@@ -6,7 +6,7 @@ from typing import List, Set, Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import SimConfig
+from repro.config import PAGE_SIZE, SimConfig
 from repro.heap.heap import SimHeap
 from repro.heap.objects import HeapObject
 
@@ -70,13 +70,26 @@ class TestTracingProperties:
 
 
 class TestAccountingProperties:
-    @given(sizes=st.lists(st.integers(min_value=16, max_value=4096), max_size=80))
+    @given(
+        sizes=st.lists(
+            st.integers(min_value=16, max_value=3 * PAGE_SIZE), max_size=80
+        )
+    )
     @settings(max_examples=40, deadline=None)
     def test_used_bytes_equals_sum_of_sizes(self, sizes):
         heap = fresh_heap()
-        for size in sizes:
-            heap.allocate(size)
+        # Stale advice everywhere: a fresh object write must clear it.
+        heap.page_table.set_no_need(range(heap.page_table.num_pages))
+        objects = [heap.allocate(size) for size in sizes]
         assert heap.young.used_bytes == sum(sizes)
+        # verify() recounts page occupancy from the object placement,
+        # which pins the fused page write for objects that straddle a
+        # page boundary or span several pages.
+        heap.verify()
+        table = heap.page_table
+        for obj in objects:
+            for page in obj.page_span(heap.page_size):
+                assert table.is_dirty(page) and not table.is_no_need(page)
 
     @given(sizes=st.lists(st.integers(min_value=16, max_value=4096), max_size=80))
     @settings(max_examples=40, deadline=None)

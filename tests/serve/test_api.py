@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -12,7 +15,7 @@ from repro.core.profile import AllocationProfile
 from repro.core.profilestore import ProfileStore, profile_content_hash
 from repro.core.sttree import STTree
 from repro.errors import ProfileError
-from repro.serve.api import ProfileService
+from repro.serve.api import MAX_RECORDING_BYTES, ProfileService
 
 
 def make_profile(workload: str = "cassandra-wi", gen: int = 1) -> AllocationProfile:
@@ -135,6 +138,83 @@ class TestRecordingsRoute:
         with ProfileService(store) as service:
             status, _ = self.post(service.url, "{}")
         assert status == 503
+
+
+def raw_post(service: ProfileService, content_length: str, timeout: float = 5.0):
+    """POST /recordings over a raw socket with a hand-written
+    ``Content-Length`` and no body; returns ``(status, payload)``.
+
+    The server must answer without waiting for the body; a
+    ``socket.timeout`` (a test failure) means it blocked.
+    """
+    request = (
+        "POST /recordings HTTP/1.1\r\n"
+        f"Host: {service.host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n"
+        "\r\n"
+    ).encode("ascii")
+    with socket.create_connection((service.host, service.port), timeout) as sock:
+        sock.sendall(request)
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed before a response"
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        while len(body) < int(headers["Content-Length"]):
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed mid-response"
+            body += chunk
+    return int(lines[0].split(" ", 2)[1]), json.loads(body.decode())
+
+
+class TestRecordingsContentLength:
+    """A declared body length is checked before any of the body is read."""
+
+    @pytest.mark.parametrize(
+        "content_length, status",
+        [
+            ("-1", 400),
+            ("99999999999", 413),
+            (str(MAX_RECORDING_BYTES + 1), 413),
+            ("lots", 400),
+        ],
+    )
+    def test_bad_length_rejected_and_service_survives(
+        self, store, content_length, status
+    ):
+        received = []
+        store.put(make_profile())
+        with ProfileService(store, submit_fn=received.append) as service:
+            got, payload = raw_post(service, content_length)
+            assert got == status
+            assert "\n" not in payload["error"]
+            code, _, _ = get(f"{service.url}/profiles/cassandra-wi/latest")
+            assert code == 200
+        assert received == []
+
+
+class TestKeepAlive:
+    def test_keepalive_gets_do_not_stall(self, store):
+        # Headers and body go out in two writes; with Nagle's algorithm on,
+        # each keep-alive response waits ~40 ms for the client's delayed ACK.
+        store.put(make_profile())
+        with ProfileService(store) as service:
+            conn = http.client.HTTPConnection(service.host, service.port, timeout=10)
+            try:
+                start = time.perf_counter()
+                for _ in range(20):
+                    conn.request("GET", "/profiles/cassandra-wi/latest")
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+                elapsed = time.perf_counter() - start
+            finally:
+                conn.close()
+        assert elapsed < 0.4, f"20 keep-alive GETs took {elapsed:.3f} s"
 
 
 class TestLifecycle:
