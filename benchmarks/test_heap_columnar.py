@@ -13,9 +13,10 @@ microbenchmarks plus one composite scaling run:
   increment and threshold compare.  Columnar: one 64-bit lane add and one
   biased lane compare over the packed age column.
 * **evacuation** — copying survivors out of a region set.  Legacy: the
-  retained per-object loop (untrack, membership test, bump re-allocate,
-  retrack, one object at a time).  Columnar: run detection + column-slice
-  copies + bulk page accounting (``place_slice``/``absorb_slice``).
+  seed's per-object loop, embedded below (untrack, membership test, bump
+  re-allocate, retrack, one object at a time).  Columnar: run detection
+  + column-slice copies + bulk page accounting
+  (``place_slice``/``absorb_slice``).
 * **composite 10x** — mark + age + evacuate at 10x the object count on
   the columnar engine, gated against 2x the *legacy* engine's wall-clock
   at 1x (the ISSUE 6 criterion: ≥5x kernels make 10x objects affordable).
@@ -32,7 +33,7 @@ from typing import List, Tuple
 
 from conftest import RESULTS_DIR, save_result
 
-from repro.config import SimConfig
+from repro.config import YOUNG_GEN, SimConfig
 from repro.core.idset import IdSet
 from repro.heap.evacuation import FixedDestination, SurvivorTenuring
 from repro.heap.heap import SimHeap
@@ -96,6 +97,57 @@ def legacy_live_bytes(region: Region, live_ids: set) -> int:
     )
 
 
+def legacy_untrack(page_table, address: int, length: int) -> None:
+    """Seed ``PageTable.untrack_object``: uncount one object per page."""
+    if length <= 0:
+        return
+    occupancy = page_table._occupancy
+    page_size = page_table.page_size
+    first = address // page_size
+    last = (address + length - 1) // page_size
+    for page in range(first, last + 1):
+        occupancy[page] -= 1
+
+
+def legacy_evacuate(heap: SimHeap, regions, live, source_gen, destination_for):
+    """Seed evacuation: one object at a time through a destination
+    callable ``obj -> Generation``."""
+    use_epoch = isinstance(live, int)
+    survivor_bytes = 0
+    promoted_bytes = 0
+    scanned = 0
+    page_table = heap.page_table
+    for region in regions:
+        source_gen.release_region(region)
+    for region in regions:
+        for obj in region.objects:
+            scanned += 1
+            # The old copy disappears whether or not the object
+            # survives; untrack before allocation rewrites the address.
+            legacy_untrack(page_table, obj.address, obj.size)
+            if use_epoch:
+                if obj.mark_epoch != live:
+                    continue
+            elif obj.object_id not in live:
+                continue
+            dest = destination_for(obj)
+            address = dest.allocate(obj)
+            page_table.place_object(address, obj.size)
+            if dest.gen_id != region.gen_id:
+                promoted_bytes += obj.size
+            else:
+                survivor_bytes += obj.size
+            if dest.gen_id != YOUNG_GEN and any(
+                child.gen_id == YOUNG_GEN for child in obj._refs
+            ):
+                # Promotion created an old->young edge.
+                heap.old_to_young_remset[obj.object_id] = obj
+        # Occupancy already handed over; don't untrack again on free.
+        region.wipe_contents()
+        heap.free_region(region)
+    return survivor_bytes, promoted_bytes, scanned
+
+
 def legacy_age_and_split(
     region: Region, threshold: int
 ) -> List[Tuple[int, bool]]:
@@ -147,8 +199,8 @@ def placement_state(heap: SimHeap):
 
 def run_legacy_evacuation(heap: SimHeap, live_ids: set) -> None:
     dest = heap.new_generation("dest")
-    heap.evacuate(
-        list(heap.young.regions), live_ids, heap.young, lambda obj: dest
+    legacy_evacuate(
+        heap, list(heap.young.regions), live_ids, heap.young, lambda obj: dest
     )
 
 
@@ -169,7 +221,7 @@ def legacy_gc_cycle(heap: SimHeap, live_ids: set, threshold: int) -> None:
         obj.age += 1
         return old if obj.age >= threshold else young
 
-    heap.evacuate(list(young.regions), live_ids, young, destination)
+    legacy_evacuate(heap, list(young.regions), live_ids, young, destination)
 
 
 def columnar_gc_cycle(heap: SimHeap, live: IdSet, threshold: int) -> None:

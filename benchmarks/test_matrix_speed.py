@@ -96,16 +96,15 @@ def test_matrix_speed(tmp_path_factory):
 
 
 def test_scheduler_modes_speed(tmp_path_factory):
-    """BENCH: sharded work-stealing vs the legacy wave barrier.
+    """BENCH: the sharded work-stealing scheduler and its overhead.
 
     A straggler-heavy sweep — profiling cells cost more than production
-    cells, three seeds across two worker slots — is exactly where the
-    wave scheduler's global barrier hurts: no production cell may start
-    until the slowest profiling cell lands.  The sharded scheduler's
+    cells, three seeds across two worker slots.  The sharded scheduler's
     per-cell DAG overlaps profile-free cells (and earlier seeds' POLM2
-    cells) with the straggling profiling work.  Also measures pure
+    cells) with the straggling profiling work, so some production cell
+    lands while profiling cells are still in flight.  Also measures pure
     scheduler overhead as the wall time per cell of a fully-cached
-    sweep.  Merged into ``BENCH_matrix.json``.
+    ``jobs=1`` sweep.  Merged into ``BENCH_matrix.json``.
     """
     profiling_ms = 2 * float(os.environ.get("REPRO_PROFILE_MS", 4_000))
     production_ms = float(os.environ.get("REPRO_PRODUCTION_MS", 8_000)) / 4
@@ -116,7 +115,7 @@ def test_scheduler_modes_speed(tmp_path_factory):
     )
     expected_cells = spec.size + len(spec.seeds)  # + one profiling/seed
 
-    def timed_sweep(mode, jobs=JOBS, backend=None):
+    def timed_sweep(jobs=JOBS, backend=None):
         start = time.perf_counter()
         keys = [
             item.key
@@ -125,7 +124,6 @@ def test_scheduler_modes_speed(tmp_path_factory):
                 profiling_ms=profiling_ms,
                 production_ms=production_ms,
                 jobs=jobs,
-                mode=mode,
                 backend=backend,
             )
         ]
@@ -136,17 +134,12 @@ def test_scheduler_modes_speed(tmp_path_factory):
         flags = [key.is_profiling for key in keys]
         return True not in flags[flags.index(False) :]
 
-    sharded_s, sharded_keys = timed_sweep("sharded")
-    wave_s, wave_keys = timed_sweep("wave")
-    assert len(sharded_keys) == len(wave_keys) == expected_cells
-    sharded_cells, wave_cells = len(sharded_keys), len(wave_keys)
-    # The wave barrier is real: every profiling cell precedes every
-    # production cell in the stream.  The sharded DAG breaks it: some
-    # production cell lands while profiling cells are still in flight.
-    assert barrier_respected(wave_keys)
+    sharded_s, sharded_keys = timed_sweep()
+    assert len(sharded_keys) == expected_cells
+    # The sharded DAG has no global profiling barrier: some production
+    # cell lands while profiling cells are still in flight.
     assert not barrier_respected(sharded_keys)
-    sharded_cps = sharded_cells / sharded_s
-    wave_cps = wave_cells / wave_s
+    sharded_cps = len(sharded_keys) / sharded_s
 
     # Scheduler overhead: a fully-cached sweep does no simulation work,
     # so its wall time per cell is pure scheduling + cache decode.
@@ -154,8 +147,8 @@ def test_scheduler_modes_speed(tmp_path_factory):
     backend = DirCacheBackend(
         cache_root, sweep_cache_key(SimConfig(), profiling_ms, production_ms)
     )
-    timed_sweep("serial", jobs=1, backend=backend)  # warm the cache
-    cached_s, cached_keys = timed_sweep("serial", jobs=1, backend=backend)
+    timed_sweep(jobs=1, backend=backend)  # warm the cache
+    cached_s, cached_keys = timed_sweep(jobs=1, backend=backend)
     overhead_per_cell_ms = 1000.0 * cached_s / len(cached_keys)
 
     result_path = os.path.join(RESULTS_DIR, "BENCH_matrix.json")
@@ -170,10 +163,7 @@ def test_scheduler_modes_speed(tmp_path_factory):
         "profiling_ms": profiling_ms,
         "production_ms": production_ms,
         "sharded_s": round(sharded_s, 4),
-        "wave_s": round(wave_s, 4),
         "sharded_cells_per_sec": round(sharded_cps, 3),
-        "wave_cells_per_sec": round(wave_cps, 3),
-        "work_stealing_speedup": round(wave_s / sharded_s, 2),
         "overhead_per_cell_ms": round(overhead_per_cell_ms, 3),
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -181,20 +171,10 @@ def test_scheduler_modes_speed(tmp_path_factory):
         json.dump(payload, handle, indent=2)
 
     lines = [
-        "BENCH: sweep scheduler — sharded work-stealing vs wave barrier "
+        "BENCH: sweep scheduler — sharded work-stealing "
         f"({expected_cells} cells, jobs={JOBS}, straggler-heavy profiling)",
         f"{'scheduler':<28} {'wall s':>10} {'cells/s':>9}",
         f"{'sharded (per-cell DAG)':<28} {sharded_s:>10.3f} {sharded_cps:>9.2f}",
-        f"{'wave (global barrier)':<28} {wave_s:>10.3f} {wave_cps:>9.2f}",
-        f"work-stealing speedup: {wave_s / sharded_s:.2f}x",
         f"scheduler overhead (fully cached): {overhead_per_cell_ms:.3f} ms/cell",
     ]
     save_result("BENCH_matrix_scheduler", "\n".join(lines))
-
-    # Acceptance gate (skipped in CI smoke runs): on a straggler-heavy
-    # sweep, work-stealing must at least match the wave barrier.  Only
-    # meaningful with real parallelism — on a single-core host jobs=2
-    # time-shares one CPU and the wall-clock difference is noise (the
-    # barrier-order assertions above still verify scheduler behaviour).
-    if not os.environ.get("REPRO_BENCH_SMOKE") and (os.cpu_count() or 1) >= 2:
-        assert sharded_cps >= wave_cps

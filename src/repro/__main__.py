@@ -19,8 +19,9 @@ Commands:
   profile store, and an HTTP API production VMs fetch profiles from.
 * ``evaluate`` — regenerate every table and figure of the paper's §5.
 * ``matrix`` — run a fleet-scale (workload × strategy × seed ×
-  heap-config) sweep through the sharded work-stealing scheduler, with
-  live progress and pooled multi-seed percentiles.
+  heap-config) sweep — in-process at ``--jobs 1``, through the sharded
+  work-stealing scheduler above that — with live progress and pooled
+  multi-seed percentiles.
 * ``workloads`` — list available workloads.
 """
 
@@ -33,7 +34,11 @@ import sys
 from repro import AllocationProfile, POLM2Pipeline, WORKLOAD_NAMES, make_workload
 from repro.config import SimConfig, resolve_object_scale
 from repro.errors import ReproError
-from repro.experiments.runner import ExperimentRunner, ExperimentSettings
+from repro.experiments.runner import (
+    ExperimentRunner,
+    ExperimentSettings,
+    _env_int,
+)
 from repro.strategies import get_strategy, strategy_names
 
 
@@ -213,13 +218,18 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _jobs(args) -> int:
+    """``--jobs``, else ``$REPRO_JOBS``, else 1 — read when the command runs."""
+    return args.jobs if args.jobs is not None else _env_int("REPRO_JOBS", 1)
+
+
 def cmd_evaluate(args) -> int:
     from repro.metrics.report import full_report
 
     settings = ExperimentSettings(
         profiling_ms=args.profiling_ms,
         production_ms=args.duration_ms,
-        jobs=args.jobs,
+        jobs=_jobs(args),
         cache_dir=None if args.no_cache else args.cache_dir,
     )
     runner = ExperimentRunner(settings)
@@ -259,7 +269,7 @@ def cmd_matrix(args) -> int:
         profiling_ms=args.profiling_ms,
         production_ms=args.duration_ms,
         seeds=parse_seeds(seeds_raw) if seeds_raw else None,
-        jobs=args.jobs,
+        jobs=_jobs(args),
         cache_dir=None if args.no_cache else args.cache_dir,
         cache_backend=None if args.no_cache else args.cache_backend,
         profile_source=args.profile_source,
@@ -272,7 +282,6 @@ def cmd_matrix(args) -> int:
         workloads=workloads,
         strategies=strategies,
         heap_configs=heap_configs,
-        mode=args.mode,
     ):
         last = item.progress
         cached += item.cached
@@ -375,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", 1)),
+        default=None,
         help="worker processes for the experiment matrix "
         "(default: $REPRO_JOBS or 1)",
     )
@@ -459,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.set_defaults(func=cmd_serve)
 
-    from repro.experiments.matrix import HEAP_CONFIGS, SCHEDULER_MODES
+    from repro.experiments.matrix import HEAP_CONFIGS
 
     p_matrix = sub.add_parser(
         "matrix",
@@ -490,15 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", 1)),
-        help="worker processes (default: $REPRO_JOBS or 1)",
-    )
-    p_matrix.add_argument(
-        "--mode",
-        choices=SCHEDULER_MODES,
-        default="sharded",
-        help="scheduler: sharded work-stealing DAG (default), the legacy "
-        "wave barrier, or serial",
+        default=None,
+        help="worker processes: 1 runs in-process in sweep order, more "
+        "run the sharded work-stealing DAG (default: $REPRO_JOBS or 1)",
     )
     p_matrix.add_argument(
         "--cache-backend",

@@ -18,15 +18,36 @@ from repro.core.sttree import STTree
 from repro.errors import ProfileFormatError
 from repro.runtime.code import CodeLocation
 
-#: Current profile file format marker.
+#: Profile file format marker: the only format read.  Any other marker
+#: (the pre-IR v1 format included) and schema versions newer than
+#: :data:`PROFILE_SCHEMA_VERSION` are rejected with a one-line error.
 PROFILE_FORMAT = "polm2-profile-v2"
 
-#: Current profile schema version.  v1 files (format marker
-#: ``polm2-profile-v1``, no embedded IR) are still read; versions newer
-#: than this are rejected with a one-line error.
+#: Current profile schema version.
 PROFILE_SCHEMA_VERSION = 2
 
-_PROFILE_FORMAT_V1 = "polm2-profile-v1"
+#: JSON type names for one-line field errors (``json.loads`` yields
+#: only these Python types).
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+def _typed(value, kind: type, field: str, nullable: bool = False):
+    """``value`` if it has JSON type ``kind`` (or is null when
+    ``nullable``), else a one-line :class:`ProfileFormatError`."""
+    if (value is None and nullable) or type(value) is kind:
+        return value
+    expected = _JSON_TYPES[kind] + (" or null" if nullable else "")
+    raise ProfileFormatError(
+        f"profile field {field} must be {expected}, not {_JSON_TYPES[type(value)]}"
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,7 +103,7 @@ class AllocationProfile:
         #: The canonical profile IR this profile was flattened from, kept
         #: so the serialized file carries the full lifetime model and
         #: re-analysis tooling never has to re-derive it.  ``None`` on
-        #: hand-built or v1-loaded profiles.
+        #: hand-built profiles.
         self.sttree = sttree
 
     @classmethod
@@ -190,13 +211,26 @@ class AllocationProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "AllocationProfile":
+        """Parse a ``polm2-profile-v2`` document.
+
+        Anything else — invalid JSON, a non-object document, another
+        format marker, a newer schema, a corrupt IR, or a field of the
+        wrong JSON type — raises a one-line :class:`ProfileFormatError`.
+        """
         try:
             payload = json.loads(text)
         except ValueError as exc:
             raise ProfileFormatError(f"invalid profile JSON: {exc}") from exc
-        if payload.get("format") not in (PROFILE_FORMAT, _PROFILE_FORMAT_V1):
+        if type(payload) is not dict:
             raise ProfileFormatError(
-                f"unsupported profile format: {payload.get('format')!r}"
+                "a profile document must be a JSON object, not "
+                f"{_JSON_TYPES[type(payload)]}"
+            )
+        if payload.get("format") != PROFILE_FORMAT:
+            raise ProfileFormatError(
+                f"unsupported profile format {payload.get('format')!r}: only "
+                f"{PROFILE_FORMAT!r} is read; re-run profiling to regenerate "
+                "older profiles"
             )
         version = payload.get("schema_version", 1)
         if not isinstance(version, int) or version < 1:
@@ -217,33 +251,46 @@ class AllocationProfile:
                     "embedded STTree content hash mismatch: profile is "
                     "corrupt, truncated, or was edited by hand"
                 )
-        try:
-            alloc = [
-                AllocDirective(
-                    class_name=d["class"],
-                    method_name=d["method"],
-                    line=int(d["line"]),
-                    pre_set_gen=d.get("pre_set_gen"),
-                )
-                for d in payload["alloc_directives"]
-            ]
-            calls = [
-                CallDirective(
-                    class_name=d["class"],
-                    method_name=d["method"],
-                    line=int(d["line"]),
-                    target_generation=int(d["target_generation"]),
-                )
-                for d in payload["call_directives"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProfileFormatError(f"malformed directive: {exc}") from exc
+
+        def directives(name: str):
+            entries = _typed(payload.get(name), list, name)
+            for index, entry in enumerate(entries):
+                where = f"{name}[{index}]"
+                entry = _typed(entry, dict, where)
+                yield entry, where
+
+        alloc = [
+            AllocDirective(
+                class_name=_typed(d.get("class"), str, f"{where}.class"),
+                method_name=_typed(d.get("method"), str, f"{where}.method"),
+                line=_typed(d.get("line"), int, f"{where}.line"),
+                pre_set_gen=_typed(
+                    d.get("pre_set_gen"), int, f"{where}.pre_set_gen", True
+                ),
+            )
+            for d, where in directives("alloc_directives")
+        ]
+        calls = [
+            CallDirective(
+                class_name=_typed(d.get("class"), str, f"{where}.class"),
+                method_name=_typed(d.get("method"), str, f"{where}.method"),
+                line=_typed(d.get("line"), int, f"{where}.line"),
+                target_generation=_typed(
+                    d.get("target_generation"),
+                    int,
+                    f"{where}.target_generation",
+                ),
+            )
+            for d, where in directives("call_directives")
+        ]
         return cls(
-            workload=payload.get("workload", "unknown"),
+            workload=_typed(payload.get("workload", "unknown"), str, "workload"),
             alloc_directives=alloc,
             call_directives=calls,
-            conflicts_detected=int(payload.get("conflicts_detected", 0)),
-            metadata=payload.get("metadata") or {},
+            conflicts_detected=_typed(
+                payload.get("conflicts_detected", 0), int, "conflicts_detected"
+            ),
+            metadata=_typed(payload.get("metadata"), dict, "metadata", True),
             sttree=sttree,
         )
 

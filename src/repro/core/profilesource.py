@@ -60,8 +60,8 @@ class StoreProfileSource(ProfileSource):
     """A :class:`~repro.core.profilestore.ProfileStore` directory.
 
     ``selector`` is a workload name (resolved through the store's
-    ``latest`` pointer, falling back to the legacy per-workload flat
-    file) or ``sha256:<hex>`` naming one content-addressed object.
+    ``latest`` pointer) or ``sha256:<hex>`` naming one content-addressed
+    object.
     """
 
     def __init__(self, directory: str, selector: str) -> None:
@@ -79,9 +79,7 @@ class StoreProfileSource(ProfileSource):
         store = ProfileStore(self.directory)
         if self.selector.startswith(_HASH_PREFIX):
             return store.load_by_hash(self.selector[len(_HASH_PREFIX):])
-        if store.latest_hash(self.selector) is not None:
-            return store.load_latest(self.selector)
-        return store.load(self.selector)
+        return store.load_latest(self.selector)
 
     def describe(self) -> str:
         return f"store://{self.directory}#{self.selector}"

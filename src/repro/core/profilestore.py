@@ -6,15 +6,15 @@ application is launched in the production phase, one allocation profile
 can be chosen according to the estimated workload (for example, depending
 on the client for which the application is running)."
 
-:class:`ProfileStore` is that mechanism: a directory of profile JSON
-files keyed by workload name, with selection at production launch.
-
-The profile *service* (``repro serve``) extends it into a
-content-addressed registry: every committed profile also lands under
-``objects/<content-hash>.profile.json`` and a per-workload pointer file
-``latest/<workload>`` names the hash currently being served.  Pointer
-updates are atomic (unique temp name + ``os.replace``), so concurrent
-readers — the HTTP API, a resuming daemon — never observe a torn write.
+:class:`ProfileStore` is that mechanism, with one on-disk layout: a
+content-addressed registry.  Every committed profile lands under
+``objects/<content-hash>.profile.json``, and a per-workload pointer file
+``latest/<workload>`` names the hash currently published for that
+workload.  :meth:`ProfileStore.select` chooses among the published
+workloads at production launch; the profile service (``repro serve``)
+commits into and serves from the same layout.  Pointer updates are
+atomic (unique temp name + ``os.replace``), so concurrent readers — the
+HTTP API, a resuming daemon — never observe a torn write.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from __future__ import annotations
 import hashlib
 import os
 import uuid
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.profile import AllocationProfile
-from repro.core.sttree import STTree
 from repro.errors import ProfileError, ProfileFormatError
 
 _SUFFIX = ".profile.json"
@@ -38,8 +37,8 @@ def profile_content_hash(profile: AllocationProfile) -> str:
 
     IR-bearing profiles are addressed by their STTree digest — two
     profiles flattened from the same lifetime model share an address
-    regardless of metadata.  Profiles without an IR (hand-built, v1
-    files) fall back to hashing their canonical JSON.
+    regardless of metadata.  Profiles without an IR (hand-built) fall
+    back to hashing their canonical JSON.
     """
     if profile.sttree is not None:
         return profile.sttree.digest()
@@ -47,15 +46,11 @@ def profile_content_hash(profile: AllocationProfile) -> str:
 
 
 class ProfileStore:
-    """A directory-backed registry of allocation profiles."""
+    """A directory-backed, content-addressed registry of allocation profiles."""
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-
-    def _path(self, workload: str) -> str:
-        safe = workload.replace(os.sep, "_")
-        return os.path.join(self.directory, safe + _SUFFIX)
 
     def _atomic_write(self, path: str, text: str) -> None:
         tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
@@ -63,15 +58,7 @@ class ProfileStore:
             handle.write(text)
         os.replace(tmp, path)
 
-    # -- writing ------------------------------------------------------------------
-
-    def save(self, profile: AllocationProfile) -> str:
-        """Store a profile under its workload name; returns the path."""
-        path = self._path(profile.workload)
-        profile.save(path)
-        return path
-
-    # -- the content-addressed registry (the profile service's backing) -----------
+    # -- the content-addressed registry ------------------------------------------
 
     def _object_path(self, content_hash: str) -> str:
         return os.path.join(
@@ -167,61 +154,26 @@ class ProfileStore:
 
     # -- selection -----------------------------------------------------------------
 
-    def list_workloads(self) -> List[str]:
-        names = []
-        for entry in sorted(os.listdir(self.directory)):
-            if entry.endswith(_SUFFIX):
-                names.append(entry[: -len(_SUFFIX)])
-        return names
-
-    def has_profile(self, workload: str) -> bool:
-        return os.path.exists(self._path(workload))
-
-    def load(self, workload: str) -> AllocationProfile:
-        path = self._path(workload)
-        if not os.path.exists(path):
-            raise ProfileError(
-                f"no profile for workload {workload!r} in {self.directory} "
-                f"(available: {self.list_workloads()})"
-            )
-        return AllocationProfile.load(path)
-
-    def load_tree(self, workload: str) -> STTree:
-        """The stored profile's canonical IR (the serialized STTree).
-
-        Profiles written before the IR-bearing v2 format carry only the
-        flattened directives; asking for their tree is an error rather
-        than a silent re-derivation.
-        """
-        profile = self.load(workload)
-        if profile.sttree is None:
-            raise ProfileError(
-                f"profile for {workload!r} predates the IR-bearing v2 "
-                "format and has no STTree; re-run profiling to regenerate"
-            )
-        return profile.sttree
-
     def select(
         self, expected_workload: str, fallback: Optional[str] = None
     ) -> AllocationProfile:
         """Choose the profile for the expected workload at launch time.
 
-        Falls back to a same-application profile when the exact mix is
-        absent — e.g. ``cassandra-wr`` can borrow ``cassandra-wi``'s
-        profile, which still beats running unprofiled.
+        Looks among the published workloads (those with a ``latest``
+        pointer): the exact workload first, then a same-application one —
+        e.g. ``cassandra-wr`` can borrow ``cassandra-wi``'s profile, which
+        still beats running unprofiled — then ``fallback``.
         """
-        if self.has_profile(expected_workload):
-            return self.load(expected_workload)
+        published = self.latest_workloads()
+        if expected_workload in published:
+            return self.load_latest(expected_workload)
         prefix = expected_workload.split("-")[0]
-        for name in self.list_workloads():
+        for name in published:
             if name.split("-")[0] == prefix:
-                return self.load(name)
-        if fallback is not None and self.has_profile(fallback):
-            return self.load(fallback)
+                return self.load_latest(name)
+        if fallback is not None and fallback in published:
+            return self.load_latest(fallback)
         raise ProfileError(
             f"no profile usable for {expected_workload!r} "
-            f"(available: {self.list_workloads()})"
+            f"(published: {published})"
         )
-
-    def load_all(self) -> Dict[str, AllocationProfile]:
-        return {name: self.load(name) for name in self.list_workloads()}

@@ -13,24 +13,29 @@ module is the machinery that makes such a sweep practical:
   layout; :class:`SqliteCacheBackend` packs a whole sweep into a single
   WAL-mode database file that several runner processes can share, so a
   killed sweep resumes from exactly the cells already committed.
-* :func:`run_sweep` — a **sharded work-stealing scheduler** over the
-  sweep's per-cell dependency DAG.  Cells are sharded across worker
-  slots; a slot that drains its shard steals from the fullest one, so a
-  straggler cell never idles the rest of the fleet.  A POLM2 production
-  cell unblocks the moment *its* (workload, seed, heap) profiling cell
-  lands — there is no global profiling barrier (``mode="wave"`` keeps
-  the old barrier semantics for benchmarking the difference).  Results
-  **stream back incrementally** as :class:`CellResult` values with live
-  progress (cells done/total, cells/sec, ETA); nothing accumulates
-  behind an end-of-matrix barrier.
+* :func:`run_sweep` — the one scheduler.  With ``jobs=1`` it runs every
+  cell in-process in deterministic sweep order; with ``jobs > 1`` it is
+  a **sharded work-stealing scheduler** over the sweep's per-cell
+  dependency DAG.  Cells are sharded across worker slots; a slot that
+  drains its shard steals from the fullest one, so a straggler cell
+  never idles the rest of the fleet.  A POLM2 production cell unblocks
+  the moment *its* (workload, seed, heap) profiling cell lands — there
+  is no global profiling barrier.  Results **stream back
+  incrementally** as :class:`CellResult` values with live progress
+  (cells done/total, cells/sec, ETA); nothing accumulates behind an
+  end-of-matrix barrier.
+* :func:`_run_profiling_cell` / :func:`_run_production_cell` — the one
+  way a cell is computed, in a pool worker or in-process alike
+  (:class:`~repro.experiments.runner.ExperimentRunner` computes its
+  single cells through them too).
 * :func:`pooled_pause_percentiles` — multi-seed aggregation: pause
   samples pooled across seeds with the seed/sample support counts kept
   alongside, so every figure can say how much data backs its tail.
 
 Every cell is deterministic in (workload, strategy, seed, heap-config,
-durations) — virtual clock, fixed seed — so serial, sharded, and wave
-schedules produce byte-identical cells, and a cache hit is
-indistinguishable from a recompute.
+durations) — virtual clock, fixed seed — so ``jobs=1`` and ``jobs > 1``
+produce byte-identical cells, and a cache hit is indistinguishable from
+a recompute.
 """
 
 from __future__ import annotations
@@ -72,9 +77,6 @@ CACHE_FORMAT = "matrix-cache-v4"
 
 #: The pseudo-strategy key the profiling phase is cached under.
 PROFILING_KEY = "polm2-profiling"
-
-#: Scheduler modes accepted by :func:`run_sweep`.
-SCHEDULER_MODES = ("sharded", "wave", "serial")
 
 #: Named heap configurations a sweep can range over.  Values are
 #: :class:`SimConfig` field overrides applied to the base config; the
@@ -299,9 +301,7 @@ _FORMAT_MARKER = "FORMAT.json"
 class DirCacheBackend(CacheBackend):
     """One JSON file per cell: ``<root>/<sweep-key>/<cell_id>.json``.
 
-    The default backend, unchanged layout from the original
-    ``MatrixCache`` apart from the cell ids now carrying seed and
-    heap-config.  Writes are atomic: each runner writes to a
+    The default backend.  Writes are atomic: each runner writes to a
     per-process unique temp name (pid + random suffix) and
     ``os.replace``\\ s it in, so two concurrent runners storing the same
     cell can never clobber each other mid-rename — last writer wins
@@ -622,10 +622,10 @@ class CellResult:
 
 
 # -- worker-process entry points -------------------------------------------------
-# Module-level so ProcessPoolExecutor can pickle them.  Each worker
+# Module-level so ProcessPoolExecutor can pickle them.  Each call
 # builds a fresh pipeline from primitive arguments; the virtual clock
-# makes every cell bit-deterministic, so worker results are identical
-# to what the serial path computes in-process.
+# makes every cell bit-deterministic, so a worker computes exactly what
+# an in-process call does.
 
 
 def _cell_pipeline(workload: str, seed: int, heap: str) -> POLM2Pipeline:
@@ -658,8 +658,8 @@ def _run_production_cell(
 
     Workers see only strategies registered at import time (the built-ins
     plus anything a ``repro.strategies``-importing plugin registers);
-    strategies registered dynamically in the parent process require the
-    serial scheduler.
+    strategies registered dynamically in the parent process require
+    ``jobs=1``.
     """
     pipe = _cell_pipeline(workload, seed, heap)
     profile = (
@@ -712,7 +712,6 @@ def run_sweep(
     production_ms: float = 60_000.0,
     backend: Optional[CacheBackend] = None,
     jobs: int = 1,
-    mode: str = "sharded",
     preloaded: Optional[Mapping[CellKey, PhaseResult]] = None,
     profile_source: Optional[str] = None,
     clock: Callable[[], float] = time.perf_counter,
@@ -735,17 +734,10 @@ def run_sweep(
     live outside the cache key, so neither a stale hit nor a poisoned
     store is possible.
 
-    ``mode="sharded"`` (the default) uses the work-stealing scheduler
-    with the per-cell DAG; ``mode="wave"`` inserts the legacy global
-    barrier between the profiling and production waves (kept for
-    benchmarking scheduler overhead); ``mode="serial"`` — or ``jobs=1``
-    — runs in-process in deterministic sweep order.  All three produce
-    byte-identical cells.
+    ``jobs=1`` runs in-process in deterministic sweep order; ``jobs >
+    1`` runs the work-stealing scheduler over the per-cell DAG in a
+    process pool.  Both produce byte-identical cells.
     """
-    if mode not in SCHEDULER_MODES:
-        raise ReproError(
-            f"unknown scheduler mode {mode!r} (known: {', '.join(SCHEDULER_MODES)})"
-        )
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
     preloaded = dict(preloaded or {})
@@ -854,7 +846,7 @@ def run_sweep(
         if not pending and not pending_profiling:
             return
 
-        if jobs == 1 or mode == "serial":
+        if jobs == 1:
             # Deterministic sweep order; each needed profiling cell runs
             # immediately before its first dependent.
             profiled = set(profiles)
@@ -897,9 +889,7 @@ def run_sweep(
             computed,
             profiling_ms=profiling_ms,
             production_ms=production_ms,
-            backend=backend,
             jobs=jobs,
-            barrier=(mode == "wave"),
         )
     finally:
         if backend is not None:
@@ -915,29 +905,21 @@ def _run_sweep_pool(
     *,
     profiling_ms: float,
     production_ms: float,
-    backend: Optional[CacheBackend],
     jobs: int,
-    barrier: bool,
 ) -> Iterator[CellResult]:
-    """The parallel scheduler body shared by sharded and wave modes."""
+    """The ``jobs > 1`` scheduler body: a process pool fed by the DAG."""
     scheduler = _ShardedScheduler(jobs)
-    deferred_production: List[CellKey] = []
     blocked_cells = {dep for deps in blocked.values() for dep in deps}
     for key in pending_profiling:
         scheduler.push(key)
     for key in pending:
-        if barrier and pending_profiling:
-            # Wave mode: *no* production cell starts before every
-            # profiling cell has landed — the global two-wave barrier.
-            deferred_production.append(key)
-        elif key in blocked_cells:
-            pass  # the DAG releases it when its profiling cell lands
-        else:
+        # A blocked cell waits for the DAG to release it when its
+        # profiling cell lands.
+        if key not in blocked_cells:
             scheduler.push(key)
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         in_flight: Dict[concurrent.futures.Future, Tuple[CellKey, int]] = {}
-        profiling_left = len(pending_profiling)
 
         def submit(key: CellKey, slot: int) -> None:
             if key.is_profiling:
@@ -985,17 +967,8 @@ def _run_sweep_pool(
                 free_slots.append(slot)
                 result = future.result()
                 yield computed(key, result)
-                if key.is_profiling:
-                    profiling_left -= 1
-                    for dependent in blocked.pop(key, []):
-                        if not barrier:
-                            scheduler.push(dependent)
-                    if barrier and profiling_left == 0:
-                        # Wave barrier: release every production cell at
-                        # once, only now that all profiles exist.
-                        for dependent in deferred_production:
-                            scheduler.push(dependent)
-                        deferred_production = []
+                for dependent in blocked.pop(key, []):
+                    scheduler.push(dependent)
             fill(free_slots)
 
 

@@ -6,15 +6,20 @@ each cell once and caches it, so regenerating every figure costs one pass
 over the matrix.
 
 The heavy lifting lives in :mod:`repro.experiments.matrix` — the
-fleet-scale sweep engine: a sharded work-stealing scheduler over the
-(workload × strategy × seed × heap-config) space with a per-cell
-profiling→production dependency DAG, streaming cell results, and a
-pluggable :class:`~repro.experiments.matrix.CacheBackend` (JSON dir by
-default, single-file WAL sqlite via ``--cache-backend
-sqlite:///sweep.db`` / ``REPRO_CACHE_BACKEND``).  This module keeps the
-figure-facing conveniences on top:
+fleet-scale sweep engine: one scheduler over the (workload × strategy ×
+seed × heap-config) space (in-process at ``jobs=1``, a sharded
+work-stealing process pool over the per-cell profiling→production DAG
+above that), streaming cell results, and a pluggable
+:class:`~repro.experiments.matrix.CacheBackend` (JSON dir by default,
+single-file WAL sqlite via ``--cache-backend sqlite:///sweep.db`` /
+``REPRO_CACHE_BACKEND``).  A single cell — :meth:`ExperimentRunner.cell`
+or :meth:`ExperimentRunner.profile` — is computed by the same
+``matrix._run_production_cell`` / ``matrix._run_profiling_cell``
+functions a sweep runs.  This module keeps the figure-facing
+conveniences on top:
 
-* **in-memory memoization** — each cell is computed once per runner;
+* **in-memory memoization** — each cell (profiling cells included) is
+  computed once per runner;
 * **on-disk result cache** — keyed by a hash of the
   :class:`SimConfig` fingerprint, the experiment settings, and a
   content hash of the ``repro`` package sources, so re-running figures
@@ -36,12 +41,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
-from repro.core.pipeline import POLM2Pipeline, PhaseResult
+from repro.core.pipeline import PhaseResult
 from repro.core.profile import AllocationProfile
 from repro.errors import ReproError
+from repro.experiments import matrix
 from repro.experiments.matrix import (
     CACHE_FORMAT,
     PROFILING_KEY,
@@ -52,13 +58,12 @@ from repro.experiments.matrix import (
     SweepSpec,
     backend_from_spec,
     code_version,
-    heap_config,
     parse_seeds,
     run_sweep,
     sweep_cache_key,
 )
 from repro.strategies import get_strategy
-from repro.workloads import WORKLOAD_NAMES, make_workload
+from repro.workloads import WORKLOAD_NAMES
 
 __all__ = [
     "CACHE_FORMAT",
@@ -67,7 +72,6 @@ __all__ = [
     "PAUSE_STRATEGIES",
     "ExperimentRunner",
     "ExperimentSettings",
-    "MatrixCache",
     "code_version",
     "default_runner",
     "reset_default_runner",
@@ -119,7 +123,7 @@ class ExperimentSettings:
     seed: int = 42
     #: Seeds a multi-seed sweep ranges over (None = just ``seed``).
     seeds: Optional[Tuple[int, ...]] = None
-    #: Worker processes for ``full_matrix`` / ``sweep`` (1 = serial).
+    #: Worker processes for ``full_matrix`` / ``sweep`` (1 = in-process).
     jobs: int = 1
     #: Directory of the on-disk result cache (None disables it).
     cache_dir: Optional[str] = None
@@ -167,160 +171,49 @@ class ExperimentSettings:
         return None
 
 
-class MatrixCache(DirCacheBackend):
-    """The legacy (workload, strategy) view of the JSON-dir backend.
-
-    Kept for compatibility: cells are addressed by (workload, strategy)
-    at the settings' single seed and the default heap config.  New code
-    should use a :class:`~repro.experiments.matrix.CacheBackend` with
-    full :class:`~repro.experiments.matrix.CellKey` addressing.
-    """
-
-    def __init__(
-        self, root: str, config: SimConfig, settings: ExperimentSettings
-    ) -> None:
-        self.seed = settings.seed
-        super().__init__(
-            root,
-            sweep_cache_key(
-                config, settings.profiling_ms, settings.production_ms
-            ),
-        )
-
-    def _cell_key(self, workload: str, strategy: str) -> CellKey:
-        return CellKey(workload=workload, strategy=strategy, seed=self.seed)
-
-    def load(self, workload: str, strategy: str) -> Optional[PhaseResult]:  # type: ignore[override]
-        return super().load(self._cell_key(workload, strategy))
-
-    def store(self, workload: str, strategy: str, result: PhaseResult) -> None:  # type: ignore[override]
-        super().store(self._cell_key(workload, strategy), result)
-
-
-# -- worker-process entry points (re-exported; implementations live in
-# matrix.py so the sweep engine and the runner share one code path) ------------
-from repro.experiments.matrix import (  # noqa: E402
-    _run_production_cell,
-    _run_profiling_cell,
-)
-
-
-def _worker_pipeline(workload: str, seed: int) -> POLM2Pipeline:
-    return POLM2Pipeline(
-        workload_factory=lambda w=workload, s=seed: make_workload(w, seed=s),
-        config=SimConfig(seed=seed),
-    )
-
-
 class ExperimentRunner:
     """Runs and caches every (workload, strategy[, seed, heap]) cell."""
 
     def __init__(self, settings: Optional[ExperimentSettings] = None) -> None:
         self.settings = settings or ExperimentSettings.from_env()
-        self._pipelines: Dict[Tuple[str, int, str], POLM2Pipeline] = {}
-        self._profiles: Dict[Tuple[str, int, str], AllocationProfile] = {}
-        self._profiling_results: Dict[Tuple[str, int, str], PhaseResult] = {}
+        #: Every cell this runner has computed, loaded, or swept —
+        #: profiling cells under their ``PROFILING_KEY`` key.
         self._cells: Dict[CellKey, PhaseResult] = {}
         self._backend: Optional[CacheBackend] = self.settings.open_backend(
             SimConfig(seed=self.settings.seed)
         )
 
-    # -- legacy single-seed view (what the figure modules consume) ---------------
-
-    @property
-    def _results(self) -> Dict[Tuple[str, str], PhaseResult]:
-        """(workload, strategy) view of the default-seed production cells."""
-        seed = self.settings.seed
-        return {
-            (key.workload, key.strategy): result
-            for key, result in self._cells.items()
-            if key.seed == seed
-            and key.heap == "default"
-            and not key.is_profiling
-        }
-
     # -- building blocks ---------------------------------------------------------
 
-    def pipeline(
-        self, workload: str, seed: Optional[int] = None, heap: str = "default"
-    ) -> POLM2Pipeline:
-        seed = self.settings.seed if seed is None else seed
-        cache_key = (workload, seed, heap)
-        pipe = self._pipelines.get(cache_key)
-        if pipe is None:
-            pipe = POLM2Pipeline(
-                workload_factory=lambda w=workload, s=seed: make_workload(
-                    w, seed=s
-                ),
-                config=heap_config(heap, base=SimConfig(seed=seed)),
-            )
-            self._pipelines[cache_key] = pipe
-        return pipe
-
-    def _adopt_profiling_result(
-        self,
-        workload: str,
-        cell: PhaseResult,
-        seed: Optional[int] = None,
-        heap: str = "default",
-    ) -> None:
-        seed = self.settings.seed if seed is None else seed
-        self._profiling_results[(workload, seed, heap)] = cell
-        if cell.profile is not None:
-            self._profiles[(workload, seed, heap)] = cell.profile
+    def _cached(
+        self, key: CellKey, compute: Callable[[], PhaseResult]
+    ) -> PhaseResult:
+        """One cell: in-memory, then the cache backend, then ``compute()``."""
+        result = self._cells.get(key)
+        if result is None and self._backend is not None:
+            result = self._backend.load(key)
+            if result is not None and key.is_profiling and result.profile is None:
+                result = None  # foreign/corrupt profiling cell: recompute
+        if result is None:
+            result = compute()
+            if self._backend is not None:
+                self._backend.store(key, result)
+                self._backend.flush()
+        self._cells[key] = result
+        return result
 
     def profile(
         self, workload: str, seed: Optional[int] = None, heap: str = "default"
     ) -> AllocationProfile:
         """The POLM2 allocation profile for a workload (cached)."""
         seed = self.settings.seed if seed is None else seed
-        prof = self._profiles.get((workload, seed, heap))
-        if prof is None:
-            key = CellKey(workload, PROFILING_KEY, seed, heap)
-            cell = self._cache_load_key(key)
-            if cell is not None and cell.profile is None:
-                cell = None  # foreign/corrupt cell: recompute
-            if cell is None:
-                keep: List[PhaseResult] = []
-                self.pipeline(workload, seed, heap).run_profiling_phase(
-                    duration_ms=self.settings.profiling_ms, keep_result=keep
-                )
-                cell = keep[0]
-                self._cache_store_key(key, cell)
-            self._adopt_profiling_result(workload, cell, seed, heap)
-            prof = self._profiles[(workload, seed, heap)]
-        return prof
-
-    def profiling_result(self, workload: str) -> PhaseResult:
-        """The PhaseResult of the profiling run (snapshots included)."""
-        self.profile(workload)
-        return self._profiling_results[
-            (workload, self.settings.seed, "default")
-        ]
-
-    # -- the on-disk cache --------------------------------------------------------
-
-    def _cache_load_key(self, key: CellKey) -> Optional[PhaseResult]:
-        if self._backend is None:
-            return None
-        return self._backend.load(key)
-
-    def _cache_store_key(self, key: CellKey, cell: PhaseResult) -> None:
-        if self._backend is not None:
-            self._backend.store(key, cell)
-            self._backend.flush()
-
-    def _cache_load(self, workload: str, strategy: str) -> Optional[PhaseResult]:
-        return self._cache_load_key(
-            CellKey(workload, strategy, self.settings.seed)
-        )
-
-    def _cache_store(
-        self, workload: str, strategy: str, cell: PhaseResult
-    ) -> None:
-        self._cache_store_key(
-            CellKey(workload, strategy, self.settings.seed), cell
-        )
+        key = CellKey(workload, PROFILING_KEY, seed, heap)
+        return self._cached(
+            key,
+            lambda: matrix._run_profiling_cell(
+                workload, seed, heap, self.settings.profiling_ms
+            ),
+        ).profile
 
     def cell(
         self,
@@ -336,24 +229,23 @@ class ExperimentRunner:
         phase — the cached cell already embeds the profile it ran with.
         """
         seed = self.settings.seed if seed is None else seed
-        key = CellKey(workload, strategy, seed, heap)
-        result = self._cells.get(key)
-        if result is None:
-            result = self._cache_load_key(key)
-        if result is None:
-            spec = get_strategy(strategy)
-            result = self.pipeline(workload, seed, heap).run(
-                spec,
-                duration_ms=self.settings.production_ms,
-                profile=(
-                    self.profile(workload, seed, heap)
-                    if spec.needs_profile
-                    else None
-                ),
+
+        def compute() -> PhaseResult:
+            profile_json = (
+                self.profile(workload, seed, heap).to_json()
+                if get_strategy(strategy).needs_profile
+                else None
             )
-            self._cache_store_key(key, result)
-        self._cells[key] = result
-        return result
+            return matrix._run_production_cell(
+                workload,
+                strategy,
+                seed,
+                heap,
+                self.settings.production_ms,
+                profile_json,
+            )
+
+        return self._cached(CellKey(workload, strategy, seed, heap), compute)
 
     def result(self, workload: str, strategy: str) -> PhaseResult:
         """One production cell at the default seed and heap config."""
@@ -404,26 +296,17 @@ class ExperimentRunner:
     ) -> Dict[Tuple[str, str], PhaseResult]:
         """Force-run every cell; returns {(workload, strategy): result}.
 
-        ``jobs`` > 1 executes independent cells through the sharded
-        work-stealing scheduler (the default comes from
-        ``settings.jobs`` / ``REPRO_JOBS``).  Results are identical to
-        the serial pass: every cell is deterministic in (workload,
-        strategy, seed, heap config, durations).
+        Drains :meth:`sweep` at the settings' single seed; ``jobs``
+        (default ``settings.jobs`` / ``REPRO_JOBS``) picks in-process
+        order or the process pool.  Results are identical either way:
+        every cell is deterministic in (workload, strategy, seed, heap
+        config, durations).
         """
-        jobs = self.settings.jobs if jobs is None else jobs
-        if jobs > 1:
-            for _ in self.sweep(
-                workloads=workloads,
-                strategies=strategies,
-                seeds=(self.settings.seed,),
-                jobs=jobs,
-            ):
-                pass
-        else:
-            for workload in workloads:
-                for strategy in strategies:
-                    self.result(workload, strategy)
         seed = self.settings.seed
+        for _ in self.sweep(
+            workloads=workloads, strategies=strategies, seeds=(seed,), jobs=jobs
+        ):
+            pass
         return {
             (workload, strategy): self._cells[
                 CellKey(workload, strategy, seed)
@@ -441,7 +324,6 @@ class ExperimentRunner:
         seeds: Optional[Sequence[int]] = None,
         heap_configs: Sequence[str] = ("default",),
         jobs: Optional[int] = None,
-        mode: str = "sharded",
     ) -> Iterator[CellResult]:
         """Stream the (workload × strategy × seed × heap-config) sweep.
 
@@ -456,26 +338,16 @@ class ExperimentRunner:
             seeds=tuple(seeds) if seeds is not None else self.settings.seed_list,
             heap_configs=tuple(heap_configs),
         )
-        preloaded = dict(self._cells)
-        for (workload, seed, heap), cell in self._profiling_results.items():
-            preloaded[CellKey(workload, PROFILING_KEY, seed, heap)] = cell
         for item in run_sweep(
             spec,
             profiling_ms=self.settings.profiling_ms,
             production_ms=self.settings.production_ms,
             backend=self._backend,
             jobs=self.settings.jobs if jobs is None else jobs,
-            mode=mode,
-            preloaded=preloaded,
+            preloaded=self._cells,
             profile_source=self.settings.profile_source,
         ):
-            key = item.key
-            if key.is_profiling:
-                self._adopt_profiling_result(
-                    key.workload, item.result, key.seed, key.heap
-                )
-            else:
-                self._cells[key] = item.result
+            self._cells[item.key] = item.result
             yield item
 
 

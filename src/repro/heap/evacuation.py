@@ -1,12 +1,12 @@
-"""Evacuation plans: destination policies the columnar engine can vectorize.
+"""Evacuation plans: destination policies the columnar engine vectorizes.
 
-The historical evacuation API took a per-object callable
-(``destination_for(obj) -> Generation``), which forces the engine back to
-one Python call per survivor.  A plan expresses the same policy over
-*position runs* of a region's columns, so the engine can split each live
-run into maximal same-destination sub-runs and move every sub-run as one
-column-slice copy.  ``SimHeap.evacuate`` accepts either form; the shipped
-collectors all pass plans.
+A plan expresses where survivors go over *position runs* of a region's
+columns, so :meth:`SimHeap.evacuate <repro.heap.heap.SimHeap.evacuate>`
+splits each live run into maximal same-destination sub-runs and moves
+every sub-run as one column-slice copy, never one Python call per
+survivor.  Evacuation takes a plan and nothing else: the collectors pass
+:class:`FixedDestination` (mixed, full and compacting collections) or
+:class:`SurvivorTenuring` (young collections).
 """
 
 from __future__ import annotations

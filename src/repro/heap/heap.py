@@ -140,8 +140,8 @@ class SimHeap:
 
         Objects still listed in the region (wholesale reclamation of dead
         regions / cohorts / humongous runs) are removed from the page
-        occupancy counters here; evacuation untracks per object instead and
-        hands over an already-emptied region.
+        occupancy counters here; evacuation subtracts a region's occupancy
+        itself and hands over an already-emptied region.
         """
         if region.objects:
             # One bulk occupancy pass over the offset column (the last
@@ -454,7 +454,7 @@ class SimHeap:
         regions: Sequence[Region],
         live,
         source_gen: Generation,
-        destination_for,
+        plan: EvacuationPlan,
     ) -> Tuple[int, int, int]:
         """Copy live objects out of ``regions`` and reclaim the regions.
 
@@ -465,36 +465,18 @@ class SimHeap:
                 :class:`~repro.core.idset.IdSet`, or a ``Set[int]`` of
                 reachable object ids.
             source_gen: generation owning the regions.
-            destination_for: an :class:`~repro.heap.evacuation.EvacuationPlan`
-                (the vectorized path every shipped collector uses) or a
-                legacy per-object callable ``obj -> Generation``.
+            plan: the :class:`~repro.heap.evacuation.EvacuationPlan`
+                mapping live position runs to destination generations.
 
         Returns:
             ``(survivor_bytes, promoted_bytes, scanned_objects)`` where
             promoted bytes are those copied into a *different* generation.
-        """
-        if isinstance(destination_for, EvacuationPlan):
-            return self._evacuate_columnar(
-                regions, live, source_gen, destination_for
-            )
-        return self._evacuate_objects(regions, live, source_gen, destination_for)
 
-    def _evacuate_columnar(
-        self,
-        regions: Sequence[Region],
-        live,
-        source_gen: Generation,
-        plan: EvacuationPlan,
-    ) -> Tuple[int, int, int]:
-        """Run-at-a-time evacuation over the region columns.
-
-        Per source region: one bulk occupancy subtraction, one columnar
-        mark pass collapsing liveness into position runs, a plan split
-        into maximal same-destination sub-runs (lane-arithmetic aging for
-        tenuring plans), and a column-slice copy per placed chunk.  The
-        observable results — addresses, page bits, occupancy counters,
-        remembered-set insertions, byte accounting — are identical to the
-        historical per-object loop, object for object.
+        Runs a region at a time over the columns.  Per source region: one
+        bulk occupancy subtraction, one columnar mark pass collapsing
+        liveness into position runs, a plan split into maximal
+        same-destination sub-runs (lane-arithmetic aging for tenuring
+        plans), and a column-slice copy per placed chunk.
         """
         survivor_bytes = 0
         promoted_bytes = 0
@@ -511,7 +493,7 @@ class SimHeap:
                 self.free_region(region)
                 continue
             # Every scanned copy disappears (survivors move, the rest die):
-            # one bulk occupancy pass replaces per-object untracking.
+            # one bulk occupancy pass over the whole region.
             page_table.adjust_occupancy_run(
                 region.base, region._offsets, 0, count, region.top, -1
             )
@@ -536,49 +518,6 @@ class SimHeap:
                                 # Promotion created an old->young edge.
                                 remset[obj.object_id] = obj
                                 break
-            # Occupancy already handed over; don't untrack again on free.
-            region.wipe_contents()
-            self.free_region(region)
-        return survivor_bytes, promoted_bytes, scanned
-
-    def _evacuate_objects(
-        self,
-        regions: Sequence[Region],
-        live,
-        source_gen: Generation,
-        destination_for,
-    ) -> Tuple[int, int, int]:
-        """Legacy per-object evacuation (callable destination policies)."""
-        use_epoch = isinstance(live, int)
-        survivor_bytes = 0
-        promoted_bytes = 0
-        scanned = 0
-        page_table = self.page_table
-        for region in regions:
-            source_gen.release_region(region)
-        for region in regions:
-            for obj in region.objects:
-                scanned += 1
-                # The old copy disappears whether or not the object
-                # survives; untrack before allocation rewrites the address.
-                page_table.untrack_object(obj.address, obj.size)
-                if use_epoch:
-                    if obj.mark_epoch != live:
-                        continue
-                elif obj.object_id not in live:
-                    continue
-                dest = destination_for(obj)
-                address = dest.allocate(obj)
-                page_table.place_object(address, obj.size)
-                if dest.gen_id != region.gen_id:
-                    promoted_bytes += obj.size
-                else:
-                    survivor_bytes += obj.size
-                if dest.gen_id != YOUNG_GEN and any(
-                    child.gen_id == YOUNG_GEN for child in obj._refs
-                ):
-                    # Promotion created an old->young edge.
-                    self.old_to_young_remset[obj.object_id] = obj
             # Occupancy already handed over; don't untrack again on free.
             region.wipe_contents()
             self.free_region(region)

@@ -170,9 +170,9 @@ class PageTable:
     # -- object occupancy (incremental page liveness) -------------------------
 
     def place_object(self, address: int, length: int) -> None:
-        """An object body freshly written at ``address`` (allocation, or a
-        per-object evacuation copy): dirty its pages, clear any stale
-        no-need advice, and count the object on every page it overlaps.
+        """An object body freshly written at ``address`` (a scalar
+        allocation): dirty its pages, clear any stale no-need advice, and
+        count the object on every page it overlaps.
 
         The :meth:`mark_written_range` write and the occupancy count in one
         pass, with a single-page fast path: most objects fit in one page.
@@ -193,17 +193,6 @@ class PageTable:
         for page in range(first, last + 1):
             occupancy[page] += 1
 
-    def untrack_object(self, address: int, length: int) -> None:
-        """Remove an object's count (death, evacuation, region reclaim)."""
-        if length <= 0:
-            return
-        occupancy = self._occupancy
-        page_size = self.page_size
-        first = address // page_size
-        last = (address + length - 1) // page_size
-        for page in range(first, last + 1):
-            occupancy[page] -= 1
-
     def adjust_occupancy_run(
         self,
         base: int,
@@ -217,10 +206,10 @@ class PageTable:
 
         The run's objects start at ``base + offsets[lo:hi]`` (ascending,
         gap-free prefix sums — the columnar region layout) and tile the
-        span up to ``base + end_offset``.  Equivalent to counting each
-        object as :meth:`place_object` (``delta`` +1) or
-        :meth:`untrack_object` (-1) does, but does two bisects per
-        touched page instead of one Python call per object: a page's
+        span up to ``base + end_offset``.  Equivalent to counting (``delta``
+        +1, as :meth:`place_object` does) or uncounting (-1) each object
+        on every page it overlaps, but does two bisects per touched page
+        instead of one Python call per object: a page's
         overlap count is the number of run starts inside it, plus one when
         an earlier run object straddles its left edge.
         """

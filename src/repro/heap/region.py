@@ -36,7 +36,6 @@ keep their last placement values when a region's columns are discarded
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
@@ -341,8 +340,8 @@ class Region:
     def live_flags(self, live) -> bytearray:
         """Materialize the epoch-mark column: one byte per object, 1 = live.
 
-        ``live`` is an ``int`` mark epoch, an :class:`IdSet`, or a plain
-        ``set``/``frozenset`` of object ids.
+        ``live`` is an ``int`` mark epoch, an :class:`IdSet`, or any
+        container of object ids (tested with ``in``).
         """
         if isinstance(live, int):
             # Lazy batch placeholders (None) were garbage from birth and
@@ -408,20 +407,10 @@ class Region:
         """Bytes occupied by live objects in this region.
 
         ``live`` is an ``int`` mark epoch (an object counts iff
-        ``obj.mark_epoch`` equals it), an :class:`IdSet`, or a plain
-        ``set``/``frozenset`` of live object ids.  All forms funnel
-        through the columnar mark column and a run-sum over the offset
-        prefix sums; any other ``live`` type falls back to the deprecated
-        per-object scan.
+        ``obj.mark_epoch`` equals it), an :class:`IdSet`, or any container
+        of live object ids.  Every form funnels through the columnar mark
+        column and a run-sum over the offset prefix sums.
         """
-        if not isinstance(live, (int, IdSet, set, frozenset)):
-            warnings.warn(
-                "per-object live_bytes fallback is deprecated; pass a mark "
-                "epoch, an IdSet, or a set of object ids",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return sum(obj.size for obj in self.objects if obj.object_id in live)
         starts, stops = _flags_to_bounds(self.live_flags(live))
         if not starts:
             return 0

@@ -61,8 +61,8 @@ class TestSerialization:
 
     def test_malformed_directive_rejected(self):
         bad = (
-            '{"format": "polm2-profile-v1", "workload": "x", '
+            '{"format": "polm2-profile-v2", "workload": "x", '
             '"alloc_directives": [{"class": "C"}], "call_directives": []}'
         )
-        with pytest.raises(ProfileFormatError):
+        with pytest.raises(ProfileFormatError, match="alloc_directives"):
             AllocationProfile.from_json(bad)

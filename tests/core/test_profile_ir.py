@@ -19,7 +19,7 @@ from repro.core.profile import (
 )
 from repro.core.profilestore import ProfileStore
 from repro.core.sttree import STTREE_FORMAT, STTREE_SCHEMA_VERSION, STTree
-from repro.errors import ProfileError, ProfileFormatError
+from repro.errors import ProfileFormatError
 
 SITES = [
     ((("A", "main", 1), ("A", "make", 5)), 2, 40),
@@ -27,6 +27,21 @@ SITES = [
     ((("C", "loop", 3),), 0, 99),
     ((("A", "main", 1), ("A", "make", 5), ("D", "inner", 7)), 2, 4),
 ]
+
+
+#: A pre-IR ``polm2-profile-v1`` document, no longer read.
+V1_PROFILE = json.dumps(
+    {
+        "format": "polm2-profile-v1",
+        "workload": "legacy",
+        "conflicts_detected": 0,
+        "alloc_directives": [
+            {"class": "A", "method": "m", "line": 3, "pre_set_gen": None}
+        ],
+        "call_directives": [],
+        "metadata": {},
+    }
+)
 
 
 def sample_tree(order=None):
@@ -112,22 +127,12 @@ class TestProfileV2:
         assert "\n" not in message
         assert "newer than the supported" in message
 
-    def test_v1_profile_still_loads_without_ir(self):
-        v1 = json.dumps(
-            {
-                "format": "polm2-profile-v1",
-                "workload": "legacy",
-                "conflicts_detected": 0,
-                "alloc_directives": [
-                    {"class": "A", "method": "m", "line": 3, "pre_set_gen": None}
-                ],
-                "call_directives": [],
-                "metadata": {},
-            }
-        )
-        profile = AllocationProfile.from_json(v1)
-        assert profile.sttree is None
-        assert profile.alloc_directives[0].location == ("A", "m", 3)
+    def test_v1_profile_rejected_in_one_line(self):
+        with pytest.raises(ProfileFormatError) as err:
+            AllocationProfile.from_json(V1_PROFILE)
+        message = str(err.value)
+        assert "\n" not in message
+        assert "polm2-profile-v1" in message
 
     def test_save_load_reinstruments_identically(self, tmp_path):
         profile = AllocationProfile.from_sttree(sample_tree(), workload="w")
@@ -154,11 +159,16 @@ class TestProfileStoreIR:
     def test_load_tree_round_trips(self, tmp_path):
         store = ProfileStore(str(tmp_path))
         profile = AllocationProfile.from_sttree(sample_tree(), workload="w")
-        store.save(profile)
-        assert store.load_tree("w").digest() == profile.sttree.digest()
+        content_hash = store.put(profile)
+        assert content_hash == profile.sttree.digest()
+        assert store.load_latest("w").sttree.digest() == content_hash
 
     def test_load_tree_rejects_pre_ir_profile(self, tmp_path):
+        """A v1 (pre-IR) file placed in the store fails in one line."""
         store = ProfileStore(str(tmp_path))
-        store.save(AllocationProfile("old", [], []))
-        with pytest.raises(ProfileError, match="predates"):
-            store.load_tree("old")
+        content_hash = store.put(AllocationProfile("old", [], []))
+        path = tmp_path / "objects" / f"{content_hash}.profile.json"
+        path.write_text(V1_PROFILE)
+        with pytest.raises(ProfileFormatError, match="polm2-profile-v1") as err:
+            store.load_latest("old")
+        assert "\n" not in str(err.value)

@@ -74,11 +74,22 @@ class TestResolution:
         resolved = resolve_profile(f"store://{tmp_path}#cassandra-wi")
         assert resolved.workload == "cassandra-wi"
 
-    def test_store_legacy_flat_file_fallback(self, tmp_path):
-        store = ProfileStore(str(tmp_path))
-        store.save(make_profile("lucene"))  # no latest pointer
-        resolved = resolve_profile(f"store://{tmp_path}#lucene")
-        assert resolved.workload == "lucene"
+    def test_store_without_latest_pointer_fails_in_one_line(
+        self, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        # A flat <workload>.profile.json file is not a published profile.
+        make_profile("lucene").save(str(tmp_path / "lucene.profile.json"))
+        uri = f"store://{tmp_path}#lucene"
+        with pytest.raises(ProfileError) as err:
+            resolve_profile(uri)
+        assert "\n" not in str(err.value)
+        code = main(["run", "lucene", "--profile", uri, "--duration-ms", "100"])
+        assert code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error: ") and "lucene" in message
+        assert len(message.strip().splitlines()) == 1
 
     def test_store_hash_selector(self, tmp_path):
         store = ProfileStore(str(tmp_path))

@@ -21,51 +21,62 @@ def store(tmp_path) -> ProfileStore:
 
 
 class TestSaveLoad:
+    """``put`` / ``load_latest``: saving and loading in the one layout."""
+
     def test_roundtrip(self, store):
-        store.save(make_profile("cassandra-wi"))
-        loaded = store.load("cassandra-wi")
+        store.put(make_profile("cassandra-wi"))
+        loaded = store.load_latest("cassandra-wi")
         assert loaded.workload == "cassandra-wi"
         assert loaded.instrumented_site_count == 1
 
     def test_list_workloads(self, store):
-        store.save(make_profile("cassandra-wi"))
-        store.save(make_profile("lucene"))
-        assert store.list_workloads() == ["cassandra-wi", "lucene"]
+        store.put(make_profile("cassandra-wi"))
+        store.put(make_profile("lucene"))
+        assert store.latest_workloads() == ["cassandra-wi", "lucene"]
 
     def test_has_profile(self, store):
-        assert not store.has_profile("lucene")
-        store.save(make_profile("lucene"))
-        assert store.has_profile("lucene")
+        assert store.latest_hash("lucene") is None
+        store.put(make_profile("lucene"))
+        assert store.latest_hash("lucene") is not None
 
     def test_load_missing_raises(self, store):
-        with pytest.raises(ProfileError):
-            store.load("graphchi-pr")
+        store.put(make_profile("cassandra-wi"))
+        with pytest.raises(ProfileError, match=r"published: \['cassandra-wi'\]"):
+            store.load_latest("graphchi-pr")
 
     def test_load_all(self, store):
-        store.save(make_profile("a"))
-        store.save(make_profile("b"))
-        assert set(store.load_all()) == {"a", "b"}
+        store.put(make_profile("a"))
+        store.put(make_profile("b"))
+        loaded = {store.load_by_hash(h).workload for h in store.object_hashes()}
+        assert loaded == {"a", "b"}
 
 
 class TestSelection:
     def test_exact_match_preferred(self, store):
-        store.save(make_profile("cassandra-wi"))
-        store.save(make_profile("cassandra-ri"))
+        store.put(make_profile("cassandra-wi"))
+        store.put(make_profile("cassandra-ri"))
         assert store.select("cassandra-ri").workload == "cassandra-ri"
 
     def test_same_application_fallback(self, store):
-        store.save(make_profile("cassandra-wi"))
+        store.put(make_profile("cassandra-wi"))
         selected = store.select("cassandra-wr")
         assert selected.workload == "cassandra-wi"
 
     def test_explicit_fallback(self, store):
-        store.save(make_profile("lucene"))
+        store.put(make_profile("lucene"))
         selected = store.select("graphchi-pr", fallback="lucene")
         assert selected.workload == "lucene"
 
     def test_no_candidate_raises(self, store):
         with pytest.raises(ProfileError):
             store.select("graphchi-pr")
+
+    def test_selects_the_latest_published_profile(self, store):
+        """The daemon publishes with ``put``; ``select`` must see it."""
+        store.put(make_ir_profile("cassandra-wi", gen=1))
+        newest = store.put(make_ir_profile("cassandra-wi", gen=2))
+        selected = store.select("cassandra-wi")
+        assert profile_content_hash(selected) == newest
 
 
 def make_ir_profile(workload: str, gen: int = 1, count: int = 5) -> AllocationProfile:

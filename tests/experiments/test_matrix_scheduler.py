@@ -1,9 +1,9 @@
 """The fleet-scale sweep engine: sharded scheduling, DAG, streaming.
 
 Every cell is deterministic in (workload, strategy, seed, heap-config,
-durations), so all three scheduler modes — serial, sharded
-work-stealing, and the legacy wave barrier — must produce byte-identical
-cells, and the streaming API must account for every cell exactly once.
+durations), so the in-process ``jobs=1`` order and the sharded
+work-stealing pool must produce byte-identical cells, and the streaming
+API must account for every cell exactly once.
 """
 
 import json
@@ -46,21 +46,13 @@ def collect(spec, **kwargs):
 
 @pytest.fixture(scope="module")
 def serial_cells():
-    return collect(SPEC, mode="serial")
+    return collect(SPEC, jobs=1)
 
 
 class TestSchedulerParity:
     def test_sharded_matches_serial_byte_for_byte(self, serial_cells):
-        sharded = collect(SPEC, jobs=2, mode="sharded")
+        sharded = collect(SPEC, jobs=2)
         assert sharded == serial_cells
-
-    def test_wave_matches_serial_byte_for_byte(self, serial_cells):
-        wave = collect(SPEC, jobs=2, mode="wave")
-        assert wave == serial_cells
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ReproError, match="mode"):
-            next(run_sweep(SPEC, mode="chaotic"))
 
 
 class TestStreaming:

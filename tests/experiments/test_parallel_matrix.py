@@ -9,6 +9,9 @@ import json
 
 import pytest
 
+from repro.config import SimConfig
+from repro.experiments import matrix
+from repro.experiments.matrix import CellKey, DirCacheBackend, sweep_cache_key
 from repro.experiments.runner import (
     ExperimentRunner,
     ExperimentSettings,
@@ -27,15 +30,25 @@ def settings(**overrides) -> ExperimentSettings:
     return ExperimentSettings(**params)
 
 
-def canonical(matrix) -> str:
+def canonical(cells) -> str:
     """Byte-exact serialization of a result matrix."""
     return json.dumps(
         {
             f"{workload}|{strategy}": result.to_dict()
-            for (workload, strategy), result in sorted(matrix.items())
+            for (workload, strategy), result in sorted(cells.items())
         },
         sort_keys=True,
     )
+
+
+def forbid_computing(monkeypatch, *names) -> None:
+    """Make the named cell functions (default: both) fail if called."""
+
+    def refuse(*args):
+        raise AssertionError(f"a cell was computed: {args}")
+
+    for name in names or ("_run_profiling_cell", "_run_production_cell"):
+        monkeypatch.setattr(matrix, name, refuse)
 
 
 @pytest.fixture(scope="module")
@@ -57,53 +70,52 @@ class TestParallelParity:
 
 
 class TestDiskCacheParity:
-    def test_cached_second_run_matches_serial(self, serial_matrix, tmp_path):
+    def test_cached_second_run_matches_serial(
+        self, serial_matrix, tmp_path, monkeypatch
+    ):
         cache_dir = str(tmp_path / "cache")
         warm = ExperimentRunner(settings(cache_dir=cache_dir))
         assert canonical(warm.full_matrix(WORKLOADS, STRATEGIES)) == (
             serial_matrix
         )
+        # The cached run serves every cell from disk: no cell is computed
+        # and no profiling phase is forced (cached polm2 cells must not
+        # recompute their profile).
+        forbid_computing(monkeypatch)
         cold = ExperimentRunner(settings(cache_dir=cache_dir))
         assert canonical(cold.full_matrix(WORKLOADS, STRATEGIES)) == (
             serial_matrix
         )
-        # The cached run served every cell from disk: no pipeline was
-        # ever built and no profiling phase was forced (satellite: cached
-        # polm2 cells must not recompute their profile).
-        assert not cold._pipelines
-        assert not cold._profiles
 
-    def test_profiling_phase_cached_on_disk(self, tmp_path):
+    def test_profiling_phase_cached_on_disk(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "cache")
         warm = ExperimentRunner(settings(cache_dir=cache_dir))
         profile = warm.profile(WORKLOADS[0])
+        forbid_computing(monkeypatch)
         cold = ExperimentRunner(settings(cache_dir=cache_dir))
-        assert not cold._pipelines
         assert cold.profile(WORKLOADS[0]).to_json() == profile.to_json()
-        assert not cold._pipelines  # served from disk, never computed
-        cell = cold._cache_load(WORKLOADS[0], PROFILING_KEY)
+        backend = DirCacheBackend(
+            cache_dir, sweep_cache_key(SimConfig(), PROFILE_MS, PRODUCTION_MS)
+        )
+        cell = backend.load(
+            CellKey(WORKLOADS[0], PROFILING_KEY, settings().seed)
+        )
         assert cell is not None and cell.snapshots is not None
 
     def test_settings_change_invalidates_key(self, tmp_path):
-        from repro.config import SimConfig
+        def key(**overrides) -> str:
+            configured = settings(cache_dir=str(tmp_path), **overrides)
+            return configured.open_backend(SimConfig()).key
 
-        cache_dir = str(tmp_path / "cache")
-        from repro.experiments.runner import MatrixCache
-
-        base = MatrixCache(cache_dir, SimConfig(), settings())
-        other = MatrixCache(
-            cache_dir, SimConfig(), settings(production_ms=PRODUCTION_MS + 1)
-        )
-        assert base.key != other.key
+        assert key() != key(production_ms=PRODUCTION_MS + 1)
         # jobs/cache_dir are performance knobs, not result inputs.
-        same = MatrixCache(cache_dir, SimConfig(), settings(jobs=8))
-        assert base.key == same.key
+        assert key() == key(jobs=8)
+        assert key() == sweep_cache_key(SimConfig(), PROFILE_MS, PRODUCTION_MS)
 
 
 class TestPauseSeries:
-    def test_baseline_only_series_never_profiles(self):
+    def test_baseline_only_series_never_profiles(self, monkeypatch):
+        forbid_computing(monkeypatch, "_run_profiling_cell")
         runner = ExperimentRunner(settings())
         series = runner.pause_series(WORKLOADS[0], strategies=("g1",))
         assert set(series) == {"G1"}
-        assert not runner._profiles
-        assert not runner._profiling_results

@@ -10,8 +10,9 @@ Three families of invariants guard the struct-of-arrays layout:
   implementations on arbitrary inputs, including IdSet chunk boundaries;
 * **engine equivalence** — columnar evacuation must produce exactly the
   placement (addresses, destination contents, page occupancy) of the
-  legacy per-object loop, and columns must stay coherent through
-  evacuate/reset cycles (checked by ``SimHeap.verify``).
+  per-object reference loop in :mod:`tests.heap.evacuation_reference`,
+  and columns must stay coherent through evacuate/reset cycles (checked
+  by ``SimHeap.verify``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.heap.evacuation import FixedDestination, SurvivorTenuring
 from repro.heap.heap import SimHeap
 from repro.heap.objects import HeapObject, _reset_identity_hashes
 from repro.heap.region import Region
+from tests.heap.evacuation_reference import evacuate_objects
 
 #: IdSet chunks are 2^16 wide; ids straddling a multiple of 65536 exercise
 #: the cross-chunk stitching of ``extract_mask``.
@@ -157,7 +159,7 @@ class TestKernelEquivalence:
         expected = [
             1 if o.object_id in live_ids else 0 for o in objects
         ]
-        for live in (live_ids, frozenset(live_ids), IdSet(live_ids)):
+        for live in (live_ids, frozenset(live_ids), IdSet(live_ids), sorted(live_ids)):
             runs = region.live_runs(live)
             got = [0] * len(objects)
             for a, b in runs:
@@ -199,7 +201,7 @@ class TestEngineEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_columnar_placement_equals_legacy_loop(self, specs, root_count):
         """Twin heaps, same graph: plan-driven evacuation must place every
-        survivor at the same address as the per-object callable."""
+        survivor at the same address as the per-object reference loop."""
         results = []
         for use_plan in (False, True):
             _reset_identity_hashes()
@@ -207,10 +209,11 @@ class TestEngineEquivalence:
             objects = build_graph(heap, specs)
             heap.trace_live(objects[:root_count])
             dest = heap.new_generation("dest")
-            policy = FixedDestination(dest) if use_plan else (lambda o: dest)
-            heap.evacuate(
-                list(heap.young.regions), heap.mark_epoch, heap.young, policy
-            )
+            args = (list(heap.young.regions), heap.mark_epoch, heap.young)
+            if use_plan:
+                heap.evacuate(*args, FixedDestination(dest))
+            else:
+                evacuate_objects(heap, *args, lambda o: dest)
             heap.verify()
             results.append(
                 (column_state(heap), heap.page_table.occupancy_snapshot())
@@ -243,14 +246,11 @@ class TestEngineEquivalence:
 
             for _ in range(rounds):
                 heap.trace_live(objects[:root_count])
-                policy = (
-                    SurvivorTenuring(young, old, threshold)
-                    if use_plan
-                    else legacy
-                )
-                heap.evacuate(
-                    list(young.regions), heap.mark_epoch, young, policy
-                )
+                args = (list(young.regions), heap.mark_epoch, young)
+                if use_plan:
+                    heap.evacuate(*args, SurvivorTenuring(young, old, threshold))
+                else:
+                    evacuate_objects(heap, *args, legacy)
             heap.verify()
             results.append(
                 (column_state(heap), heap.page_table.occupancy_snapshot())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SimConfig, YOUNG_GEN
 from repro.errors import UnknownGenerationError
+from repro.heap.evacuation import FixedDestination
 from repro.heap.heap import SimHeap
 
 
@@ -133,7 +134,7 @@ class TestEvacuation:
         original_id = live_obj.object_id
         regions = list(heap.young.regions)
         survivor, promoted, scanned = heap.evacuate(
-            regions, {live_obj.object_id}, heap.young, lambda o: old
+            regions, {live_obj.object_id}, heap.young, FixedDestination(old)
         )
         assert scanned == 2
         assert promoted == 128
@@ -145,14 +146,16 @@ class TestEvacuation:
         heap.allocate(128)
         free_before = heap.free_region_count
         regions = list(heap.young.regions)
-        heap.evacuate(regions, set(), heap.young, lambda o: heap.young)
+        heap.evacuate(
+            regions, set(), heap.young, FixedDestination(heap.young)
+        )
         assert heap.free_region_count == free_before + len(regions)
 
     def test_within_generation_counts_as_survivor(self, heap):
         obj = heap.allocate(128)
         regions = list(heap.young.regions)
         survivor, promoted, _ = heap.evacuate(
-            regions, {obj.object_id}, heap.young, lambda o: heap.young
+            regions, {obj.object_id}, heap.young, FixedDestination(heap.young)
         )
         assert survivor == 128
         assert promoted == 0
@@ -162,7 +165,10 @@ class TestEvacuation:
         obj = heap.allocate(128)
         heap.page_table.clear_dirty()
         heap.evacuate(
-            list(heap.young.regions), {obj.object_id}, heap.young, lambda o: old
+            list(heap.young.regions),
+            {obj.object_id},
+            heap.young,
+            FixedDestination(old),
         )
         assert heap.page_table.is_dirty(obj.address // heap.page_size)
 

@@ -7,6 +7,7 @@ from typing import List, Set, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.config import PAGE_SIZE, SimConfig
+from repro.heap.evacuation import FixedDestination
 from repro.heap.heap import SimHeap
 from repro.heap.objects import HeapObject
 
@@ -110,7 +111,10 @@ class TestEvacuationProperties:
         live_before = reachable_closure(roots)
         dest = heap.new_generation("dest")
         heap.evacuate(
-            list(heap.young.regions), live_before, heap.young, lambda o: dest
+            list(heap.young.regions),
+            live_before,
+            heap.young,
+            FixedDestination(dest),
         )
         live_after = {o.object_id for o in heap.trace_live(roots)}
         assert live_after == live_before
@@ -124,7 +128,10 @@ class TestEvacuationProperties:
         live_bytes = sum(o.size for o in objects if o.object_id in live_ids)
         dest = heap.new_generation("dest")
         survivor, promoted, _ = heap.evacuate(
-            list(heap.young.regions), live_ids, heap.young, lambda o: dest
+            list(heap.young.regions),
+            live_ids,
+            heap.young,
+            FixedDestination(dest),
         )
         assert survivor + promoted == live_bytes
 
@@ -136,7 +143,10 @@ class TestEvacuationProperties:
         live_ids = reachable_closure(objects[:1])
         dest = heap.new_generation("dest")
         heap.evacuate(
-            list(heap.young.regions), live_ids, heap.young, lambda o: dest
+            list(heap.young.regions),
+            live_ids,
+            heap.young,
+            FixedDestination(dest),
         )
         dest_ids = {o.object_id for o in dest.iter_objects()}
         assert dest_ids == live_ids

@@ -182,26 +182,31 @@ class TestRewriteNoNeed:
             table.rewrite_no_need(bytearray(table.num_pages - 1))
 
 
+def untrack(table, address: int, length: int) -> None:
+    """Uncount one object: a one-object run over ``[address, +length)``."""
+    table.adjust_occupancy_run(address, [0], 0, 1, length, -1)
+
+
 class TestOccupancy:
     def test_track_and_untrack(self, table):
         table.place_object(100, 200)
         assert table.occupancy(0) == 1
         table.place_object(0, 4096)
         assert table.occupancy(0) == 2
-        table.untrack_object(100, 200)
+        untrack(table, 100, 200)
         assert table.occupancy(0) == 1
-        table.untrack_object(0, 4096)
+        untrack(table, 0, 4096)
         assert table.occupied_pages() == []
 
     def test_spanning_object_counts_on_every_page(self, table):
         table.place_object(4000, 5000)  # pages 0..2
         assert [table.occupancy(p) for p in (0, 1, 2, 3)] == [1, 1, 1, 0]
-        table.untrack_object(4000, 5000)
+        untrack(table, 4000, 5000)
         assert table.occupied_pages() == []
 
     def test_zero_length_is_noop(self, table):
         table.place_object(100, 0)
-        table.untrack_object(0, 0)
+        table.adjust_occupancy_run(0, [0], 0, 0, 0, -1)  # an empty run
         assert table.occupied_pages() == []
         assert table.dirty_pages() == []
 

@@ -10,6 +10,7 @@ placement.
 import pytest
 
 from repro.config import SimConfig
+from repro.heap.evacuation import FixedDestination
 from repro.heap.heap import SimHeap
 
 
@@ -54,7 +55,7 @@ class TestEvacuationTracking:
         epoch = heap.mark_epoch
         old = heap.new_generation("old")
         young = heap.young
-        heap.evacuate(list(young.regions), epoch, young, lambda obj: old)
+        heap.evacuate(list(young.regions), epoch, young, FixedDestination(old))
         # Only the four survivors remain anywhere in the heap.
         assert sum(heap.page_table.occupancy_snapshot()) == 4
         for obj in keep:
@@ -71,7 +72,10 @@ class TestEvacuationTracking:
             for page in region.page_span(heap.page_size)
         }
         heap.evacuate(
-            list(young.regions), heap.new_mark_epoch(), young, lambda obj: young
+            list(young.regions),
+            heap.new_mark_epoch(),
+            young,
+            FixedDestination(young),
         )
         assert all(heap.page_table.occupancy(p) == 0 for p in used_pages)
         heap.verify()

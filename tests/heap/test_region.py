@@ -58,6 +58,18 @@ class TestAccounting:
         assert region.live_bytes({a.object_id, b.object_id}) == 300
         assert region.live_bytes(set()) == 0
 
+    def test_live_bytes_takes_any_id_container_without_warning(self, region):
+        import warnings
+
+        a = HeapObject(size=100)
+        b = HeapObject(size=200)
+        region.bump_allocate(a)
+        region.bump_allocate(b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert region.live_bytes([b.object_id]) == 200
+            assert region.live_bytes({a.object_id: True}) == 100
+
     def test_page_span_empty(self, region):
         assert list(region.page_span(4096)) == []
 

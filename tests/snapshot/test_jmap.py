@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import CostModel, SimConfig
+from repro.heap.evacuation import FixedDestination
 from repro.heap.heap import SimHeap
 from repro.snapshot.jmap import HPROF_EXPANSION, JmapDumper
 
@@ -49,7 +50,10 @@ class TestAddressInstability:
         id_before = obj.object_id
         view_before = JmapDumper.address_keyed_view([obj])
         heap.evacuate(
-            list(heap.young.regions), {obj.object_id}, heap.young, lambda o: dest
+            list(heap.young.regions),
+            {obj.object_id},
+            heap.young,
+            FixedDestination(dest),
         )
         view_after = JmapDumper.address_keyed_view([obj])
         assert set(view_before) != set(view_after)

@@ -1,10 +1,16 @@
-"""Guard: the event bus stays the only seam into the VM.
+"""Guard: one path per mechanism, and the event bus the only VM seam.
 
 The agent/event refactor routed every profiler through
 ``vm.attach_agent`` and left one analysis path (the streaming
-``ProfileBuilder``) and one recording layout.  This test keeps it that
-way: no package module or example may use the removed listener shims,
-legacy attach seams, the batch analyzer, or the second snapshot format.
+``ProfileBuilder``) and one recording layout; later changes left one
+evacuation engine (plans only), one sweep scheduler (``jobs`` picks
+in-process or the pool) and one profile-store layout (content-addressed
+objects plus ``latest`` pointers, v2 profiles only).  This test keeps
+it that way: no package module or example may use the removed listener
+shims, legacy attach seams, the batch analyzer, the second snapshot
+format, the per-object evacuation loop, the scheduler modes, the
+``MatrixCache`` view, the flat profile-file API or the v1 profile
+format.
 """
 
 from __future__ import annotations
@@ -24,7 +30,11 @@ _REMOVED = re.compile(
     r"\bSNAPSHOT_FORMATS\b|\bresolve_snapshot_format\b|"
     r"\bsnapshot_format=|--snapshot-format|REPRO_SNAPSHOT_FORMAT|"
     r"\bflush_hooks\b|\bbuild_profiles\b|"
-    r"\bfrom repro\.core\.analyzer import Analyzer\b|(?<!Incremental)Analyzer\("
+    r"\bfrom repro\.core\.analyzer import Analyzer\b|(?<!Incremental)Analyzer\(|"
+    r"\b_evacuate_objects\b|\buntrack_object\b|"
+    r"\bMatrixCache\b|\bSCHEDULER_MODES\b|\bmode=\"wave\"|--mode\b|"
+    r"polm2-profile-v1|"
+    r"\.load_tree\(|\.has_profile\(|\.list_workloads\(|\.load_all\("
 )
 
 
@@ -49,6 +59,8 @@ def test_no_direct_alloc_listener_calls_outside_runtime():
                     offenders.append(f"{rel}:{number}: {line.strip()}")
     assert offenders == [], (
         "these lines use removed seams (subscribe via vm.attach_agent / "
-        "vm.events, analyze with ProfileBuilder, record snapshots.bin): "
+        "vm.events, analyze with ProfileBuilder, record snapshots.bin, "
+        "evacuate with an EvacuationPlan, pick the scheduler with jobs, "
+        "use ProfileStore.put/load_latest/select): "
         + "; ".join(offenders)
     )

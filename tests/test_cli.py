@@ -196,8 +196,50 @@ class TestMatrixCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_matrix_mode_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["matrix", "--mode", "chaotic"])
+        # The scheduler follows --jobs alone; no --mode option remains.
+        for mode in ("sharded", "wave", "serial"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["matrix", "--mode", mode])
+
+
+class TestJobsEnvironment:
+    def test_malformed_repro_jobs_ignored_by_other_commands(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        assert main(["workloads"]) == 0
+        assert "cassandra-wi" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate", "--no-cache"], ["matrix", "--workloads", "lucene", "--no-cache"]],
+    )
+    def test_malformed_repro_jobs_is_one_line_error(
+        self, command, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "REPRO_JOBS" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_repro_jobs_is_the_default_and_jobs_overrides_it(self, monkeypatch):
+        seen = []
+
+        class StubRunner:
+            def __init__(self, settings):
+                seen.append(settings.jobs)
+
+            def sweep(self, **_kwargs):
+                return iter(())
+
+        monkeypatch.setattr("repro.__main__.ExperimentRunner", StubRunner)
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert main(["matrix", "--no-cache"]) == 0
+        assert main(["matrix", "--no-cache", "--jobs", "2"]) == 0
+        monkeypatch.delenv("REPRO_JOBS")
+        assert main(["matrix", "--no-cache"]) == 0
+        assert seen == [3, 2, 1]
 
 
 class TestSnapshotFormatOption:
