@@ -37,7 +37,7 @@ from repro.config import YOUNG_GEN, SimConfig
 from repro.core.idset import IdSet
 from repro.heap.evacuation import FixedDestination, SurvivorTenuring
 from repro.heap.heap import SimHeap
-from repro.heap.objects import HeapObject, _reset_identity_hashes
+from repro.heap.objects import HeapObject, reset_identity_hashes
 from repro.heap.region import Region
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -167,7 +167,7 @@ def legacy_age_and_split(
 
 def build_kernel_region(count: int) -> Tuple[Region, set, IdSet]:
     """One big region with ``count`` consecutive-id objects."""
-    _reset_identity_hashes()
+    reset_identity_hashes()
     region = Region(index=0, base=0, size=count * OBJ_SIZE)
     objects = [HeapObject(size=OBJ_SIZE) for _ in range(count)]
     for obj in objects:
@@ -178,7 +178,7 @@ def build_kernel_region(count: int) -> Tuple[Region, set, IdSet]:
 
 def build_evac_heap(count: int) -> Tuple[SimHeap, set, IdSet]:
     """A heap whose young generation holds ``count`` small objects."""
-    _reset_identity_hashes()
+    reset_identity_hashes()
     heap = SimHeap(SimConfig())
     objects = [heap.allocate(OBJ_SIZE) for _ in range(count)]
     live_ids = block_live_ids(objects)

@@ -5,8 +5,8 @@ Starts the repo's performance trajectory: emits
 
 * the serial, uncached matrix pass (the pre-performance-layer baseline),
 * the ``ProcessPoolExecutor`` parallel pass (``jobs=2``), and
-* the fully disk-cached pass (second run over ``.repro_cache``-style
-  storage).
+* the fully disk-cached pass (second run over a
+  ``sqlite:///.repro_cache/sweep.db``-style cache).
 
 Durations honour ``REPRO_PROFILE_MS`` / ``REPRO_PRODUCTION_MS`` so CI
 can run a short smoke pass.  The acceptance gate: parallel *or* cached
@@ -22,7 +22,7 @@ from conftest import RESULTS_DIR, save_result
 
 from repro.config import SimConfig
 from repro.experiments.matrix import (
-    DirCacheBackend,
+    SqliteCacheBackend,
     SweepSpec,
     run_sweep,
     sweep_cache_key,
@@ -50,13 +50,13 @@ def timed_matrix(runner: ExperimentRunner, **kwargs) -> float:
 
 
 def test_matrix_speed(tmp_path_factory):
-    cache_dir = str(tmp_path_factory.mktemp("repro_cache"))
+    cache = f"sqlite:///{tmp_path_factory.mktemp('repro_cache')}/sweep.db"
 
     serial_s = timed_matrix(ExperimentRunner(bench_settings()))
     parallel_s = timed_matrix(ExperimentRunner(bench_settings()), jobs=JOBS)
     # Warm the disk cache (not timed), then measure a pure cache read.
-    timed_matrix(ExperimentRunner(bench_settings(cache_dir=cache_dir)))
-    cached_s = timed_matrix(ExperimentRunner(bench_settings(cache_dir=cache_dir)))
+    timed_matrix(ExperimentRunner(bench_settings(cache_backend=cache)))
+    cached_s = timed_matrix(ExperimentRunner(bench_settings(cache_backend=cache)))
 
     payload = {
         "bench": "matrix_speed",
@@ -144,8 +144,9 @@ def test_scheduler_modes_speed(tmp_path_factory):
     # Scheduler overhead: a fully-cached sweep does no simulation work,
     # so its wall time per cell is pure scheduling + cache decode.
     cache_root = str(tmp_path_factory.mktemp("sched_cache"))
-    backend = DirCacheBackend(
-        cache_root, sweep_cache_key(SimConfig(), profiling_ms, production_ms)
+    backend = SqliteCacheBackend(
+        os.path.join(cache_root, "sweep.db"),
+        sweep_cache_key(SimConfig(), profiling_ms, production_ms),
     )
     timed_sweep(jobs=1, backend=backend)  # warm the cache
     cached_s, cached_keys = timed_sweep(jobs=1, backend=backend)

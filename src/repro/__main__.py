@@ -230,7 +230,7 @@ def cmd_evaluate(args) -> int:
         profiling_ms=args.profiling_ms,
         production_ms=args.duration_ms,
         jobs=_jobs(args),
-        cache_dir=None if args.no_cache else args.cache_dir,
+        cache_backend=None if args.no_cache else args.cache_backend,
     )
     runner = ExperimentRunner(settings)
     if settings.jobs > 1:
@@ -270,7 +270,6 @@ def cmd_matrix(args) -> int:
         production_ms=args.duration_ms,
         seeds=parse_seeds(seeds_raw) if seeds_raw else None,
         jobs=_jobs(args),
-        cache_dir=None if args.no_cache else args.cache_dir,
         cache_backend=None if args.no_cache else args.cache_backend,
         profile_source=args.profile_source,
     )
@@ -322,6 +321,22 @@ def _add_object_scale_option(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="multiply heap size, young size, and duration by N so the "
         "run allocates ~N× the objects (default: $REPRO_OBJECT_SCALE or 1)",
+    )
+
+
+def _add_cache_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cache-backend",
+        default=os.environ.get("REPRO_CACHE_BACKEND")
+        or "sqlite:///.repro_cache/sweep.db",
+        metavar="sqlite:///PATH",
+        help="on-disk result cache (default: $REPRO_CACHE_BACKEND, else "
+        "sqlite:///.repro_cache/sweep.db)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk result cache",
     )
 
 
@@ -388,17 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the experiment matrix "
         "(default: $REPRO_JOBS or 1)",
     )
-    p_eval.add_argument(
-        "--cache-dir",
-        default=os.environ.get("REPRO_CACHE_DIR", ".repro_cache"),
-        help="on-disk result cache location (default: $REPRO_CACHE_DIR "
-        "or .repro_cache)",
-    )
-    p_eval.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache",
-    )
+    _add_cache_options(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_serve = sub.add_parser(
@@ -503,21 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes: 1 runs in-process in sweep order, more "
         "run the sharded work-stealing DAG (default: $REPRO_JOBS or 1)",
     )
-    p_matrix.add_argument(
-        "--cache-backend",
-        default=os.environ.get("REPRO_CACHE_BACKEND") or None,
-        help="cache backend spec: dir:///PATH or sqlite:///PATH.db "
-        "(default: $REPRO_CACHE_BACKEND, else a dir cache at --cache-dir)",
-    )
-    p_matrix.add_argument(
-        "--cache-dir",
-        default=os.environ.get("REPRO_CACHE_DIR", ".repro_cache"),
-        help="dir-backend cache location (default: $REPRO_CACHE_DIR "
-        "or .repro_cache)",
-    )
-    p_matrix.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
+    _add_cache_options(p_matrix)
     p_matrix.add_argument(
         "--profile-source",
         default=os.environ.get("REPRO_PROFILE_SOURCE") or None,

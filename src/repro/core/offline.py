@@ -108,5 +108,5 @@ def analyze_recording(
         max_generations=max_generations or source.max_generations,
         push_up=push_up,
     )
-    builder.run(source)
+    source.replay(builder)
     return builder.build(workload=source.workload)

@@ -146,14 +146,26 @@ class PhaseResult:
         )
 
 
-def drive(vm: VM, workload: Workload, duration_ms: float) -> List[float]:
+def drive(
+    vm: VM,
+    workload: Workload,
+    duration_ms: float,
+    stop: Optional[Callable[[], bool]] = None,
+) -> List[float]:
     """Load the workload's classes, set it up, and tick until the
     virtual deadline; returns the per-second throughput timeline.
 
     Every run shape shares this loop: agents attach to ``vm`` first
     (class loading is where their transformers apply), then the
     workload runs to ``duration_ms`` of virtual time and tears down.
+    ``stop``, when given, is called once before each tick while the
+    deadline is still ahead, and ends the run early when it returns
+    true (a wall-clock budget, a snapshot count, a tick count).
+
+    The identity-hash counter restarts first, so a run's object ids do
+    not depend on what ran before it in the same process.
     """
+    reset_identity_hashes()
     workload.vm = vm
     for model in workload.class_models():
         vm.classloader.load(model)
@@ -162,6 +174,8 @@ def drive(vm: VM, workload: Workload, duration_ms: float) -> List[float]:
     window_start_ms = vm.clock.now_ms
     window_ops = 0
     while vm.clock.now_ms < duration_ms:
+        if stop is not None and stop():
+            break
         window_ops += workload.tick()
         now = vm.clock.now_ms
         while now - window_start_ms >= THROUGHPUT_SAMPLE_MS:
@@ -259,9 +273,6 @@ class POLM2Pipeline:
             )
         if profile is not None and not isinstance(profile, AllocationProfile):
             profile = resolve_profile(profile)
-        # Fresh-process id state: a cell computed here is byte-identical
-        # to the same cell computed in a pool worker.
-        reset_identity_hashes()
         workload = self.workload_factory()
         collector = spec.collector_factory()
         vm = VM(self.config, collector=collector)
@@ -307,7 +318,6 @@ class POLM2Pipeline:
         ``keep_result`` (optional, a list) receives the profiling-run
         :class:`PhaseResult` — used by the snapshot experiments.
         """
-        reset_identity_hashes()
         workload = self.workload_factory()
         collector = NG2CCollector()
         vm = VM(self.config, collector=collector)

@@ -12,9 +12,12 @@ ROLP-style runtime profilers use:
   analyzer from a source and flattens the finished IR into an
   :class:`~repro.core.profile.AllocationProfile`;
 * two sources driving the same builder: :class:`RecordingDirSource`
-  replays an on-disk recording directory (the offline workflow) and
+  replays an on-disk recording directory (the offline workflow, whose
+  one entry point is :func:`~repro.core.offline.analyze_recording`) and
   :class:`LiveVMSource` is a VMAgent subscribing to snapshot-point
-  events inside the profiled VM (the streaming workflow).
+  events inside the profiled VM (the streaming workflow; the serve
+  cycle's :class:`~repro.serve.cycle.BoundedLiveSource` is the same
+  source with a trimmed snapshot store).
 """
 
 from __future__ import annotations
@@ -200,9 +203,11 @@ class IncrementalAnalyzer:
 class ProfileBuilder:
     """The profiling entry point: an analyzer fed by a source, profile out.
 
-    Both deployment shapes run through here — ``run(RecordingDirSource)``
-    for batch-from-disk, or a :class:`LiveVMSource` pushing events during
-    the profiling run — so there is exactly one analysis code path.
+    Both deployment shapes run through here — a
+    :class:`RecordingDirSource` replaying a recording from disk
+    (:func:`~repro.core.offline.analyze_recording`), or a
+    :class:`LiveVMSource` pushing events during the profiling run — so
+    there is exactly one analysis code path.
     """
 
     def __init__(
@@ -223,11 +228,6 @@ class ProfileBuilder:
 
     def feed_trace_flush(self, records: AllocationRecords) -> None:
         self.analyzer.on_trace_flush(records)
-
-    def run(self, source: "RecordingDirSource") -> "ProfileBuilder":
-        """Pull every event out of a replayable source."""
-        source.replay(self)
-        return self
 
     # -- output ----------------------------------------------------------------------
 
@@ -251,21 +251,6 @@ class ProfileBuilder:
         return AllocationProfile.from_sttree(
             tree, workload=workload, push_up=self.push_up, metadata=meta
         )
-
-    @classmethod
-    def from_recording(
-        cls,
-        recording_dir: str,
-        push_up: bool = True,
-        max_generations: Optional[int] = None,
-    ) -> "ProfileBuilder":
-        """One-call offline workflow: replay a recording directory."""
-        source = RecordingDirSource(recording_dir)
-        builder = cls(
-            max_generations=max_generations or source.max_generations,
-            push_up=push_up,
-        )
-        return builder.run(source)
 
 
 class RecordingDirSource:
@@ -346,7 +331,9 @@ class LiveVMSource(VMAgent):
     Attach AFTER the Dumper: snapshot-point listeners run in attachment
     order, so the Dumper's snapshot is already in its store when this
     agent forwards it.  Call :meth:`flush` once the run ends to hand the
-    Recorder's completed streams to the analyzer.
+    Recorder's completed streams to the analyzer.  The store is left
+    whole; the serve cycle's
+    :class:`~repro.serve.cycle.BoundedLiveSource` trims it.
     """
 
     def __init__(
@@ -358,21 +345,25 @@ class LiveVMSource(VMAgent):
         self.builder = builder
         self.recorder = recorder
         self.dumper = dumper
-        self._forwarded = 0
+        self.snapshots_streamed = 0
+        self._last: Optional[Snapshot] = None
 
     def on_snapshot_point(self, event: SnapshotPointEvent) -> None:
         store = self.dumper.store
-        if len(store) == self._forwarded:
+        # The newest snapshot, not the store's length: a trimming
+        # subclass keeps only the last one.
+        if len(store) == 0 or store[-1] is self._last:
             raise ProfileError(
-                "LiveVMSource saw a snapshot point before the Dumper's "
-                "snapshot landed; attach the Dumper first"
+                f"{type(self).__name__} saw a snapshot point before the "
+                "Dumper's snapshot landed; attach the Dumper first"
             )
-        self.builder.feed_snapshot(store[-1])
-        self._forwarded = len(store)
+        self._last = store[-1]
+        self.builder.feed_snapshot(self._last)
+        self.snapshots_streamed += 1
 
     def flush(self) -> None:
         """End of run: flush the Recorder's streams into the analyzer."""
         self.builder.feed_trace_flush(self.recorder.records)
 
     def telemetry(self) -> Dict[str, int]:
-        return {"snapshots_streamed": self._forwarded}
+        return {"snapshots_streamed": self.snapshots_streamed}

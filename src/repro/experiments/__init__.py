@@ -5,15 +5,13 @@ result matrix, computed once per process by
 :class:`repro.experiments.runner.ExperimentRunner` and cached.  The
 fleet-scale sweep engine — sharded work-stealing scheduling over the
 (workload × strategy × seed × heap-config) space, streaming cell
-results, pluggable cache backends — lives in
+results, a single-file sqlite result cache — lives in
 :mod:`repro.experiments.matrix`.
 """
 
 from repro.experiments.matrix import (
-    CacheBackend,
     CellKey,
     CellResult,
-    DirCacheBackend,
     SqliteCacheBackend,
     SweepSpec,
     pooled_pause_percentiles,
@@ -22,10 +20,8 @@ from repro.experiments.matrix import (
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 
 __all__ = [
-    "CacheBackend",
     "CellKey",
     "CellResult",
-    "DirCacheBackend",
     "ExperimentRunner",
     "ExperimentSettings",
     "SqliteCacheBackend",

@@ -17,6 +17,7 @@ from typing import Dict, List
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
+from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.events import GC_END
@@ -89,12 +90,7 @@ def run_workload(
             )
 
     vm.events.subscribe(GC_END, shadow_jmap)
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    while vm.clock.now_ms < duration_ms and len(shadow) < max_snapshots:
-        workload.tick()
-    workload.teardown()
+    drive(vm, workload, duration_ms, stop=lambda: len(shadow) >= max_snapshots)
     criu_snaps = dumper.store.snapshots[:max_snapshots]
     return SnapshotComparison(
         workload=workload_name,

@@ -1,4 +1,4 @@
-"""Fleet-scale experiment matrix: sharded scheduling over a pluggable cache.
+"""Fleet-scale experiment matrix: sharded scheduling over a sqlite cache.
 
 The paper's evaluation is a (workload × strategy) grid; statistically
 honest tail-latency claims need a (workload × strategy × seed ×
@@ -8,9 +8,8 @@ module is the machinery that makes such a sweep practical:
 * :class:`CellKey` — one cell of the sweep space, addressable by a
   stable string id that carries workload, strategy, seed, and named
   heap configuration.
-* :class:`CacheBackend` — the keyed result store a sweep lands in.
-  :class:`DirCacheBackend` keeps the original one-JSON-file-per-cell
-  layout; :class:`SqliteCacheBackend` packs a whole sweep into a single
+* :class:`SqliteCacheBackend` — the keyed result store a sweep lands
+  in, opened from a ``sqlite:///PATH`` spec: a whole sweep in a single
   WAL-mode database file that several runner processes can share, so a
   killed sweep resumes from exactly the cells already committed.
 * :func:`run_sweep` — the one scheduler.  With ``jobs=1`` it runs every
@@ -47,7 +46,6 @@ import json
 import os
 import sqlite3
 import time
-import uuid
 import warnings
 import zlib
 from collections import deque
@@ -234,179 +232,12 @@ def sweep_cache_key(
     return hashlib.sha256(payload.encode()).hexdigest()[:20]
 
 
-# -- cache backends --------------------------------------------------------------
+# -- the sweep cache -------------------------------------------------------------
 
 
-class CacheBackend:
-    """Keyed store of :class:`PhaseResult` cells (the backend protocol).
-
-    Implementations provide :meth:`load` / :meth:`store` on
-    :class:`CellKey`; :meth:`flush` commits any buffered writes (the
-    scheduler calls it as each computed cell lands, so a killed sweep
-    resumes from every cell it streamed) and :meth:`close` releases
-    resources.  Corrupt cells are recoverable — warn once
-    naming the offending cell, return ``None``, recompute — while
-    permission problems raise :class:`~repro.errors.ReproError`:
-    recomputing around an unreadable store would silently fork the
-    sweep's storage.
-    """
-
-    def load(self, key: CellKey) -> Optional[PhaseResult]:
-        raise NotImplementedError
-
-    def store(self, key: CellKey, result: PhaseResult) -> None:
-        raise NotImplementedError
-
-    def cell_ids(self) -> List[str]:
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "CacheBackend":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    # -- shared corrupt-cell handling ------------------------------------------
-
-    def _init_warned(self) -> None:
-        self._warned: set = set()
-
-    def _warn_corrupt(self, where: str, why: str) -> None:
-        if where in self._warned:
-            return
-        self._warned.add(where)
-        warnings.warn(
-            f"cache cell {where} is corrupt ({why}); recomputing it",
-            stacklevel=4,
-        )
-
-    @staticmethod
-    def _decode(payload: Dict) -> Optional[PhaseResult]:
-        try:
-            return PhaseResult.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-
-#: Name of the per-key-dir marker file recording the cache format.
-_FORMAT_MARKER = "FORMAT.json"
-
-
-class DirCacheBackend(CacheBackend):
-    """One JSON file per cell: ``<root>/<sweep-key>/<cell_id>.json``.
-
-    The default backend.  Writes are atomic: each runner writes to a
-    per-process unique temp name (pid + random suffix) and
-    ``os.replace``\\ s it in, so two concurrent runners storing the same
-    cell can never clobber each other mid-rename — last writer wins
-    with an intact file either way.
-    """
-
-    def __init__(self, root: str, cache_key: str) -> None:
-        self.root = root
-        self.key = cache_key
-        self.dir = os.path.join(root, cache_key)
-        self._init_warned()
-        self._note_stale_formats()
-
-    def _path(self, key: CellKey) -> str:
-        return os.path.join(self.dir, f"{key.cell_id}.json")
-
-    def _tmp_path(self, path: str) -> str:
-        return f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-
-    def load(self, key: CellKey) -> Optional[PhaseResult]:
-        path = self._path(key)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except PermissionError as exc:
-            raise ReproError(f"cache cell {path} is unreadable: {exc}") from exc
-        except ValueError:
-            self._warn_corrupt(path, "unparseable JSON")
-            return None
-        except OSError:
-            self._warn_corrupt(path, "unreadable cell file")
-            return None
-        result = self._decode(payload)
-        if result is None:
-            self._warn_corrupt(path, "foreign or corrupt cell payload")
-        return result
-
-    def store(self, key: CellKey, result: PhaseResult) -> None:
-        os.makedirs(self.dir, exist_ok=True)
-        self._write_format_marker()
-        path = self._path(key)
-        tmp = self._tmp_path(path)
-        with open(tmp, "w") as handle:
-            json.dump(result.to_dict(), handle)
-        os.replace(tmp, path)
-
-    def cell_ids(self) -> List[str]:
-        try:
-            names = os.listdir(self.dir)
-        except OSError:
-            return []
-        return sorted(
-            name[: -len(".json")]
-            for name in names
-            if name.endswith(".json") and name != _FORMAT_MARKER
-        )
-
-    def _write_format_marker(self) -> None:
-        marker = os.path.join(self.dir, _FORMAT_MARKER)
-        if not os.path.exists(marker):
-            tmp = self._tmp_path(marker)
-            with open(tmp, "w") as handle:
-                json.dump({"format": CACHE_FORMAT}, handle)
-            os.replace(tmp, marker)
-
-    def _note_stale_formats(self) -> None:
-        """One-line note when the cache root holds pre-v4 key dirs.
-
-        Older formats hash to different sweep keys, so they are never
-        *read* — but silently leaving them to rot hides why a sweep
-        recomputes everything after an upgrade.
-        """
-        try:
-            entries = os.listdir(self.root)
-        except OSError:
-            return
-        stale = []
-        for name in entries:
-            subdir = os.path.join(self.root, name)
-            if name == self.key or not os.path.isdir(subdir):
-                continue
-            marker = os.path.join(subdir, _FORMAT_MARKER)
-            try:
-                with open(marker) as handle:
-                    fmt = json.load(handle).get("format", "unknown")
-            except (OSError, ValueError):
-                if not any(
-                    entry.endswith(".json") for entry in os.listdir(subdir)
-                ):
-                    continue
-                fmt = "pre-v4"
-            if fmt != CACHE_FORMAT:
-                stale.append(f"{name} ({fmt})")
-        if stale:
-            warnings.warn(
-                f"cache root {self.root} holds stale-format cell dirs "
-                f"[{', '.join(sorted(stale))}]; current format is "
-                f"{CACHE_FORMAT} — they are ignored and safe to delete"
-            )
-
-
-class SqliteCacheBackend(CacheBackend):
-    """A whole sweep in one WAL-mode sqlite file.
+class SqliteCacheBackend:
+    """Keyed store of :class:`PhaseResult` cells: a sweep in one
+    WAL-mode sqlite file.
 
     ``sqlite:///sweep.db`` puts every cell in a single shareable file:
     WAL journaling plus a generous busy timeout make concurrent runner
@@ -414,10 +245,16 @@ class SqliteCacheBackend(CacheBackend):
     ``INSERT OR REPLACE`` keyed on (sweep key, cell id) makes duplicate
     computation idempotent).  Writes are batched — buffered in memory
     and committed one transaction per :meth:`flush` (the scheduler
-    flushes as each computed cell lands, so its durability unit is one
-    cell) or whenever the buffer reaches ``BATCH`` cells, whichever
-    comes first — bulk writers outside the scheduler still amortize
-    their commits.
+    flushes as each computed cell lands, so a killed sweep resumes from
+    every cell it streamed) or whenever the buffer reaches ``BATCH``
+    cells, whichever comes first — bulk writers outside the scheduler
+    still amortize their commits.
+
+    A corrupt cell is recoverable: it warns once naming the cell, loads
+    as ``None`` and is recomputed.  A file that cannot be opened, read
+    or written as this cache — unreadable, not a sqlite database —
+    raises a one-line :class:`~repro.errors.ReproError` naming the
+    path: recomputing around it would silently fork the sweep's storage.
     """
 
     BATCH = 32
@@ -426,27 +263,50 @@ class SqliteCacheBackend(CacheBackend):
         self.path = path
         self.key = cache_key
         self._pending: Dict[str, str] = {}
-        self._init_warned()
-        parent = os.path.dirname(os.path.abspath(path))
+        self._warned: set = set()
+        conn = None
         try:
-            os.makedirs(parent, exist_ok=True)
-            self._conn = sqlite3.connect(path, timeout=60.0)
-        except (sqlite3.OperationalError, OSError) as exc:
-            raise ReproError(
-                f"cannot open sqlite cache {path}: {exc}"
-            ) from exc
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        with self._conn:
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS cells ("
-                " cache_key TEXT NOT NULL,"
-                " cell_id TEXT NOT NULL,"
-                " format TEXT NOT NULL,"
-                " payload TEXT NOT NULL,"
-                " PRIMARY KEY (cache_key, cell_id))"
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            conn = sqlite3.connect(path, timeout=60.0)
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            with conn:
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS cells ("
+                    " cache_key TEXT NOT NULL,"
+                    " cell_id TEXT NOT NULL,"
+                    " format TEXT NOT NULL,"
+                    " payload TEXT NOT NULL,"
+                    " PRIMARY KEY (cache_key, cell_id))"
+                )
+            stale = sorted(
+                row[0]
+                for row in conn.execute(
+                    "SELECT DISTINCT format FROM cells WHERE format != ?",
+                    (CACHE_FORMAT,),
+                )
             )
-        self._note_stale_formats()
+        except (sqlite3.Error, OSError) as exc:
+            if conn is not None:
+                conn.close()
+            raise ReproError(f"cannot open sqlite cache {path}: {exc}") from exc
+        self._conn = conn
+        if stale:
+            warnings.warn(
+                f"sqlite cache {path} holds stale-format cells "
+                f"[{', '.join(stale)}]; current format is {CACHE_FORMAT} — "
+                "they are ignored and safe to delete"
+            )
+
+    @classmethod
+    def from_spec(cls, spec: str, cache_key: str) -> "SqliteCacheBackend":
+        """Open the cache a ``sqlite:///PATH`` spec names, the one form."""
+        scheme, _, path = spec.partition(":///")
+        if scheme != "sqlite" or not path:
+            raise ReproError(
+                f"unknown cache backend {spec!r} (expected sqlite:///PATH)"
+            )
+        return cls(path, cache_key)
 
     def load(self, key: CellKey) -> Optional[PhaseResult]:
         raw = self._pending.get(key.cell_id)
@@ -464,16 +324,16 @@ class SqliteCacheBackend(CacheBackend):
             if row is None:
                 return None
             raw = row[0]
-        where = f"{self.path}:{key.cell_id}"
         try:
-            payload = json.loads(raw)
-        except ValueError:
-            self._warn_corrupt(where, "unparseable JSON")
+            return PhaseResult.from_dict(json.loads(raw))
+        except (KeyError, TypeError, ValueError):
+            where = f"{self.path}:{key.cell_id}"
+            if where not in self._warned:
+                self._warned.add(where)
+                warnings.warn(
+                    f"cache cell {where} is corrupt; recomputing it", stacklevel=2
+                )
             return None
-        result = self._decode(payload)
-        if result is None:
-            self._warn_corrupt(where, "foreign or corrupt cell payload")
-        return result
 
     def store(self, key: CellKey, result: PhaseResult) -> None:
         self._pending[key.cell_id] = json.dumps(result.to_dict())
@@ -502,9 +362,14 @@ class SqliteCacheBackend(CacheBackend):
         self._pending.clear()
 
     def cell_ids(self) -> List[str]:
-        rows = self._conn.execute(
-            "SELECT cell_id FROM cells WHERE cache_key = ?", (self.key,)
-        ).fetchall()
+        try:
+            rows = self._conn.execute(
+                "SELECT cell_id FROM cells WHERE cache_key = ?", (self.key,)
+            ).fetchall()
+        except sqlite3.Error as exc:
+            raise ReproError(
+                f"sqlite cache {self.path} is unreadable: {exc}"
+            ) from exc
         ids = {row[0] for row in rows}
         ids.update(self._pending)
         return sorted(ids)
@@ -512,40 +377,6 @@ class SqliteCacheBackend(CacheBackend):
     def close(self) -> None:
         self.flush()
         self._conn.close()
-
-    def _note_stale_formats(self) -> None:
-        try:
-            rows = self._conn.execute(
-                "SELECT DISTINCT format FROM cells WHERE format != ?",
-                (CACHE_FORMAT,),
-            ).fetchall()
-        except sqlite3.Error:
-            return
-        if rows:
-            stale = ", ".join(sorted(row[0] for row in rows))
-            warnings.warn(
-                f"sqlite cache {self.path} holds stale-format cells "
-                f"[{stale}]; current format is {CACHE_FORMAT} — they are "
-                "ignored and safe to delete"
-            )
-
-
-def backend_from_spec(spec: str, cache_key: str) -> CacheBackend:
-    """Open a backend from a spec string.
-
-    ``sqlite:///PATH`` selects :class:`SqliteCacheBackend`,
-    ``dir:///PATH`` (or a bare path) :class:`DirCacheBackend`.
-    """
-    if spec.startswith("sqlite:///"):
-        return SqliteCacheBackend(spec[len("sqlite:///") :], cache_key)
-    if spec.startswith("dir:///"):
-        return DirCacheBackend(spec[len("dir:///") :], cache_key)
-    if "://" in spec:
-        raise ReproError(
-            f"unknown cache backend {spec!r} "
-            "(supported: dir:///PATH, sqlite:///PATH.db, or a bare directory)"
-        )
-    return DirCacheBackend(spec, cache_key)
 
 
 # -- the sweep space -------------------------------------------------------------
@@ -710,7 +541,7 @@ def run_sweep(
     *,
     profiling_ms: float = 30_000.0,
     production_ms: float = 60_000.0,
-    backend: Optional[CacheBackend] = None,
+    backend: Optional[SqliteCacheBackend] = None,
     jobs: int = 1,
     preloaded: Optional[Mapping[CellKey, PhaseResult]] = None,
     profile_source: Optional[str] = None,

@@ -15,10 +15,13 @@ the profiling phase can run against realistic load.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
 from repro.core.exact_tracer import ExactLifetimeTracer
+from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
@@ -65,12 +68,10 @@ def _run(workload_name: str, seed: int, ticks: int, profiler: str) -> float:
         vm.attach_agent(Dumper())
     elif profiler == "exact":
         vm.attach_agent(ExactLifetimeTracer())
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    for _ in range(ticks):
-        workload.tick()
-    workload.teardown()
+    # ``stop`` runs once before each tick: the (ticks + 1)-th call ends
+    # the run after exactly ``ticks`` ticks.
+    calls = itertools.count()
+    drive(vm, workload, math.inf, stop=lambda: next(calls) >= ticks)
     return vm.clock.now_ms
 
 

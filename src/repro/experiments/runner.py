@@ -9,9 +9,10 @@ The heavy lifting lives in :mod:`repro.experiments.matrix` — the
 fleet-scale sweep engine: one scheduler over the (workload × strategy ×
 seed × heap-config) space (in-process at ``jobs=1``, a sharded
 work-stealing process pool over the per-cell profiling→production DAG
-above that), streaming cell results, and a pluggable
-:class:`~repro.experiments.matrix.CacheBackend` (JSON dir by default,
-single-file WAL sqlite via ``--cache-backend sqlite:///sweep.db`` /
+above that), streaming cell results, and the one result cache, a
+single-file WAL sqlite
+:class:`~repro.experiments.matrix.SqliteCacheBackend` named by a
+``sqlite:///PATH`` spec (``--cache-backend`` /
 ``REPRO_CACHE_BACKEND``).  A single cell — :meth:`ExperimentRunner.cell`
 or :meth:`ExperimentRunner.profile` — is computed by the same
 ``matrix._run_production_cell`` / ``matrix._run_profiling_cell``
@@ -32,9 +33,9 @@ conveniences on top:
 
 Durations honour two environment variables so CI can run quick smoke
 passes: ``REPRO_PROFILE_MS`` and ``REPRO_PRODUCTION_MS`` (virtual
-milliseconds); ``REPRO_JOBS``, ``REPRO_CACHE_DIR``, ``REPRO_SEEDS``,
-and ``REPRO_CACHE_BACKEND`` configure the parallel, cached, and
-multi-seed paths the same way.
+milliseconds); ``REPRO_JOBS``, ``REPRO_CACHE_BACKEND`` and
+``REPRO_SEEDS`` configure the parallel, cached, and multi-seed paths the
+same way.
 """
 
 from __future__ import annotations
@@ -51,12 +52,10 @@ from repro.experiments import matrix
 from repro.experiments.matrix import (
     CACHE_FORMAT,
     PROFILING_KEY,
-    CacheBackend,
     CellKey,
     CellResult,
-    DirCacheBackend,
+    SqliteCacheBackend,
     SweepSpec,
-    backend_from_spec,
     code_version,
     parse_seeds,
     run_sweep,
@@ -113,9 +112,9 @@ def _env_float(name: str, default: float) -> float:
 class ExperimentSettings:
     """Durations, seeds, and performance knobs for a full experiment pass.
 
-    ``jobs``, ``cache_dir``, and ``cache_backend`` affect only *how
-    fast* results are produced, never their values, so they are
-    excluded from the on-disk cache key.
+    ``jobs`` and ``cache_backend`` affect only *how fast* results are
+    produced, never their values, so they are excluded from the on-disk
+    cache key.
     """
 
     profiling_ms: float = 30_000.0
@@ -125,10 +124,7 @@ class ExperimentSettings:
     seeds: Optional[Tuple[int, ...]] = None
     #: Worker processes for ``full_matrix`` / ``sweep`` (1 = in-process).
     jobs: int = 1
-    #: Directory of the on-disk result cache (None disables it).
-    cache_dir: Optional[str] = None
-    #: Cache backend spec (``dir:///PATH`` or ``sqlite:///PATH.db``);
-    #: overrides ``cache_dir`` when set.
+    #: The on-disk result cache, ``sqlite:///PATH`` (None disables it).
     cache_backend: Optional[str] = None
     #: Profile URI template (``{workload}`` substituted) pointing
     #: profile-consuming sweep cells at an external profile — e.g.
@@ -151,7 +147,6 @@ class ExperimentSettings:
             seed=_env_int("REPRO_SEED", 42),
             seeds=parse_seeds(raw_seeds) if raw_seeds else None,
             jobs=_env_int("REPRO_JOBS", 1),
-            cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
             cache_backend=os.environ.get("REPRO_CACHE_BACKEND") or None,
             profile_source=os.environ.get("REPRO_PROFILE_SOURCE") or None,
         )
@@ -161,14 +156,12 @@ class ExperimentSettings:
         """The seeds a sweep ranges over (``seeds`` or just ``seed``)."""
         return self.seeds if self.seeds else (self.seed,)
 
-    def open_backend(self, config: SimConfig) -> Optional[CacheBackend]:
-        """Open the configured cache backend (None when caching is off)."""
+    def open_backend(self, config: SimConfig) -> Optional[SqliteCacheBackend]:
+        """Open the configured cache (None when caching is off)."""
+        if not self.cache_backend:
+            return None
         key = sweep_cache_key(config, self.profiling_ms, self.production_ms)
-        if self.cache_backend:
-            return backend_from_spec(self.cache_backend, key)
-        if self.cache_dir:
-            return DirCacheBackend(self.cache_dir, key)
-        return None
+        return SqliteCacheBackend.from_spec(self.cache_backend, key)
 
 
 class ExperimentRunner:
@@ -179,7 +172,7 @@ class ExperimentRunner:
         #: Every cell this runner has computed, loaded, or swept —
         #: profiling cells under their ``PROFILING_KEY`` key.
         self._cells: Dict[CellKey, PhaseResult] = {}
-        self._backend: Optional[CacheBackend] = self.settings.open_backend(
+        self._backend: Optional[SqliteCacheBackend] = self.settings.open_backend(
             SimConfig(seed=self.settings.seed)
         )
 

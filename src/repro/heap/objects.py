@@ -231,14 +231,10 @@ class ObjectHeaderReader:
 def reset_identity_hashes() -> None:
     """Restart the identity-hash counter at 1 (fresh-process state).
 
-    Each pipeline phase run calls this before building its VM so a cell
-    computed mid-process is byte-identical to one computed in a fresh
-    worker process — the sweep scheduler's cross-mode parity contract.
-    Also used by tests to keep id expectations readable.
+    :func:`repro.core.pipeline.drive` calls this before it loads the
+    workload's classes, so every run — a sweep cell, a serve cycle, a
+    recording — is byte-identical whatever ran before it in the same
+    process.  Also used by tests to keep id expectations readable.
     """
     global _next_identity_hash
     _next_identity_hash = 1
-
-
-# Backwards-compatible alias (the parity harness predates the rename).
-_reset_identity_hashes = reset_identity_hashes

@@ -7,16 +7,20 @@ so the real cycle overruns its nominal length and — with no idle gap
 left — daemon memory never drains.  Here the whole cycle is accounted
 against one wall-clock budget:
 
-* the profiling window (driving the simulated VM) polls the wall clock
-  and aborts the cycle if the budget expires mid-window;
+* the profiling window runs through :func:`~repro.core.pipeline.drive`,
+  the one tick loop, with a stop predicate that polls the wall clock
+  every ``BUDGET_POLL_TICKS`` ticks and aborts the cycle if the budget
+  expires mid-window;
 * post-processing (IncrementalAnalyzer finish + any injected stages,
   e.g. the daemon's merge/commit) runs *inside* the budget, checked at
   every stage boundary — a cycle that overruns is truncated and
   reported via counters, never silently queued into the next window;
 * memory is bounded per cycle, not per run: the
-  :class:`BoundedLiveSource` trims the snapshot store and releases each
-  consumed delta's predecessor chain, so the live snapshot count never
-  exceeds two regardless of how many cycles the daemon has run.
+  :class:`BoundedLiveSource` — a :class:`~repro.core.stages.LiveVMSource`
+  that also trims — keeps only the newest snapshot in the store and
+  releases each consumed delta's predecessor chain, so the live
+  snapshot count never exceeds two regardless of how many cycles the
+  daemon has run.
 
 Because a completed cycle is exactly the streaming profiling phase at a
 fixed seed, its STTree is byte-identical to the offline
@@ -27,18 +31,19 @@ pin that.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
+from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
-from repro.core.stages import ProfileBuilder
+from repro.core.stages import LiveVMSource, ProfileBuilder
 from repro.core.sttree import STTree
 from repro.errors import ProfileError
 from repro.gc.ng2c import NG2CCollector
-from repro.heap.objects import reset_identity_hashes
-from repro.runtime.events import SnapshotPointEvent, VMAgent
+from repro.runtime.events import SnapshotPointEvent
 from repro.runtime.vm import VM
 from repro.strategies.agents import TelemetryAgent
 from repro.workloads import make_workload
@@ -53,47 +58,28 @@ STAGE_PROFILE = "profile"
 STAGE_ANALYZE = "analyze"
 
 
-class BoundedLiveSource(VMAgent):
-    """Streams snapshot points into a ProfileBuilder with bounded memory.
+class BoundedLiveSource(LiveVMSource):
+    """A :class:`~repro.core.stages.LiveVMSource` with bounded memory.
 
-    The streaming twin of :class:`~repro.core.stages.LiveVMSource` for
-    always-on use: after each snapshot is fed to the analyzer it trims the
-    Dumper's store to the newest snapshot and severs the consumed
-    delta's predecessor link, so a cycle retains at most two snapshots
-    (the one being taken plus the previous chain head) at any instant.
-    Attach AFTER the Dumper, like LiveVMSource.
+    After each snapshot is fed to the analyzer it trims the Dumper's
+    store to the newest snapshot and severs the consumed delta's
+    predecessor link, so a cycle retains at most two snapshots (the one
+    being taken plus the previous chain head) at any instant.
     """
 
-    def __init__(
-        self, builder: ProfileBuilder, recorder: Recorder, dumper: Dumper
-    ) -> None:
-        self.builder = builder
-        self.recorder = recorder
-        self.dumper = dumper
-        self.snapshots_streamed = 0
-        self.live_snapshot_peak = 0
+    #: Most snapshots the Dumper's store held at once.
+    live_snapshot_peak = 0
 
     def on_snapshot_point(self, event: SnapshotPointEvent) -> None:
+        super().on_snapshot_point(event)
         store = self.dumper.store
-        if len(store) == 0:
-            raise ProfileError(
-                "BoundedLiveSource saw a snapshot point before the "
-                "Dumper's snapshot landed; attach the Dumper first"
-            )
-        snapshot = store[-1]
-        self.builder.feed_snapshot(snapshot)
-        self.snapshots_streamed += 1
         self.live_snapshot_peak = max(self.live_snapshot_peak, len(store))
         store.trim(keep_last=1)
-        snapshot.release_predecessor()
-
-    def flush(self) -> None:
-        """End of window: hand the Recorder's streams to the analyzer."""
-        self.builder.feed_trace_flush(self.recorder.records)
+        store[-1].release_predecessor()
 
     def telemetry(self) -> Dict[str, int]:
         return {
-            "snapshots_streamed": self.snapshots_streamed,
+            **super().telemetry(),
             "live_snapshot_peak": self.live_snapshot_peak,
         }
 
@@ -168,8 +154,6 @@ class ProfilingCycleEngine:
         config: Optional[SimConfig] = None,
         sim_duration_ms: float = 1_500.0,
         budget_s: float = 60.0,
-        snapshot_every: int = 1,
-        push_up: bool = True,
         clock: Callable[[], float] = time.monotonic,
         post_stages: Optional[Sequence[PostStage]] = None,
     ) -> None:
@@ -180,8 +164,6 @@ class ProfilingCycleEngine:
         self.config = config or SimConfig(seed=seed)
         self.sim_duration_ms = sim_duration_ms
         self.budget_s = budget_s
-        self.snapshot_every = snapshot_every
-        self.push_up = push_up
         self.clock = clock
         self.post_stages: List[PostStage] = list(post_stages or [])
         # -- lifetime counters (served via /metrics) --
@@ -205,35 +187,32 @@ class ProfilingCycleEngine:
         truncated_after: Optional[str] = None
         tree: Optional[STTree] = None
 
-        # Stage 1 — the profiling window.  Mirrors
-        # POLM2Pipeline.run_profiling_phase step for step so a completed
-        # window analyzes to a byte-identical STTree.
-        reset_identity_hashes()
+        # Stage 1 — the profiling window: the streaming profiling phase
+        # of POLM2Pipeline.run_profiling_phase, so a completed window
+        # analyzes to a byte-identical STTree.
         workload = make_workload(self.workload_name, seed=self.seed)
-        collector = NG2CCollector()
-        vm = VM(self.config, collector=collector)
-        recorder = Recorder(snapshot_every=self.snapshot_every)
+        vm = VM(self.config, collector=NG2CCollector())
+        recorder = Recorder()
         dumper = Dumper()
-        builder = ProfileBuilder(
-            max_generations=self.config.max_generations, push_up=self.push_up
-        )
+        builder = ProfileBuilder(max_generations=self.config.max_generations)
         source = BoundedLiveSource(builder, recorder, dumper)
         telemetry = TelemetryAgent()
         for agent in (recorder, dumper, source, telemetry):
             vm.attach_agent(agent)
-        workload.vm = vm
-        for model in workload.class_models():
-            vm.classloader.load(model)
-        workload.setup(vm)
-        window_complete = True
-        ticks = 0
-        while vm.clock.now_ms < self.sim_duration_ms:
-            workload.tick()
-            ticks += 1
-            if ticks % BUDGET_POLL_TICKS == 0 and self.clock() >= deadline:
-                window_complete = False
-                break
-        workload.teardown()
+        ticks = itertools.count()
+
+        def over_budget() -> bool:
+            # Called before each tick: read the wall clock only after
+            # every BUDGET_POLL_TICKS completed ticks.
+            done = next(ticks)
+            return (
+                done > 0
+                and done % BUDGET_POLL_TICKS == 0
+                and self.clock() >= deadline
+            )
+
+        drive(vm, workload, self.sim_duration_ms, stop=over_budget)
+        window_complete = vm.clock.now_ms >= self.sim_duration_ms
         stage_timings.append((STAGE_PROFILE, self.clock() - start))
 
         if not window_complete or self.clock() >= deadline:

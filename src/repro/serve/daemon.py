@@ -56,8 +56,6 @@ class ServeConfig:
     store_dir: str = "profile-store"
     host: str = "127.0.0.1"
     port: int = 0
-    snapshot_every: int = 1
-    push_up: bool = True
     #: Idle gap between rounds (the daemon sleeps interruptibly).
     round_interval_s: float = 0.0
     #: Simulated heap sizing (None keeps SimConfig defaults).  Small
@@ -123,8 +121,6 @@ class ServeDaemon:
                     ),
                     sim_duration_ms=config.sim_duration_ms,
                     budget_s=config.cycle_budget_s,
-                    snapshot_every=config.snapshot_every,
-                    push_up=config.push_up,
                     clock=clock,
                     post_stages=[
                         ("merge", self._merge_stage(name)),
@@ -225,7 +221,6 @@ class ServeDaemon:
         profile = AllocationProfile.from_sttree(
             merged,
             workload=workload,
-            push_up=self.config.push_up,
             metadata={
                 "source": "repro-serve",
                 "instances": self.config.instances,

@@ -1,5 +1,6 @@
 """Tests for the offline record-then-analyze workflow."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -90,6 +91,27 @@ class TestRecordAnalyze:
         with open(os.path.join(recording, "meta.json")) as handle:
             meta = json.load(handle)
         assert meta["schema_version"] == RECORDING_SCHEMA_VERSION
+
+
+class TestRecordingDeterminism:
+    def test_recording_ignores_earlier_runs_in_the_process(self, tmp_path):
+        # Object ids come from a process-wide counter that every run
+        # restarts, so another run in between changes nothing.
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        record_to_dir("lucene", first, duration_ms=1_500.0, seed=42)
+        POLM2Pipeline(lambda: make_workload("cassandra-wi", seed=0)).run(
+            "g1", duration_ms=300.0
+        )
+        record_to_dir("lucene", second, duration_ms=1_500.0, seed=42)
+        for name in sorted(os.listdir(first)):
+            with open(os.path.join(first, name), "rb") as a, open(
+                os.path.join(second, name), "rb"
+            ) as b:
+                assert a.read() == b.read(), name
+        with open(os.path.join(first, "snapshots.bin"), "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        # The same bytes a fresh process records.
+        assert digest.startswith("3641b8b7ed85")
 
 
 class TestRecordingFormatErrors:

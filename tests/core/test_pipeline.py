@@ -5,9 +5,11 @@ from typing import List
 import pytest
 
 from repro.config import SimConfig
-from repro.core.pipeline import POLM2Pipeline
+from repro.core.pipeline import THROUGHPUT_SAMPLE_MS, POLM2Pipeline, drive
 from repro.errors import ReproError
+from repro.gc.g1 import G1Collector
 from repro.runtime.code import ClassModel
+from repro.runtime.vm import VM
 from repro.workloads.base import ManualNG2CStrategy, Workload
 from repro.core.profile import AllocDirective
 
@@ -132,3 +134,62 @@ class TestProductionPhase:
         assert result.duration_ms >= 3_000.0
         assert result.peak_memory_bytes > 0
         assert isinstance(result.pause_report(), str)
+
+
+class CountingWorkload(EpochWorkload):
+    """EpochWorkload that counts its ticks and notes its teardown."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ticks = 0
+        self.torn_down = False
+
+    def tick(self) -> int:
+        self.ticks += 1
+        return super().tick()
+
+    def teardown(self) -> None:
+        self.torn_down = True
+        super().teardown()
+
+
+class TestDrive:
+    """``drive`` is the one tick loop; ``stop`` ends it early."""
+
+    def run(self, duration_ms, limit=None):
+        """Drive to ``duration_ms``, stopping after ``limit`` ticks if
+        given; returns (vm, workload, timeline, clock at each stop call)."""
+        vm = VM(SimConfig.small(), collector=G1Collector())
+        workload = CountingWorkload()
+        seen = []
+
+        def stop() -> bool:
+            seen.append(vm.clock.now_ms)
+            return limit is not None and workload.ticks >= limit
+
+        timeline = drive(vm, workload, duration_ms, stop=stop)
+        return vm, workload, timeline, seen
+
+    def test_stop_is_never_called_once_the_deadline_has_passed(self):
+        vm, workload, _, seen = self.run(2_500.0)
+        # Once before each tick, and only while the deadline is ahead.
+        assert len(seen) == workload.ticks > 0
+        assert all(now < 2_500.0 for now in seen)
+        assert vm.clock.now_ms >= 2_500.0
+
+    def test_early_stop_still_tears_the_workload_down(self):
+        vm, workload, _, seen = self.run(60_000.0, limit=5)
+        assert workload.ticks == 5 and len(seen) == 6
+        assert workload.torn_down
+        assert vm.clock.now_ms < 60_000.0
+
+    def test_timeline_covers_the_ticks_that_ran(self):
+        _, full, full_timeline, _ = self.run(3_000.0)
+        vm, workload, timeline, seen = self.run(3_000.0, limit=full.ticks // 2)
+        assert workload.ticks == full.ticks // 2
+        # One sample per whole virtual second the ticks ran for, each the
+        # same as the uninterrupted run's sample for that second.
+        elapsed = vm.clock.now_ms - seen[0]
+        assert len(timeline) == int(elapsed // THROUGHPUT_SAMPLE_MS) > 0
+        assert timeline == full_timeline[: len(timeline)]
+        assert sum(timeline) <= 32 * workload.ticks

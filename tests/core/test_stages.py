@@ -6,9 +6,17 @@ import weakref
 
 import pytest
 
+from repro.config import SimConfig
+from repro.core.dumper import Dumper
+from repro.core.pipeline import drive
 from repro.core.profile import AllocationProfile
-from repro.core.stages import IncrementalAnalyzer, ProfileBuilder
+from repro.core.recorder import Recorder
+from repro.core.stages import IncrementalAnalyzer, LiveVMSource, ProfileBuilder
 from repro.errors import ProfileError
+from repro.gc.ng2c import NG2CCollector
+from repro.runtime.vm import VM
+from repro.serve.cycle import BoundedLiveSource
+from repro.workloads import make_workload
 from tests.core.survival_reference import reference_tree
 from tests.core.test_analyzer_delta import (
     analyze,
@@ -157,3 +165,41 @@ class TestProfileBuilder:
         assert profile.metadata["allocations_recorded"] == 2
         assert profile.metadata["push_up"] is True
         assert profile.metadata["extra"] is True
+
+
+def _stream(source_cls, dumper_first=True):
+    """Drive a small cassandra-wi run with ``source_cls`` attached."""
+    vm = VM(SimConfig.small(seed=7), collector=NG2CCollector())
+    recorder, dumper = Recorder(), Dumper()
+    source = source_cls(ProfileBuilder(), recorder, dumper)
+    order = (dumper, source) if dumper_first else (source, dumper)
+    for agent in (recorder, *order):
+        vm.attach_agent(agent)
+    drive(vm, make_workload("cassandra-wi", seed=7), 1_500.0)
+    source.flush()
+    return source, dumper
+
+
+class TestLiveSources:
+    @pytest.mark.parametrize(
+        "source_cls", [LiveVMSource, BoundedLiveSource], ids=lambda c: c.__name__
+    )
+    def test_attached_before_dumper_fails(self, source_cls):
+        with pytest.raises(ProfileError, match="attach the Dumper first"):
+            _stream(source_cls, dumper_first=False)
+
+    def test_bounded_source_trims_but_streams_the_same(self):
+        plain, plain_dumper = _stream(LiveVMSource)
+        bounded, bounded_dumper = _stream(BoundedLiveSource)
+        streamed = plain.snapshots_streamed
+        assert streamed > 1
+        # The plain source leaves the Dumper's store whole; the bounded
+        # one keeps only the newest snapshot.
+        assert len(plain_dumper.store) == streamed
+        assert bounded.snapshots_streamed == streamed
+        assert len(bounded_dumper.store) == 1
+        assert bounded.live_snapshot_peak == 2
+        assert (
+            bounded.builder.analyzer.finish().digest()
+            == plain.builder.analyzer.finish().digest()
+        )

@@ -1,16 +1,16 @@
-"""Pluggable cache backends: resumability, concurrency, corruption.
+"""The sweep cache: resumability, concurrency, corruption.
 
-The backend contract: a killed sweep resumes from exactly the cells
-already committed (both backends), concurrent runners sharing one store
-never corrupt it, corrupt cells warn once and recompute, and permission
-problems raise :class:`~repro.errors.ReproError` instead of silently
-forking the sweep's storage.
+The cache contract: a killed sweep resumes from exactly the cells
+already committed, concurrent runners sharing one database never
+corrupt it, corrupt cells warn once and recompute, and a file that is
+not a usable cache raises a one-line :class:`~repro.errors.ReproError`
+naming it instead of silently forking the sweep's storage.
 """
 
 import json
 import multiprocessing
-import os
 import sqlite3
+import warnings
 
 import pytest
 
@@ -19,10 +19,8 @@ from repro.errors import ReproError
 from repro.experiments.matrix import (
     CACHE_FORMAT,
     CellKey,
-    DirCacheBackend,
     SqliteCacheBackend,
     SweepSpec,
-    backend_from_spec,
     run_sweep,
     sweep_cache_key,
 )
@@ -37,12 +35,13 @@ SPEC = SweepSpec(
     seeds=(0, 1),
 )
 
+#: The cache schemes a spec may name (``sqlite:///PATH`` is the one).
+SCHEMES = pytest.mark.parametrize("scheme", ["sqlite"])
 
-def make_backend(kind, tmp_path, name="cache"):
+
+def make_backend(scheme, tmp_path, name="cache"):
     key = sweep_cache_key(SimConfig(), PROFILE_MS, PRODUCTION_MS)
-    if kind == "dir":
-        return DirCacheBackend(str(tmp_path / name), key)
-    return SqliteCacheBackend(str(tmp_path / f"{name}.db"), key)
+    return SqliteCacheBackend.from_spec(f"{scheme}:///{tmp_path}/{name}.db", key)
 
 
 def fake_result(strategy="g1", workload="w", ops=1) -> PhaseResult:
@@ -72,10 +71,10 @@ def run_cells(backend):
     }
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite"])
+@SCHEMES
 class TestRoundTrip:
-    def test_store_load_round_trip(self, tmp_path, kind):
-        backend = make_backend(kind, tmp_path)
+    def test_store_load_round_trip(self, tmp_path, scheme):
+        backend = make_backend(scheme, tmp_path)
         key = CellKey("w", "g1", 3, "default")
         result = fake_result(ops=7)
         backend.store(key, result)
@@ -86,8 +85,8 @@ class TestRoundTrip:
         assert backend.load(CellKey("w", "g1", 4, "default")) is None
         assert key.cell_id in backend.cell_ids()
 
-    def test_seed_and_heap_are_part_of_the_key(self, tmp_path, kind):
-        backend = make_backend(kind, tmp_path)
+    def test_seed_and_heap_are_part_of_the_key(self, tmp_path, scheme):
+        backend = make_backend(scheme, tmp_path)
         backend.store(CellKey("w", "g1", 0, "default"), fake_result(ops=1))
         backend.store(CellKey("w", "g1", 1, "default"), fake_result(ops=2))
         backend.store(CellKey("w", "g1", 0, "big-heap"), fake_result(ops=3))
@@ -97,10 +96,10 @@ class TestRoundTrip:
         assert backend.load(CellKey("w", "g1", 0, "big-heap")).ops_completed == 3
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite"])
+@SCHEMES
 class TestCrashResume:
-    def test_killed_sweep_resumes_only_missing_cells(self, tmp_path, kind):
-        backend = make_backend(kind, tmp_path)
+    def test_killed_sweep_resumes_only_missing_cells(self, tmp_path, scheme):
+        backend = make_backend(scheme, tmp_path)
         first = run_cells(backend)
         backend.close()
 
@@ -109,16 +108,12 @@ class TestCrashResume:
             CellKey("cassandra-wi", "g1", 1, "default"),
             CellKey("cassandra-wi", "polm2", 1, "default"),
         ]
-        backend = make_backend(kind, tmp_path)
-        if kind == "dir":
-            for key in lost:
-                os.remove(os.path.join(backend.dir, f"{key.cell_id}.json"))
-        else:
-            with sqlite3.connect(backend.path) as conn:
-                conn.executemany(
-                    "DELETE FROM cells WHERE cell_id = ?",
-                    [(key.cell_id,) for key in lost],
-                )
+        backend = make_backend(scheme, tmp_path)
+        with sqlite3.connect(backend.path) as conn:
+            conn.executemany(
+                "DELETE FROM cells WHERE cell_id = ?",
+                [(key.cell_id,) for key in lost],
+            )
 
         rerun = run_cells(backend)
         recomputed = {key for key, (cached, _) in rerun.items() if not cached}
@@ -130,26 +125,21 @@ class TestCrashResume:
             assert payload == first[key][1]
 
 
-def _concurrent_writer(kind, path, key, start, count):
+def _concurrent_writer(path, start, count):
     """One runner process storing ``count`` cells into a shared store."""
-    if kind == "dir":
-        backend = DirCacheBackend(path, "sharedkey")
-    else:
-        backend = SqliteCacheBackend(path, "sharedkey")
+    backend = SqliteCacheBackend(path, "sharedkey")
     for i in range(start, start + count):
         backend.store(CellKey("w", "g1", i, "default"), fake_result(ops=i))
     backend.close()
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite"])
+@SCHEMES
 class TestConcurrentRunners:
-    def test_two_runners_one_store(self, tmp_path, kind):
-        path = str(tmp_path / ("cache" if kind == "dir" else "sweep.db"))
+    def test_two_runners_one_store(self, tmp_path, scheme):
+        path = str(tmp_path / f"{scheme}.db")
         ctx = multiprocessing.get_context("fork")
         writers = [
-            ctx.Process(
-                target=_concurrent_writer, args=(kind, path, None, start, 40)
-            )
+            ctx.Process(target=_concurrent_writer, args=(path, start, 40))
             for start in (0, 40)
         ]
         for proc in writers:
@@ -157,23 +147,18 @@ class TestConcurrentRunners:
         for proc in writers:
             proc.join(timeout=120)
             assert proc.exitcode == 0
-        if kind == "dir":
-            backend = DirCacheBackend(path, "sharedkey")
-        else:
-            backend = SqliteCacheBackend(path, "sharedkey")
+        backend = SqliteCacheBackend(path, "sharedkey")
         for i in range(80):
             loaded = backend.load(CellKey("w", "g1", i, "default"))
             assert loaded is not None and loaded.ops_completed == i
 
-    def test_same_cell_written_twice_stays_intact(self, tmp_path, kind):
-        """The tmp-file race fix: concurrent same-cell stores cannot
-        clobber each other mid-rename — both writes land intact."""
-        path = str(tmp_path / ("cache" if kind == "dir" else "sweep.db"))
+    def test_same_cell_written_twice_stays_intact(self, tmp_path, scheme):
+        """Concurrent same-cell stores cannot clobber each other: both
+        writes land intact."""
+        path = str(tmp_path / f"{scheme}.db")
         ctx = multiprocessing.get_context("fork")
         writers = [
-            ctx.Process(
-                target=_concurrent_writer, args=(kind, path, None, 0, 20)
-            )
+            ctx.Process(target=_concurrent_writer, args=(path, 0, 20))
             for _ in range(2)
         ]
         for proc in writers:
@@ -181,111 +166,36 @@ class TestConcurrentRunners:
         for proc in writers:
             proc.join(timeout=120)
             assert proc.exitcode == 0
-        backend = (
-            DirCacheBackend(path, "sharedkey")
-            if kind == "dir"
-            else SqliteCacheBackend(path, "sharedkey")
-        )
+        backend = SqliteCacheBackend(path, "sharedkey")
         for i in range(20):
             loaded = backend.load(CellKey("w", "g1", i, "default"))
             assert loaded is not None and loaded.ops_completed == i
 
 
-class TestDirBackendTmpNames:
-    def test_tmp_path_is_unique_per_call_and_process(self, tmp_path):
-        backend = make_backend("dir", tmp_path)
-        a = backend._tmp_path("/x/cell.json")
-        b = backend._tmp_path("/x/cell.json")
-        assert a != b
-        assert str(os.getpid()) in a
-        assert a.endswith(".tmp") and b.endswith(".tmp")
-
-    def test_store_leaves_no_tmp_files(self, tmp_path):
-        backend = make_backend("dir", tmp_path)
-        backend.store(CellKey("w", "g1", 0, "default"), fake_result())
-        leftovers = [
-            name for name in os.listdir(backend.dir) if name.endswith(".tmp")
-        ]
-        assert leftovers == []
-
-
 class TestCorruptCells:
-    def test_dir_corrupt_cell_warns_once_and_recomputes(self, tmp_path):
-        backend = make_backend("dir", tmp_path)
-        key = CellKey("w", "g1", 0, "default")
-        backend.store(key, fake_result())
-        path = os.path.join(backend.dir, f"{key.cell_id}.json")
-        with open(path, "w") as handle:
-            handle.write("{not json")
-        with pytest.warns(UserWarning, match=key.cell_id):
-            assert backend.load(key) is None
-        # Second load of the same cell: no duplicate warning.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert backend.load(key) is None
-
-    def test_dir_foreign_payload_warns_and_recomputes(self, tmp_path):
-        backend = make_backend("dir", tmp_path)
-        key = CellKey("w", "g1", 0, "default")
-        path = os.path.join(backend.dir, f"{key.cell_id}.json")
-        os.makedirs(backend.dir, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump({"alien": True}, handle)
-        with pytest.warns(UserWarning, match="corrupt"):
-            assert backend.load(key) is None
-
     def test_sqlite_corrupt_payload_warns_and_recomputes(self, tmp_path):
         backend = make_backend("sqlite", tmp_path)
-        key = CellKey("w", "g1", 0, "default")
+        broken = CellKey("w", "g1", 0, "default")
+        foreign = CellKey("w", "g1", 1, "default")
         with sqlite3.connect(backend.path) as conn:
-            conn.execute(
+            conn.executemany(
                 "INSERT INTO cells (cache_key, cell_id, format, payload)"
                 " VALUES (?, ?, ?, ?)",
-                (backend.key, key.cell_id, CACHE_FORMAT, "{broken"),
+                [
+                    (backend.key, broken.cell_id, CACHE_FORMAT, "{broken"),
+                    (backend.key, foreign.cell_id, CACHE_FORMAT, '{"alien": 1}'),
+                ],
             )
-        with pytest.warns(UserWarning, match=key.cell_id):
-            assert backend.load(key) is None
-
-    def test_dir_permission_error_raises_repro_error(self, tmp_path, monkeypatch):
-        backend = make_backend("dir", tmp_path)
-        key = CellKey("w", "g1", 0, "default")
-        backend.store(key, fake_result())
-        target = os.path.join(backend.dir, f"{key.cell_id}.json")
-        real_open = open
-
-        def deny(path, *args, **kwargs):
-            if str(path) == target:
-                raise PermissionError(13, "Permission denied", str(path))
-            return real_open(path, *args, **kwargs)
-
-        monkeypatch.setattr("builtins.open", deny)
-        with pytest.raises(ReproError, match="unreadable"):
-            backend.load(key)
+        for key in (broken, foreign):
+            with pytest.warns(UserWarning, match=key.cell_id):
+                assert backend.load(key) is None
+        # A second load of the same cell recomputes without warning again.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert backend.load(broken) is None
 
 
 class TestFormatVersioning:
-    def test_stale_dir_format_noted_once(self, tmp_path):
-        root = tmp_path / "cache"
-        stale = root / "deadbeef"
-        stale.mkdir(parents=True)
-        with open(stale / "FORMAT.json", "w") as handle:
-            json.dump({"format": "matrix-cache-v3"}, handle)
-        with open(stale / "w__g1__s0__default.json", "w") as handle:
-            json.dump({}, handle)
-        with pytest.warns(UserWarning, match="matrix-cache-v3"):
-            DirCacheBackend(str(root), "currentkey")
-
-    def test_unmarked_cell_dir_noted_as_pre_v4(self, tmp_path):
-        root = tmp_path / "cache"
-        stale = root / "oldkey"
-        stale.mkdir(parents=True)
-        with open(stale / "w__g1.json", "w") as handle:
-            json.dump({}, handle)
-        with pytest.warns(UserWarning, match="pre-v4"):
-            DirCacheBackend(str(root), "currentkey")
-
     def test_sqlite_stale_format_noted(self, tmp_path):
         backend = make_backend("sqlite", tmp_path)
         with sqlite3.connect(backend.path) as conn:
@@ -303,20 +213,49 @@ class TestFormatVersioning:
 
 class TestBackendSpecs:
     def test_sqlite_spec(self, tmp_path):
-        backend = backend_from_spec(
+        backend = SqliteCacheBackend.from_spec(
             f"sqlite:///{tmp_path}/sweep.db", "key12345"
         )
-        assert isinstance(backend, SqliteCacheBackend)
+        assert backend.path == f"{tmp_path}/sweep.db"
         backend.close()
 
     def test_dir_spec_and_bare_path(self, tmp_path):
-        assert isinstance(
-            backend_from_spec(f"dir:///{tmp_path}/c", "key"), DirCacheBackend
-        )
-        assert isinstance(
-            backend_from_spec(str(tmp_path / "c2"), "key"), DirCacheBackend
-        )
+        # Only sqlite:///PATH names a cache: a dir:/// spec, a bare path
+        # and an empty path each fail in one line and create nothing.
+        for spec in (f"dir:///{tmp_path}/c", str(tmp_path / "c2"), "sqlite:///"):
+            with pytest.raises(ReproError) as excinfo:
+                SqliteCacheBackend.from_spec(spec, "key")
+            assert "sqlite:///PATH" in str(excinfo.value)
+            assert "\n" not in str(excinfo.value)
+        assert not (tmp_path / "c").exists()
+        assert not (tmp_path / "c2").exists()
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ReproError, match="unknown cache backend"):
-            backend_from_spec("redis://localhost/0", "key")
+            SqliteCacheBackend.from_spec("redis://localhost/0", "key")
+
+
+class TestNotADatabase:
+    """A cache path holding something else fails in one line, naming it."""
+
+    @pytest.fixture
+    def text_file(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("these are not the cells you are looking for\n" * 64)
+        return path
+
+    def test_open_raises_one_line_repro_error(self, text_file):
+        with pytest.raises(ReproError) as excinfo:
+            SqliteCacheBackend(str(text_file), "key")
+        message = str(excinfo.value)
+        assert str(text_file) in message and "not a database" in message
+        assert "\n" not in message
+
+    def test_listing_a_broken_cache_raises_repro_error(self, tmp_path):
+        backend = SqliteCacheBackend(str(tmp_path / "cache.db"), "key")
+        with sqlite3.connect(backend.path) as conn:
+            conn.execute("DROP TABLE cells")
+        with pytest.raises(ReproError, match=str(tmp_path)):
+            backend.cell_ids()
+        with pytest.raises(ReproError, match="unreadable"):
+            backend.load(CellKey("w", "g1", 0, "default"))

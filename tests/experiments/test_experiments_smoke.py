@@ -7,7 +7,16 @@ durations.  The full-scale numbers live in ``benchmarks/``.
 
 import pytest
 
-from repro.experiments import fig3_fig4, fig5, fig6, fig7, fig8, fig9, table1
+from repro.experiments import (
+    fig3_fig4,
+    fig5,
+    fig6,
+    fig7,
+    fig8,
+    fig9,
+    profiler_overhead,
+    table1,
+)
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 
 #: Workloads exercised in the smoke pass (one per platform, for speed).
@@ -44,8 +53,8 @@ class TestFig3Fig4:
         comparison = fig3_fig4.run_workload(
             "cassandra-wi", duration_ms=8_000.0, max_snapshots=6
         )
-        assert len(comparison.criu) == len(comparison.jmap)
-        assert comparison.criu, "no snapshots taken"
+        # The snapshot cap, not the deadline, ends this run.
+        assert len(comparison.criu) == len(comparison.jmap) == 6
         # The paper's headline: Dumper is far cheaper than jmap.
         assert comparison.mean_time_ratio() < 0.5
         assert comparison.mean_size_ratio() < 1.0
@@ -56,6 +65,31 @@ class TestFig3Fig4:
         )
         text = fig3_fig4.render(results)
         assert "jmap" in text
+
+    def test_lucene_series_pinned(self):
+        # Stops on the deadline before the 20-snapshot cap.
+        comparison = fig3_fig4.run_workload("lucene", duration_ms=4_000.0)
+        assert len(comparison.criu) == len(comparison.jmap) == 11
+        assert [s.size_bytes for s in comparison.criu] == [
+            2605056, 3268608, 2248704, 3420160, 3518464, 3637248,
+            1892352, 5193728, 5914624, 2306048, 3653632,
+        ]
+        assert [s.duration_us for s in comparison.criu] == [
+            88320.0, 107760.0, 77880.0, 112200.0, 115080.0, 118560.0,
+            67440.0, 164160.0, 185280.0, 79560.0, 119040.0,
+        ]
+        assert [s.size_bytes for s in comparison.jmap] == [
+            3952168, 5437316, 6083073, 8821070, 11192059, 12863060,
+            11882401, 11688420, 12818328, 14346136, 16337907,
+        ]
+
+
+class TestProfilerOverhead:
+    def test_cassandra_virtual_times_pinned(self):
+        result = profiler_overhead.run("cassandra-wi", ticks=300)
+        assert result.baseline_ms == 3060.96581875
+        assert result.polm2_ms == 3736.4818187423975
+        assert result.exact_ms == 10910.19081875
 
 
 class TestPauseFigures:

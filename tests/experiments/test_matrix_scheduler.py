@@ -7,6 +7,7 @@ API must account for every cell exactly once.
 """
 
 import json
+import sqlite3
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.errors import ReproError
 from repro.experiments.matrix import (
     PROFILING_KEY,
     CellKey,
-    DirCacheBackend,
+    SqliteCacheBackend,
     SweepSpec,
     heap_config,
     parse_seeds,
@@ -100,16 +101,17 @@ class TestStreaming:
 
 class TestCachedSweep:
     def test_cached_polm2_cell_never_forces_profiling(self, tmp_path):
-        backend = DirCacheBackend(
-            str(tmp_path), sweep_cache_key(SimConfig(), PROFILE_MS, PRODUCTION_MS)
+        backend = SqliteCacheBackend(
+            str(tmp_path / "sweep.db"),
+            sweep_cache_key(SimConfig(), PROFILE_MS, PRODUCTION_MS),
         )
         first = collect(SPEC, backend=backend, jobs=2)
         # Drop the profiling cells; every production cell stays cached.
-        import os
-
-        for key in list(first):
-            if PROFILING_KEY in key:
-                os.remove(os.path.join(backend.dir, f"{key}.json"))
+        with sqlite3.connect(backend.path) as conn:
+            conn.executemany(
+                "DELETE FROM cells WHERE cell_id = ?",
+                [(key,) for key in first if PROFILING_KEY in key],
+            )
         rerun = list(
             run_sweep(
                 SPEC,

@@ -11,7 +11,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.experiments import matrix
-from repro.experiments.matrix import CellKey, DirCacheBackend, sweep_cache_key
+from repro.experiments.matrix import CellKey, SqliteCacheBackend, sweep_cache_key
 from repro.experiments.runner import (
     ExperimentRunner,
     ExperimentSettings,
@@ -73,8 +73,8 @@ class TestDiskCacheParity:
     def test_cached_second_run_matches_serial(
         self, serial_matrix, tmp_path, monkeypatch
     ):
-        cache_dir = str(tmp_path / "cache")
-        warm = ExperimentRunner(settings(cache_dir=cache_dir))
+        cache = f"sqlite:///{tmp_path}/sweep.db"
+        warm = ExperimentRunner(settings(cache_backend=cache))
         assert canonical(warm.full_matrix(WORKLOADS, STRATEGIES)) == (
             serial_matrix
         )
@@ -82,20 +82,21 @@ class TestDiskCacheParity:
         # and no profiling phase is forced (cached polm2 cells must not
         # recompute their profile).
         forbid_computing(monkeypatch)
-        cold = ExperimentRunner(settings(cache_dir=cache_dir))
+        cold = ExperimentRunner(settings(cache_backend=cache))
         assert canonical(cold.full_matrix(WORKLOADS, STRATEGIES)) == (
             serial_matrix
         )
 
     def test_profiling_phase_cached_on_disk(self, tmp_path, monkeypatch):
-        cache_dir = str(tmp_path / "cache")
-        warm = ExperimentRunner(settings(cache_dir=cache_dir))
+        cache = f"sqlite:///{tmp_path}/sweep.db"
+        warm = ExperimentRunner(settings(cache_backend=cache))
         profile = warm.profile(WORKLOADS[0])
         forbid_computing(monkeypatch)
-        cold = ExperimentRunner(settings(cache_dir=cache_dir))
+        cold = ExperimentRunner(settings(cache_backend=cache))
         assert cold.profile(WORKLOADS[0]).to_json() == profile.to_json()
-        backend = DirCacheBackend(
-            cache_dir, sweep_cache_key(SimConfig(), PROFILE_MS, PRODUCTION_MS)
+        backend = SqliteCacheBackend(
+            str(tmp_path / "sweep.db"),
+            sweep_cache_key(SimConfig(), PROFILE_MS, PRODUCTION_MS),
         )
         cell = backend.load(
             CellKey(WORKLOADS[0], PROFILING_KEY, settings().seed)
@@ -104,11 +105,13 @@ class TestDiskCacheParity:
 
     def test_settings_change_invalidates_key(self, tmp_path):
         def key(**overrides) -> str:
-            configured = settings(cache_dir=str(tmp_path), **overrides)
+            configured = settings(
+                cache_backend=f"sqlite:///{tmp_path}/sweep.db", **overrides
+            )
             return configured.open_backend(SimConfig()).key
 
         assert key() != key(production_ms=PRODUCTION_MS + 1)
-        # jobs/cache_dir are performance knobs, not result inputs.
+        # jobs/cache_backend are performance knobs, not result inputs.
         assert key() == key(jobs=8)
         assert key() == sweep_cache_key(SimConfig(), PROFILE_MS, PRODUCTION_MS)
 

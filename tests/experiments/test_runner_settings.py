@@ -19,7 +19,7 @@ class TestFromEnv:
             "REPRO_PRODUCTION_MS",
             "REPRO_SEED",
             "REPRO_JOBS",
-            "REPRO_CACHE_DIR",
+            "REPRO_CACHE_BACKEND",
         ):
             monkeypatch.delenv(var, raising=False)
         settings = ExperimentSettings.from_env()
@@ -27,14 +27,16 @@ class TestFromEnv:
         assert settings.production_ms == 60_000.0
         assert settings.seed == 42
         assert settings.jobs == 1
-        assert settings.cache_dir is None
+        assert settings.cache_backend is None
 
     def test_reads_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE_MS", "1500")
         monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite:///sweep.db")
         settings = ExperimentSettings.from_env()
         assert settings.profiling_ms == 1500.0
         assert settings.jobs == 4
+        assert settings.cache_backend == "sqlite:///sweep.db"
 
     @pytest.mark.parametrize("var", ["REPRO_JOBS", "REPRO_SEED"])
     def test_unparseable_int_raises_repro_error(self, monkeypatch, var):

@@ -25,7 +25,7 @@ from repro.config import SimConfig
 from repro.core.idset import IdSet
 from repro.heap.evacuation import FixedDestination, SurvivorTenuring
 from repro.heap.heap import SimHeap
-from repro.heap.objects import HeapObject, _reset_identity_hashes
+from repro.heap.objects import HeapObject, reset_identity_hashes
 from repro.heap.region import Region
 from tests.heap.evacuation_reference import evacuate_objects
 
@@ -204,7 +204,7 @@ class TestEngineEquivalence:
         survivor at the same address as the per-object reference loop."""
         results = []
         for use_plan in (False, True):
-            _reset_identity_hashes()
+            reset_identity_hashes()
             heap = fresh_heap()
             objects = build_graph(heap, specs)
             heap.trace_live(objects[:root_count])
@@ -234,7 +234,7 @@ class TestEngineEquivalence:
         kernels and the scalar closure must agree on every placement."""
         results = []
         for use_plan in (False, True):
-            _reset_identity_hashes()
+            reset_identity_hashes()
             heap = fresh_heap()
             objects = build_graph(heap, specs)
             old = heap.new_generation("old")

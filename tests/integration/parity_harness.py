@@ -31,7 +31,6 @@ from repro.core.stages import LiveVMSource, ProfileBuilder
 from repro.gc.c4 import C4Collector
 from repro.gc.g1 import G1Collector
 from repro.gc.ng2c import NG2CCollector
-from repro.heap.objects import _reset_identity_hashes
 from repro.runtime.vm import VM
 from repro.workloads import make_workload
 
@@ -72,7 +71,6 @@ def _record_scenario(
     The streaming analyzer rides along exactly as in the profiling
     phase; returns ``(vm, recorder, dumper, sttree)``.
     """
-    _reset_identity_hashes()
     scale = resolve_object_scale(object_scale)
     duration_ms *= scale
     # A reduced heap keeps runs quick while forcing frequent collections,

@@ -4,13 +4,16 @@ The agent/event refactor routed every profiler through
 ``vm.attach_agent`` and left one analysis path (the streaming
 ``ProfileBuilder``) and one recording layout; later changes left one
 evacuation engine (plans only), one sweep scheduler (``jobs`` picks
-in-process or the pool) and one profile-store layout (content-addressed
-objects plus ``latest`` pointers, v2 profiles only).  This test keeps
-it that way: no package module or example may use the removed listener
-shims, legacy attach seams, the batch analyzer, the second snapshot
-format, the per-object evacuation loop, the scheduler modes, the
-``MatrixCache`` view, the flat profile-file API or the v1 profile
-format.
+in-process or the pool), one profile-store layout (content-addressed
+objects plus ``latest`` pointers, v2 profiles only), one tick loop
+(``pipeline.drive``), one sweep cache (``sqlite:///PATH``) and one
+offline entry point (``analyze_recording``).  This test keeps it that
+way: no package module or example may use the removed listener shims,
+legacy attach seams, the batch analyzer, the second snapshot format,
+the per-object evacuation loop, the scheduler modes, the
+``MatrixCache`` view, the flat profile-file API, the v1 profile format,
+the JSON-directory cache or ``ProfileBuilder.from_recording``, and only
+``core/pipeline.py`` may tick a workload.
 """
 
 from __future__ import annotations
@@ -34,8 +37,14 @@ _REMOVED = re.compile(
     r"\b_evacuate_objects\b|\buntrack_object\b|"
     r"\bMatrixCache\b|\bSCHEDULER_MODES\b|\bmode=\"wave\"|--mode\b|"
     r"polm2-profile-v1|"
-    r"\.load_tree\(|\.has_profile\(|\.list_workloads\(|\.load_all\("
+    r"\.load_tree\(|\.has_profile\(|\.list_workloads\(|\.load_all\(|"
+    r"\bDirCacheBackend\b|dir:///|\bREPRO_CACHE_DIR\b|--cache-dir\b|"
+    r"\bcache_dir=|\bfrom_recording\(|\b_reset_identity_hashes\b"
 )
+
+#: Workload ticks; only the one tick loop (``core/pipeline.py``) may call it.
+_TICK = re.compile(r"\.tick\(\)")
+_TICK_LOOP = os.path.join("src", "repro", "core", "pipeline.py")
 
 
 def _sources():
@@ -55,12 +64,19 @@ def test_no_direct_alloc_listener_calls_outside_runtime():
     for rel, path in _sources():
         with open(path) as handle:
             for number, line in enumerate(handle, start=1):
-                if _REMOVED.search(line):
+                ticks = (
+                    rel.startswith(os.path.join("src", "repro"))
+                    and rel != _TICK_LOOP
+                    and _TICK.search(line)
+                )
+                if _REMOVED.search(line) or ticks:
                     offenders.append(f"{rel}:{number}: {line.strip()}")
     assert offenders == [], (
         "these lines use removed seams (subscribe via vm.attach_agent / "
         "vm.events, analyze with ProfileBuilder, record snapshots.bin, "
         "evacuate with an EvacuationPlan, pick the scheduler with jobs, "
-        "use ProfileStore.put/load_latest/select): "
+        "use ProfileStore.put/load_latest/select, cache in sqlite:///PATH, "
+        "analyze recordings with analyze_recording, tick workloads "
+        "through pipeline.drive): "
         + "; ".join(offenders)
     )

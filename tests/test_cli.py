@@ -155,13 +155,15 @@ class TestMatrixCommand:
         assert "2 seed(s)" in out
         assert "G1" in out and "POLM2" in out
 
-    def test_matrix_resumes_from_cache(self, tmp_path, capsys):
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        assert main(self.MATRIX_ARGS + cache) == 0
+    def test_matrix_resumes_from_cache(self, tmp_path, capsys, monkeypatch):
+        # $REPRO_CACHE_BACKEND is the --cache-backend default.
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", f"sqlite:///{tmp_path}/env.db")
+        assert main(self.MATRIX_ARGS) == 0
         capsys.readouterr()
-        assert main(self.MATRIX_ARGS + cache) == 0
+        assert main(self.MATRIX_ARGS) == 0
         out = capsys.readouterr().out
         assert "0 computed" in out
+        assert (tmp_path / "env.db").exists()
 
     def test_matrix_sqlite_backend(self, tmp_path, capsys):
         backend = ["--cache-backend", f"sqlite:///{tmp_path}/sweep.db"]
@@ -171,6 +173,42 @@ class TestMatrixCommand:
         out = capsys.readouterr().out
         assert "0 computed" in out
         assert (tmp_path / "sweep.db").exists()
+
+    def test_cache_that_is_not_a_database_is_one_line_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a database\n" * 64)
+        code = main(
+            [
+                "matrix",
+                "--workloads",
+                "cassandra-wi",
+                "--strategies",
+                "g1",
+                "--duration-ms",
+                "200",
+                "--profiling-ms",
+                "200",
+                "--cache-backend",
+                f"sqlite:///{path}",
+                "--no-progress",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "matrix"])
+    def test_one_cache_option_set(self, command, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
+        args = build_parser().parse_args([command])
+        assert args.cache_backend == "sqlite:///.repro_cache/sweep.db"
+        assert not args.no_cache
+        assert build_parser().parse_args([command, "--no-cache"]).no_cache
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--cache-dir", "c"])
 
     def test_matrix_bad_seed_spec_is_one_line_error(self, capsys):
         code = main(
