@@ -96,10 +96,10 @@ def test_matrix_speed(tmp_path_factory):
 
 
 def test_scheduler_modes_speed(tmp_path_factory):
-    """BENCH: the sharded work-stealing scheduler and its overhead.
+    """BENCH: the process-pool drain of the ready queue and its overhead.
 
     A straggler-heavy sweep — profiling cells cost more than production
-    cells, three seeds across two worker slots.  The sharded scheduler's
+    cells, three seeds across two worker processes.  The ready queue's
     per-cell DAG overlaps profile-free cells (and earlier seeds' POLM2
     cells) with the straggling profiling work, so some production cell
     lands while profiling cells are still in flight.  Also measures pure
@@ -134,12 +134,12 @@ def test_scheduler_modes_speed(tmp_path_factory):
         flags = [key.is_profiling for key in keys]
         return True not in flags[flags.index(False) :]
 
-    sharded_s, sharded_keys = timed_sweep()
-    assert len(sharded_keys) == expected_cells
-    # The sharded DAG has no global profiling barrier: some production
+    pool_s, pool_keys = timed_sweep()
+    assert len(pool_keys) == expected_cells
+    # The per-cell DAG has no global profiling barrier: some production
     # cell lands while profiling cells are still in flight.
-    assert not barrier_respected(sharded_keys)
-    sharded_cps = len(sharded_keys) / sharded_s
+    assert not barrier_respected(pool_keys)
+    pool_cps = len(pool_keys) / pool_s
 
     # Scheduler overhead: a fully-cached sweep does no simulation work,
     # so its wall time per cell is pure scheduling + cache decode.
@@ -163,8 +163,8 @@ def test_scheduler_modes_speed(tmp_path_factory):
         "jobs": JOBS,
         "profiling_ms": profiling_ms,
         "production_ms": production_ms,
-        "sharded_s": round(sharded_s, 4),
-        "sharded_cells_per_sec": round(sharded_cps, 3),
+        "pool_s": round(pool_s, 4),
+        "pool_cells_per_sec": round(pool_cps, 3),
         "overhead_per_cell_ms": round(overhead_per_cell_ms, 3),
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -172,10 +172,10 @@ def test_scheduler_modes_speed(tmp_path_factory):
         json.dump(payload, handle, indent=2)
 
     lines = [
-        "BENCH: sweep scheduler — sharded work-stealing "
+        "BENCH: sweep scheduler — ready queue through the process pool "
         f"({expected_cells} cells, jobs={JOBS}, straggler-heavy profiling)",
         f"{'scheduler':<28} {'wall s':>10} {'cells/s':>9}",
-        f"{'sharded (per-cell DAG)':<28} {sharded_s:>10.3f} {sharded_cps:>9.2f}",
+        f"{'pool (per-cell DAG)':<28} {pool_s:>10.3f} {pool_cps:>9.2f}",
         f"scheduler overhead (fully cached): {overhead_per_cell_ms:.3f} ms/cell",
     ]
     save_result("BENCH_matrix_scheduler", "\n".join(lines))

@@ -19,9 +19,10 @@ Commands:
   profile store, and an HTTP API production VMs fetch profiles from.
 * ``evaluate`` — regenerate every table and figure of the paper's §5.
 * ``matrix`` — run a fleet-scale (workload × strategy × seed ×
-  heap-config) sweep — in-process at ``--jobs 1``, through the sharded
-  work-stealing scheduler above that — with live progress and pooled
-  multi-seed percentiles.
+  heap-config) sweep — one ready queue of cells (profiling cells first,
+  each POLM2 cell as soon as its profile lands), drained in-process at
+  ``--jobs 1`` and through a process pool above that — with live
+  progress and pooled multi-seed percentiles.
 * ``workloads`` — list available workloads.
 """
 
@@ -505,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes: 1 runs in-process in sweep order, more "
-        "run the sharded work-stealing DAG (default: $REPRO_JOBS or 1)",
+        help="worker processes: 1 computes every cell in-process, more "
+        "keep that many cells in flight in a process pool; both take "
+        "profiling cells first (default: $REPRO_JOBS or 1)",
     )
     _add_cache_options(p_matrix)
     p_matrix.add_argument(

@@ -126,9 +126,12 @@ class ExactLifetimeTracer(VMAgent):
     def on_gc_end(self, event: GCEndEvent) -> None:
         pause = event.pause
         collector = self.vm.collector
-        live_ids = IdSet(
-            obj.object_id for obj in collector.last_live_objects
-        )
+        live = collector.last_live_objects
+        if collector.last_trace_was_partial:
+            # A remembered-set collection traced the young generation
+            # only; every tenured object would read as dead.
+            live = collector.trace_live()
+        live_ids = IdSet(obj.object_id for obj in live)
         # Re-process the reachable set (trace replay) — charged per object.
         self.objects_reprocessed += len(live_ids)
         self.vm.clock.advance_us(

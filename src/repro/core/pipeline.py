@@ -36,7 +36,6 @@ from repro.gc.events import GCPause
 from repro.gc.ng2c import NG2CCollector
 from repro.heap.objects import reset_identity_hashes
 from repro.runtime.vm import VM
-from repro.snapshot.snapshot import SnapshotStore
 from repro.strategies.agents import TelemetryAgent
 from repro.strategies.builtin import _polm2_agents
 from repro.strategies.spec import StrategyContext, StrategySpec, get_strategy
@@ -64,7 +63,6 @@ class PhaseResult:
     set_generation_calls: int
     #: ops/s sampled each virtual second (Fig. 8 timelines).
     throughput_timeline: List[float]
-    snapshots: Optional[SnapshotStore] = None
     profile: Optional[AllocationProfile] = None
     #: Merged per-agent counters from every attached agent's
     #: ``telemetry()`` (allocations logged, snapshots taken, ...).
@@ -102,11 +100,6 @@ class PhaseResult:
             "peak_memory_bytes": self.peak_memory_bytes,
             "set_generation_calls": self.set_generation_calls,
             "throughput_timeline": list(self.throughput_timeline),
-            "snapshots": (
-                None
-                if self.snapshots is None
-                else [s.to_dict() for s in self.snapshots]
-            ),
             "profile": (
                 None
                 if self.profile is None
@@ -117,16 +110,6 @@ class PhaseResult:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "PhaseResult":
-        from repro.snapshot.snapshot import Snapshot
-
-        snapshots = None
-        if payload.get("snapshots") is not None:
-            snapshots = SnapshotStore()
-            previous: Optional[Snapshot] = None
-            for snap_payload in payload["snapshots"]:
-                snapshot = Snapshot.from_dict(snap_payload, predecessor=previous)
-                snapshots.append(snapshot)
-                previous = snapshot
         profile = None
         if payload.get("profile") is not None:
             profile = AllocationProfile.from_json(json.dumps(payload["profile"]))
@@ -140,7 +123,6 @@ class PhaseResult:
             peak_memory_bytes=int(payload["peak_memory_bytes"]),
             set_generation_calls=int(payload["set_generation_calls"]),
             throughput_timeline=[float(v) for v in payload["throughput_timeline"]],
-            snapshots=snapshots,
             profile=profile,
             telemetry=payload.get("telemetry"),
         )
@@ -208,7 +190,6 @@ class POLM2Pipeline:
         vm: VM,
         collector: GenerationalCollector,
         timeline: List[float],
-        snapshots: Optional[SnapshotStore] = None,
         profile: Optional[AllocationProfile] = None,
         telemetry: Optional[Dict[str, int]] = None,
     ) -> PhaseResult:
@@ -225,7 +206,6 @@ class POLM2Pipeline:
             peak_memory_bytes=peak,
             set_generation_calls=vm.set_generation_calls,
             throughput_timeline=timeline,
-            snapshots=snapshots,
             profile=profile,
             telemetry=telemetry,
         )
@@ -316,7 +296,8 @@ class POLM2Pipeline:
         the snapshot sequence is needed.
 
         ``keep_result`` (optional, a list) receives the profiling-run
-        :class:`PhaseResult` — used by the snapshot experiments.
+        :class:`PhaseResult` (profile, pauses, telemetry) — how a sweep's
+        profiling cell is computed.
         """
         workload = self.workload_factory()
         collector = NG2CCollector()
@@ -341,7 +322,6 @@ class POLM2Pipeline:
                     vm,
                     collector,
                     timeline,
-                    snapshots=dumper.store,
                     profile=profile,
                     telemetry=self._merged_telemetry(agents),
                 )

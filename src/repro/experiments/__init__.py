@@ -3,9 +3,9 @@
 All pause/throughput/memory figures share the same (workload × strategy)
 result matrix, computed once per process by
 :class:`repro.experiments.runner.ExperimentRunner` and cached.  The
-fleet-scale sweep engine — sharded work-stealing scheduling over the
-(workload × strategy × seed × heap-config) space, streaming cell
-results, a single-file sqlite result cache — lives in
+fleet-scale sweep engine — one ready queue over the (workload ×
+strategy × seed × heap-config) space, streaming cell results, a
+single-file sqlite result cache — lives in
 :mod:`repro.experiments.matrix`.
 """
 

@@ -34,7 +34,7 @@ def run(runner: Optional[ExperimentRunner] = None) -> Dict[str, Fig8Panel]:
         panels[workload] = Fig8Panel(
             workload=workload,
             timelines={
-                strategy: runner.result(workload, strategy).throughput_timeline
+                strategy: runner.cell(workload, strategy).throughput_timeline
                 for strategy in STRATEGIES
             },
         )

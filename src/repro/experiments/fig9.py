@@ -27,7 +27,7 @@ def run(
     normalized: Dict[str, Dict[str, float]] = {}
     for workload in WORKLOAD_NAMES:
         raw = {
-            strategy: runner.result(workload, strategy).peak_memory_bytes
+            strategy: runner.cell(workload, strategy).peak_memory_bytes
             for strategy in strategies
         }
         normalized[workload] = normalized_memory(raw, baseline="g1")

@@ -1,4 +1,4 @@
-"""Fleet-scale experiment matrix: sharded scheduling over a sqlite cache.
+"""Fleet-scale experiment matrix: one ready queue over a sqlite cache.
 
 The paper's evaluation is a (workload × strategy) grid; statistically
 honest tail-latency claims need a (workload × strategy × seed ×
@@ -12,21 +12,18 @@ module is the machinery that makes such a sweep practical:
   in, opened from a ``sqlite:///PATH`` spec: a whole sweep in a single
   WAL-mode database file that several runner processes can share, so a
   killed sweep resumes from exactly the cells already committed.
-* :func:`run_sweep` — the one scheduler.  With ``jobs=1`` it runs every
-  cell in-process in deterministic sweep order; with ``jobs > 1`` it is
-  a **sharded work-stealing scheduler** over the sweep's per-cell
-  dependency DAG.  Cells are sharded across worker slots; a slot that
-  drains its shard steals from the fullest one, so a straggler cell
-  never idles the rest of the fleet.  A POLM2 production cell unblocks
-  the moment *its* (workload, seed, heap) profiling cell lands — there
-  is no global profiling barrier.  Results **stream back
-  incrementally** as :class:`CellResult` values with live progress
-  (cells done/total, cells/sec, ETA); nothing accumulates behind an
-  end-of-matrix barrier.
+* :func:`run_sweep` — the one place a cell is looked up, computed,
+  stored and streamed.  Cells to compute wait in one FIFO ready queue
+  over the sweep's per-cell dependency DAG: profiling cells first, then
+  production cells in sweep order, and a POLM2 production cell joins
+  the tail the moment *its* (workload, seed, heap) profiling cell lands
+  — there is no global profiling barrier.  ``jobs=1`` drains the queue
+  in-process; ``jobs > 1`` keeps ``jobs`` cells in flight in a process
+  pool.  Results **stream back incrementally** as :class:`CellResult`
+  values with live progress (cells done/total, cells/sec, ETA); nothing
+  accumulates behind an end-of-matrix barrier.
 * :func:`_run_profiling_cell` / :func:`_run_production_cell` — the one
-  way a cell is computed, in a pool worker or in-process alike
-  (:class:`~repro.experiments.runner.ExperimentRunner` computes its
-  single cells through them too).
+  way a cell is computed, in a pool worker or in-process alike.
 * :func:`pooled_pause_percentiles` — multi-seed aggregation: pause
   samples pooled across seeds with the seed/sample support counts kept
   alongside, so every figure can say how much data backs its tail.
@@ -34,7 +31,8 @@ module is the machinery that makes such a sweep practical:
 Every cell is deterministic in (workload, strategy, seed, heap-config,
 durations) — virtual clock, fixed seed — so ``jobs=1`` and ``jobs > 1``
 produce byte-identical cells, and a cache hit is indistinguishable from
-a recompute.
+a recompute.  A cell keeps only its results (pauses, throughput,
+memory, profile, telemetry), never the snapshots a profiling run took.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ import os
 import sqlite3
 import time
 import warnings
-import zlib
 from collections import deque
 from typing import (
     Callable,
@@ -70,8 +67,9 @@ from repro.workloads import make_workload
 
 #: Cache-format version; bump on incompatible PhaseResult layout changes.
 #: v4: cells carry seed + heap-config in their key (multi-seed sweeps);
-#: older formats live in unkeyed/other-keyed storage and are never read.
-CACHE_FORMAT = "matrix-cache-v4"
+#: v5: profiling cells no longer carry their snapshot chain.  Older
+#: formats are never read.
+CACHE_FORMAT = "matrix-cache-v5"
 
 #: The pseudo-strategy key the profiling phase is cached under.
 PROFILING_KEY = "polm2-profiling"
@@ -501,39 +499,7 @@ def _run_production_cell(
     return pipe.run(strategy, duration_ms=production_ms, profile=profile)
 
 
-# -- the sharded work-stealing scheduler ----------------------------------------
-
-
-class _ShardedScheduler:
-    """Shards ready cells across worker slots and steals for stragglers.
-
-    The parent process owns one deque per worker slot.  A slot that
-    finishes a cell pulls the next from its own shard head; a dry slot
-    steals from the tail of the fullest shard.  Cells are sharded by a
-    stable hash of their id, so the initial placement is deterministic;
-    stealing then rebalances whatever reality does to the schedule.
-    """
-
-    def __init__(self, nshards: int) -> None:
-        self.shards: List[Deque[CellKey]] = [deque() for _ in range(nshards)]
-
-    def shard_of(self, key: CellKey) -> int:
-        return zlib.crc32(key.cell_id.encode()) % len(self.shards)
-
-    def push(self, key: CellKey) -> None:
-        self.shards[self.shard_of(key)].append(key)
-
-    def pop_for(self, slot: int) -> Optional[CellKey]:
-        own = self.shards[slot]
-        if own:
-            return own.popleft()
-        victim = max(self.shards, key=len)
-        if victim:
-            return victim.pop()  # steal from the tail: coldest work
-        return None
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
+# -- the scheduler: one ready queue -----------------------------------------------
 
 
 def run_sweep(
@@ -549,11 +515,23 @@ def run_sweep(
 ) -> Iterator[CellResult]:
     """Run every cell of ``spec``, streaming results as they land.
 
-    Cache hits (from ``backend`` and ``preloaded``) stream first; live
-    cells follow as workers complete them.  Profiling cells are
-    scheduled only for production cells that actually need computing —
-    a cached POLM2 cell never forces its profiling phase — and appear
-    in the stream (and the done/total counts) like any other cell.
+    The one place a cell is looked up, computed, stored and streamed.
+    Cache hits (from ``backend`` and ``preloaded``) stream first; a
+    cached profiling cell without a profile is recomputed.  Profiling
+    cells are scheduled only for production cells that actually need
+    computing — a cached POLM2 cell never forces its profiling phase —
+    and appear in the stream (and the done/total counts) like any other
+    cell.
+
+    The cells to compute go through one FIFO ready queue: first the
+    profiling cells, then the production cells in sweep order; a POLM2
+    cell whose profiling cell is still pending joins the tail when that
+    profiling cell lands, so there is no global profiling barrier.
+    ``jobs=1`` pops and computes each cell in-process, in exactly that
+    order; ``jobs > 1`` keeps at most ``jobs`` cells in flight in a
+    process pool and refills from the head as each one lands.  Both
+    produce byte-identical cells, and every computed cell is committed
+    to ``backend`` before it streams.
 
     ``profile_source`` points profile-consuming production cells at an
     external profile instead of a swept profiling cell: a profile URI
@@ -564,10 +542,6 @@ def run_sweep(
     sourced production cells bypass the cache both ways — their inputs
     live outside the cache key, so neither a stale hit nor a poisoned
     store is possible.
-
-    ``jobs=1`` runs in-process in deterministic sweep order; ``jobs >
-    1`` runs the work-stealing scheduler over the per-cell DAG in a
-    process pool.  Both produce byte-identical cells.
     """
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
@@ -621,8 +595,8 @@ def run_sweep(
             hits.append((key, found))
         else:
             pending.append(key)
-    needed_profiling: List[CellKey] = []
     profiles: Dict[CellKey, str] = {}  # profiling cell -> profile JSON
+    # Needed profiling cell -> the production cells waiting for it.
     blocked: Dict[CellKey, List[CellKey]] = {}
     for key in pending:
         if not get_strategy(key.strategy).needs_profile:
@@ -632,21 +606,19 @@ def run_sweep(
             # The profile comes from the service, not a profiling cell.
             profiles[prof_key] = sourced_profiles[key.workload]
             continue
-        if prof_key not in blocked:
-            blocked[prof_key] = []
-            needed_profiling.append(prof_key)
-        blocked[prof_key].append(key)
-    pending_profiling: List[CellKey] = []
-    for prof_key in needed_profiling:
+        blocked.setdefault(prof_key, []).append(key)
+    total = len(production) + len(blocked)
+    ready: Deque[CellKey] = deque()
+    for prof_key in list(blocked):
         found = lookup(prof_key)
         if found is not None:
             hits.append((prof_key, found))
             profiles[prof_key] = found.profile.to_json()
             del blocked[prof_key]
         else:
-            pending_profiling.append(prof_key)
-
-    total = len(production) + len(needed_profiling)
+            ready.append(prof_key)
+    waiting = {key for keys in blocked.values() for key in keys}
+    ready.extend(key for key in pending if key not in waiting)
     done = 0
 
     def emit(key: CellKey, result: PhaseResult, cached: bool) -> CellResult:
@@ -661,6 +633,27 @@ def run_sweep(
             ),
         )
 
+    def task(key: CellKey) -> Tuple[Callable[..., PhaseResult], tuple]:
+        # Resolved by module-global name at call time, so a test can
+        # monkeypatch either cell function.
+        if key.is_profiling:
+            return _run_profiling_cell, (
+                key.workload, key.seed, key.heap, profiling_ms
+            )
+        profile_json = (
+            profiles[key.profiling_key()]
+            if get_strategy(key.strategy).needs_profile
+            else None
+        )
+        return _run_production_cell, (
+            key.workload,
+            key.strategy,
+            key.seed,
+            key.heap,
+            production_ms,
+            profile_json,
+        )
+
     def computed(key: CellKey, result: PhaseResult) -> CellResult:
         if backend is not None and key not in sourced_keys:
             # Store *and* commit before the cell is reported done: a
@@ -669,138 +662,34 @@ def run_sweep(
             backend.flush()
         if key.is_profiling:
             profiles[key] = result.profile.to_json()
+            ready.extend(blocked.pop(key))
         return emit(key, result, cached=False)
 
     try:
         for key, result in hits:
             yield emit(key, result, cached=True)
-        if not pending and not pending_profiling:
-            return
-
         if jobs == 1:
-            # Deterministic sweep order; each needed profiling cell runs
-            # immediately before its first dependent.
-            profiled = set(profiles)
-            for key in pending:
-                prof_key = key.profiling_key()
-                if (
-                    get_strategy(key.strategy).needs_profile
-                    and prof_key not in profiled
-                ):
-                    yield computed(
-                        prof_key,
-                        _run_profiling_cell(
-                            key.workload, key.seed, key.heap, profiling_ms
-                        ),
+            while ready:
+                key = ready.popleft()
+                function, args = task(key)
+                yield computed(key, function(*args))
+        elif ready:
+            with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
+                in_flight: Dict[concurrent.futures.Future, CellKey] = {}
+                while ready or in_flight:
+                    while ready and len(in_flight) < jobs:
+                        key = ready.popleft()
+                        function, args = task(key)
+                        in_flight[pool.submit(function, *args)] = key
+                    finished, _ = concurrent.futures.wait(
+                        in_flight, return_when=concurrent.futures.FIRST_COMPLETED
                     )
-                    profiled.add(prof_key)
-                profile_json = (
-                    profiles.get(prof_key)
-                    if get_strategy(key.strategy).needs_profile
-                    else None
-                )
-                yield computed(
-                    key,
-                    _run_production_cell(
-                        key.workload,
-                        key.strategy,
-                        key.seed,
-                        key.heap,
-                        production_ms,
-                        profile_json,
-                    ),
-                )
-            return
-
-        yield from _run_sweep_pool(
-            pending,
-            pending_profiling,
-            blocked,
-            profiles,
-            computed,
-            profiling_ms=profiling_ms,
-            production_ms=production_ms,
-            jobs=jobs,
-        )
+                    # Stream in submission order when several land at once.
+                    for future in [f for f in in_flight if f in finished]:
+                        yield computed(in_flight.pop(future), future.result())
     finally:
         if backend is not None:
             backend.flush()
-
-
-def _run_sweep_pool(
-    pending: Sequence[CellKey],
-    pending_profiling: Sequence[CellKey],
-    blocked: Dict[CellKey, List[CellKey]],
-    profiles: Dict[CellKey, str],
-    computed: Callable[[CellKey, PhaseResult], CellResult],
-    *,
-    profiling_ms: float,
-    production_ms: float,
-    jobs: int,
-) -> Iterator[CellResult]:
-    """The ``jobs > 1`` scheduler body: a process pool fed by the DAG."""
-    scheduler = _ShardedScheduler(jobs)
-    blocked_cells = {dep for deps in blocked.values() for dep in deps}
-    for key in pending_profiling:
-        scheduler.push(key)
-    for key in pending:
-        # A blocked cell waits for the DAG to release it when its
-        # profiling cell lands.
-        if key not in blocked_cells:
-            scheduler.push(key)
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        in_flight: Dict[concurrent.futures.Future, Tuple[CellKey, int]] = {}
-
-        def submit(key: CellKey, slot: int) -> None:
-            if key.is_profiling:
-                future = pool.submit(
-                    _run_profiling_cell,
-                    key.workload,
-                    key.seed,
-                    key.heap,
-                    profiling_ms,
-                )
-            else:
-                profile_json = (
-                    profiles.get(key.profiling_key())
-                    if get_strategy(key.strategy).needs_profile
-                    else None
-                )
-                future = pool.submit(
-                    _run_production_cell,
-                    key.workload,
-                    key.strategy,
-                    key.seed,
-                    key.heap,
-                    production_ms,
-                    profile_json,
-                )
-            in_flight[future] = (key, slot)
-
-        def fill(free_slots: List[int]) -> None:
-            while free_slots:
-                slot = free_slots[-1]
-                key = scheduler.pop_for(slot)
-                if key is None:
-                    break
-                free_slots.pop()
-                submit(key, slot)
-
-        fill(list(range(jobs)))
-        while in_flight:
-            completed, _ = concurrent.futures.wait(
-                in_flight, return_when=concurrent.futures.FIRST_COMPLETED
-            )
-            free_slots: List[int] = []
-            for future in completed:
-                key, slot = in_flight.pop(future)
-                free_slots.append(slot)
-                result = future.result()
-                yield computed(key, result)
-                for dependent in blocked.pop(key, []):
-                    scheduler.push(dependent)
-            fill(free_slots)
 
 
 # -- multi-seed aggregation ------------------------------------------------------

@@ -1,23 +1,21 @@
 """Shared experiment runner: the (workload × strategy) result matrix.
 
 Figures 5-9 all consume the same 6 workloads × {G1, NG2C-manual, POLM2,
-C4} runs; Table 1 consumes the profiling phases.  The runner executes
-each cell once and caches it, so regenerating every figure costs one pass
-over the matrix.
+C4} runs; Table 1 consumes the profiles the POLM2 runs used.  The
+runner executes each cell once and caches it, so regenerating every
+figure costs one pass over the matrix.
 
 The heavy lifting lives in :mod:`repro.experiments.matrix` — the
-fleet-scale sweep engine: one scheduler over the (workload × strategy ×
-seed × heap-config) space (in-process at ``jobs=1``, a sharded
-work-stealing process pool over the per-cell profiling→production DAG
-above that), streaming cell results, and the one result cache, a
-single-file WAL sqlite
+fleet-scale sweep engine: :func:`~repro.experiments.matrix.run_sweep`,
+the one place a cell is looked up, computed, stored and streamed (one
+ready queue over the per-cell profiling→production DAG, drained
+in-process at ``jobs=1`` or through a process pool above that), and the
+one result cache, a single-file WAL sqlite
 :class:`~repro.experiments.matrix.SqliteCacheBackend` named by a
 ``sqlite:///PATH`` spec (``--cache-backend`` /
 ``REPRO_CACHE_BACKEND``).  A single cell — :meth:`ExperimentRunner.cell`
-or :meth:`ExperimentRunner.profile` — is computed by the same
-``matrix._run_production_cell`` / ``matrix._run_profiling_cell``
-functions a sweep runs.  This module keeps the figure-facing
-conveniences on top:
+or :meth:`ExperimentRunner.profile` — is a one-cell sweep.  This module
+keeps the figure-facing conveniences on top:
 
 * **in-memory memoization** — each cell (profiling cells included) is
   computed once per runner;
@@ -28,8 +26,7 @@ conveniences on top:
   invalidates stale results;
 * **multi-seed pooling** — with ``ExperimentSettings.seeds`` set (env
   ``REPRO_SEEDS``, e.g. ``0-7`` or ``1,3,5``), ``pause_series`` pools
-  pause samples across every seed and ``series_support`` reports the
-  seed/sample counts figures print alongside their percentiles.
+  pause samples across every seed.
 
 Durations honour two environment variables so CI can run quick smoke
 passes: ``REPRO_PROFILE_MS`` and ``REPRO_PRODUCTION_MS`` (virtual
@@ -42,13 +39,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.core.pipeline import PhaseResult
 from repro.core.profile import AllocationProfile
 from repro.errors import ReproError
-from repro.experiments import matrix
 from repro.experiments.matrix import (
     CACHE_FORMAT,
     PROFILING_KEY,
@@ -61,7 +57,6 @@ from repro.experiments.matrix import (
     run_sweep,
     sweep_cache_key,
 )
-from repro.strategies import get_strategy
 from repro.workloads import WORKLOAD_NAMES
 
 __all__ = [
@@ -176,37 +171,7 @@ class ExperimentRunner:
             SimConfig(seed=self.settings.seed)
         )
 
-    # -- building blocks ---------------------------------------------------------
-
-    def _cached(
-        self, key: CellKey, compute: Callable[[], PhaseResult]
-    ) -> PhaseResult:
-        """One cell: in-memory, then the cache backend, then ``compute()``."""
-        result = self._cells.get(key)
-        if result is None and self._backend is not None:
-            result = self._backend.load(key)
-            if result is not None and key.is_profiling and result.profile is None:
-                result = None  # foreign/corrupt profiling cell: recompute
-        if result is None:
-            result = compute()
-            if self._backend is not None:
-                self._backend.store(key, result)
-                self._backend.flush()
-        self._cells[key] = result
-        return result
-
-    def profile(
-        self, workload: str, seed: Optional[int] = None, heap: str = "default"
-    ) -> AllocationProfile:
-        """The POLM2 allocation profile for a workload (cached)."""
-        seed = self.settings.seed if seed is None else seed
-        key = CellKey(workload, PROFILING_KEY, seed, heap)
-        return self._cached(
-            key,
-            lambda: matrix._run_profiling_cell(
-                workload, seed, heap, self.settings.profiling_ms
-            ),
-        ).profile
+    # -- single cells --------------------------------------------------------------
 
     def cell(
         self,
@@ -215,34 +180,27 @@ class ExperimentRunner:
         seed: Optional[int] = None,
         heap: str = "default",
     ) -> PhaseResult:
-        """One production cell of the sweep space (cached).
+        """One production cell of the sweep space.
 
-        Lookup order: in-memory, then the cache backend, then compute.
-        A cache hit for a ``polm2`` cell never forces the profiling
+        Served from memory when this runner already holds it; otherwise
+        drained from a one-cell in-process :meth:`sweep`, which loads it
+        from the cache backend or computes it (and, for a ``polm2``
+        cell, its profiling cell or the ``profile_source`` profile).  A
+        cache hit for a ``polm2`` cell never forces the profiling
         phase — the cached cell already embeds the profile it ran with.
         """
         seed = self.settings.seed if seed is None else seed
+        key = CellKey(workload, strategy, seed, heap)
+        if key not in self._cells:
+            for _ in self.sweep((workload,), (strategy,), (seed,), (heap,), jobs=1):
+                pass
+        return self._cells[key]
 
-        def compute() -> PhaseResult:
-            profile_json = (
-                self.profile(workload, seed, heap).to_json()
-                if get_strategy(strategy).needs_profile
-                else None
-            )
-            return matrix._run_production_cell(
-                workload,
-                strategy,
-                seed,
-                heap,
-                self.settings.production_ms,
-                profile_json,
-            )
-
-        return self._cached(CellKey(workload, strategy, seed, heap), compute)
-
-    def result(self, workload: str, strategy: str) -> PhaseResult:
-        """One production cell at the default seed and heap config."""
-        return self.cell(workload, strategy)
+    def profile(
+        self, workload: str, seed: Optional[int] = None, heap: str = "default"
+    ) -> AllocationProfile:
+        """The allocation profile the workload's ``polm2`` cell ran with."""
+        return self.cell(workload, "polm2", seed, heap).profile
 
     # -- bulk access ----------------------------------------------------------------
 
@@ -254,12 +212,10 @@ class ExperimentRunner:
         """Pause durations per strategy for one Figure 5/6 panel.
 
         With multi-seed settings (``seeds`` / ``REPRO_SEEDS``) the
-        samples of every seed are pooled per strategy —
-        :meth:`series_support` reports how many seeds and samples back
-        each series.  Reuses cached cells (memory or disk); restricting
-        ``strategies`` to baselines never touches the profiling phase,
-        and a cached ``polm2`` cell is served without recomputing its
-        profile.
+        samples of every seed are pooled per strategy.  Reuses cached
+        cells (memory or disk); restricting ``strategies`` to baselines
+        never touches the profiling phase, and a cached ``polm2`` cell
+        is served without recomputing its profile.
         """
         series: Dict[str, List[float]] = {}
         for strategy in strategies:
@@ -270,16 +226,6 @@ class ExperimentRunner:
                 )
             series[strategy.upper()] = pooled
         return series
-
-    def series_support(
-        self,
-        workload: str,
-        strategies: Sequence[str] = PAUSE_STRATEGIES,
-    ) -> Dict[str, Tuple[int, int]]:
-        """Per strategy: (seeds, pause samples) behind ``pause_series``."""
-        series = self.pause_series(workload, strategies)
-        seeds = len(self.settings.seed_list)
-        return {name: (seeds, len(vals)) for name, vals in series.items()}
 
     def full_matrix(
         self,

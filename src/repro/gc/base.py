@@ -189,8 +189,9 @@ class GenerationalCollector(abc.ABC):
     ) -> GCPause:
         """Advance the clock by a stop-the-world pause and log the event.
 
-        Dispatches cycle listeners after the pause completes; the Recorder
-        uses this moment to ask the Dumper for a snapshot.
+        Publishes ``GC_START`` before the pause and ``GC_END`` after it
+        completes; the Recorder uses ``GC_END`` to ask the Dumper for a
+        snapshot.
         """
         vm = self._require_vm()
         self.cycles += 1

@@ -525,11 +525,6 @@ class SimHeap:
 
     # -- region queries ----------------------------------------------------------------
 
-    def region_of_address(self, address: int) -> Region:
-        if address < 0 or address >= len(self._regions) * self.region_size:
-            raise OutOfMemoryError(f"address {address:#x} outside the heap")
-        return self._regions[address // self.region_size]
-
     def live_bytes_by_region(
         self, live_objects: Iterable[HeapObject]
     ) -> Dict[int, int]:

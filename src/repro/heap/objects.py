@@ -206,28 +206,6 @@ class HeapObject:
         )
 
 
-def total_bytes(objects: Iterable[HeapObject]) -> int:
-    """Sum of object sizes — convenience for live-byte accounting."""
-    return sum(obj.size for obj in objects)
-
-
-class ObjectHeaderReader:
-    """Reads identity hash codes out of object headers.
-
-    Models the Analyzer-side header walk of paper §4.3: ids recorded by the
-    Recorder are matched against snapshot contents *by reading each object
-    header*, never by address (addresses change when objects move).
-    """
-
-    @staticmethod
-    def identity_hash(obj: HeapObject) -> int:
-        return obj.object_id
-
-    @staticmethod
-    def read_all(objects: Iterable[HeapObject]) -> List[int]:
-        return [obj.object_id for obj in objects]
-
-
 def reset_identity_hashes() -> None:
     """Restart the identity-hash counter at 1 (fresh-process state).
 

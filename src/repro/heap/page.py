@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, List
+from typing import Iterable, List
 
 from repro.config import PAGE_SIZE
 from repro.errors import InvalidAddressError
@@ -273,9 +273,6 @@ class PageTable:
         return PageCounts(
             total=self.num_pages, dirty=dirty, no_need=no_need, dirty_and_no_need=both
         )
-
-    def iter_pages(self) -> Iterator[int]:
-        return iter(range(self.num_pages))
 
 
 class PageCounts:

@@ -537,12 +537,6 @@ class Region:
         last = (self.base + self.top - 1) // page_size
         return range(first, last + 1)
 
-    def full_page_span(self, page_size: int) -> range:
-        """Pages covered by the whole region, used or not."""
-        first = self.base // page_size
-        last = (self.base + self.size - 1) // page_size
-        return range(first, last + 1)
-
     # -- lifecycle ------------------------------------------------------------
 
     def wipe_contents(self) -> None:

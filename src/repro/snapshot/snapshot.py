@@ -28,7 +28,6 @@ from collections.abc import Sequence
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.idset import EMPTY_IDSET, IdSet
-from repro.errors import ProfileFormatError
 
 
 class Snapshot:
@@ -191,15 +190,9 @@ class Snapshot:
             f"engine={self.engine!r}, {kind})"
         )
 
-    # -- pickling: flatten to a payload dict so a delta chain never
-    # -- recurses through __reduce__ (a long chain would overflow).
-    # -- SnapshotStore pickles the whole chain compactly; a snapshot
-    # -- pickled on its own falls back to the full representation.
-
-    def __reduce__(self):
-        return (Snapshot.from_dict, (self.to_full_dict(),))
-
-    # -- payload dicts: what pickling and the result cache ship.
+    # -- payload dict: one line of the legacy JSON-lines layout.  Tests
+    # -- and the snapshot-I/O benchmark write it to check that the binary
+    # -- readers reject it and to size the binary layout against it.
 
     def to_dict(self) -> Dict:
         """Native representation: delta snapshots emit born/dead only."""
@@ -218,58 +211,6 @@ class Snapshot:
         else:
             payload["live_object_ids"] = self.live_object_ids.to_list()
         return payload
-
-    def to_full_dict(self) -> Dict:
-        """Full representation (materializes the live-set)."""
-        payload = self.to_dict()
-        payload.pop("born_ids", None)
-        payload.pop("dead_ids", None)
-        payload["live_object_ids"] = self.live_object_ids.to_list()
-        return payload
-
-    @classmethod
-    def from_dict(
-        cls,
-        payload: Dict,
-        predecessor: Optional["Snapshot"] = None,
-        source: Optional[str] = None,
-    ) -> "Snapshot":
-        """Rebuild from either representation.
-
-        ``predecessor`` anchors a delta payload; it is ignored for full
-        payloads (which are self-contained).  A delta payload missing
-        ``born_ids`` or ``dead_ids`` raises
-        :class:`~repro.errors.ProfileFormatError` naming the field (and
-        ``source``, typically the file path, when given) — silently
-        defaulting either to empty would corrupt every live-set
-        materialized downstream of it.
-        """
-        common = dict(
-            seq=int(payload["seq"]),
-            time_ms=float(payload["time_ms"]),
-            engine=payload["engine"],
-            pages_written=int(payload["pages_written"]),
-            size_bytes=int(payload["size_bytes"]),
-            duration_us=float(payload["duration_us"]),
-            incremental=bool(payload.get("incremental", True)),
-        )
-        if "live_object_ids" in payload:
-            return cls(
-                live_object_ids=payload["live_object_ids"], **common
-            )
-        for field in ("born_ids", "dead_ids"):
-            if field not in payload:
-                where = source or "<snapshot payload>"
-                raise ProfileFormatError(
-                    f"{where}: delta snapshot payload (seq "
-                    f"{payload.get('seq', '?')}) is missing {field!r}"
-                )
-        return cls(
-            born_ids=payload["born_ids"],
-            dead_ids=payload["dead_ids"],
-            predecessor=predecessor,
-            **common,
-        )
 
 
 class SnapshotView(Sequence):
@@ -361,19 +302,8 @@ class SnapshotStore:
     def __getitem__(self, index: int) -> Snapshot:
         return self._snapshots[index]
 
-    # -- aggregate views (Figures 3/4) -------------------------------------------
-
-    def sizes_bytes(self) -> List[int]:
-        return [s.size_bytes for s in self._snapshots]
-
-    def durations_us(self) -> List[float]:
-        return [s.duration_us for s in self._snapshots]
-
     def total_bytes(self) -> int:
         return sum(s.size_bytes for s in self._snapshots)
-
-    def total_duration_us(self) -> float:
-        return sum(s.duration_us for s in self._snapshots)
 
     # -- persistence: the binary columnar store ------------------------------------
 
@@ -407,25 +337,4 @@ class SnapshotStore:
         store = cls()
         for snapshot in cls.iter_file(path):
             store.append(snapshot)
-        return store
-
-    # -- pickling: ship the delta payloads, rebuild the chain iteratively.
-    # -- (Default pickling would recurse predecessor-by-predecessor and
-    # -- also re-inflate every delta to a full set via Snapshot.__reduce__;
-    # -- this keeps cross-process transfer proportional to the deltas.)
-
-    def __reduce__(self):
-        return (
-            SnapshotStore._from_payloads,
-            ([s.to_dict() for s in self._snapshots],),
-        )
-
-    @classmethod
-    def _from_payloads(cls, payloads: List[Dict]) -> "SnapshotStore":
-        store = cls()
-        previous: Optional[Snapshot] = None
-        for payload in payloads:
-            snapshot = Snapshot.from_dict(payload, predecessor=previous)
-            store.append(snapshot)
-            previous = snapshot
         return store

@@ -4,9 +4,12 @@ import pytest
 
 from repro.config import SimConfig
 from repro.core.exact_tracer import ExactLifetimeTracer
+from repro.core.pipeline import drive
+from repro.gc.g1 import G1Collector
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.code import ClassModel
 from repro.runtime.vm import VM
+from repro.workloads import make_workload
 
 
 def build_vm():
@@ -62,6 +65,31 @@ class TestExactDeathObservation:
         vm.heap.clear_refs(root)
         vm.collector.collect_young()
         assert tracer.exact_lifetime_cycles(obj.object_id) == 3
+
+
+class TestRememberedSets:
+    @pytest.mark.parametrize("collector", [G1Collector, NG2CCollector])
+    def test_no_reachable_object_is_marked_dead(self, collector):
+        # A remembered-set young collection traces the young generation
+        # only; the tracer alone must still see every tenured survivor.
+        vm = VM(
+            SimConfig(seed=42, use_remembered_sets=True), collector=collector()
+        )
+        tracer = ExactLifetimeTracer()
+        vm.attach_agent(tracer)
+        ticks = iter(range(300))
+        drive(
+            vm,
+            make_workload("cassandra-wi", seed=42),
+            float("inf"),
+            stop=lambda: next(ticks, None) is None,
+        )
+        assert vm.collector.cycles >= 4
+        assert tracer.death_cycle
+        reachable = {
+            obj.object_id for obj in vm.heap.trace_live(vm.iter_roots())
+        }
+        assert not reachable & tracer.death_cycle.keys()
 
 
 class TestOverheadAccounting:

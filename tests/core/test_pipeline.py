@@ -89,12 +89,21 @@ class TestProfilingPhase:
         assert profile.metadata["snapshots_analyzed"] > 0
         assert profile.metadata["allocations_recorded"] > 0
 
-    def test_keep_result_captures_snapshots(self, pipeline):
+    def test_keep_result_captures_profile_and_telemetry(self, pipeline):
         keep = []
-        pipeline.run_profiling_phase(duration_ms=2_000.0, keep_result=keep)
+        profile = pipeline.run_profiling_phase(
+            duration_ms=2_000.0, keep_result=keep
+        )
         result = keep[0]
         assert result.strategy == "polm2-profiling"
-        assert len(result.snapshots) > 0
+        assert result.profile is profile
+        assert result.pauses
+        telemetry = result.telemetry
+        assert telemetry["snapshots_taken"] == len(result.pauses)
+        assert telemetry["snapshots_streamed"] == telemetry["snapshots_taken"]
+        assert telemetry["allocations_logged"] > 0
+        # A cell keeps only its results, never the snapshot chain.
+        assert "snapshots" not in result.to_dict()
 
 
 class TestProductionPhase:

@@ -207,8 +207,8 @@ class TestFormatVersioning:
         with pytest.warns(UserWarning, match="matrix-cache-v3"):
             make_backend("sqlite", tmp_path)
 
-    def test_current_format_is_v4(self):
-        assert CACHE_FORMAT == "matrix-cache-v4"
+    def test_current_format_is_v5(self):
+        assert CACHE_FORMAT == "matrix-cache-v5"
 
 
 class TestBackendSpecs:

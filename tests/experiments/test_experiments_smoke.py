@@ -126,7 +126,7 @@ class TestThroughputAndMemory:
 
         for workload in SMOKE_WORKLOADS:
             raw = {
-                s: runner.result(workload, s).throughput_ops_s
+                s: runner.cell(workload, s).throughput_ops_s
                 for s in ("g1", "ng2c", "polm2", "c4")
             }
             norm = normalized_throughput(raw)
@@ -136,7 +136,7 @@ class TestThroughputAndMemory:
             assert norm["c4"] == min(norm.values())
 
     def test_fig8_timelines_recorded(self, runner):
-        result = runner.result("cassandra-wi", "polm2")
+        result = runner.cell("cassandra-wi", "polm2")
         assert len(result.throughput_timeline) > 3
         assert all(v >= 0 for v in result.throughput_timeline)
 
@@ -145,7 +145,7 @@ class TestThroughputAndMemory:
 
         for workload in SMOKE_WORKLOADS:
             raw = {
-                s: runner.result(workload, s).peak_memory_bytes
+                s: runner.cell(workload, s).peak_memory_bytes
                 for s in ("g1", "ng2c", "polm2")
             }
             norm = normalized_memory(raw)
@@ -155,8 +155,8 @@ class TestThroughputAndMemory:
 
 class TestRunnerCaching:
     def test_results_cached(self, runner):
-        first = runner.result("cassandra-wi", "g1")
-        second = runner.result("cassandra-wi", "g1")
+        first = runner.cell("cassandra-wi", "g1")
+        second = runner.cell("cassandra-wi", "g1")
         assert first is second
 
     def test_profile_cached(self, runner):

@@ -1,9 +1,9 @@
-"""The fleet-scale sweep engine: sharded scheduling, DAG, streaming.
+"""The fleet-scale sweep engine: one ready queue, DAG, streaming.
 
 Every cell is deterministic in (workload, strategy, seed, heap-config,
-durations), so the in-process ``jobs=1`` order and the sharded
-work-stealing pool must produce byte-identical cells, and the streaming
-API must account for every cell exactly once.
+durations), so draining the ready queue in-process (``jobs=1``) and
+through the process pool must produce byte-identical cells, and the
+streaming API must account for every cell exactly once.
 """
 
 import json
@@ -51,9 +51,33 @@ def serial_cells():
 
 
 class TestSchedulerParity:
-    def test_sharded_matches_serial_byte_for_byte(self, serial_cells):
-        sharded = collect(SPEC, jobs=2)
-        assert sharded == serial_cells
+    def test_pool_matches_serial_byte_for_byte(self, serial_cells):
+        pooled = collect(SPEC, jobs=2)
+        assert pooled == serial_cells
+
+
+class TestReadyQueue:
+    def test_in_process_order(self):
+        """``jobs=1`` computes profiling cells first, then production
+        cells in sweep order; a POLM2 cell joins the tail when its
+        profiling cell lands."""
+        order = [
+            (item.key.strategy, item.key.seed)
+            for item in run_sweep(
+                SPEC,
+                profiling_ms=PROFILE_MS,
+                production_ms=PRODUCTION_MS,
+                jobs=1,
+            )
+        ]
+        assert order == [
+            (PROFILING_KEY, 0),
+            (PROFILING_KEY, 1),
+            ("g1", 0),
+            ("g1", 1),
+            ("polm2", 0),
+            ("polm2", 1),
+        ]
 
 
 class TestStreaming:

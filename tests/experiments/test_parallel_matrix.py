@@ -2,14 +2,18 @@
 
 The performance layer must never change results: the parallel matrix and
 the disk-cache round trip both have to reproduce the serial, uncached
-outputs byte-for-byte (virtual clock + fixed seed ⇒ determinism).
+outputs byte-for-byte (virtual clock + fixed seed ⇒ determinism).  A
+single cell (``ExperimentRunner.cell`` / ``.profile``) is a one-cell
+sweep, so it follows the same cache and profile-source rules.
 """
 
 import json
+import sqlite3
 
 import pytest
 
 from repro.config import SimConfig
+from repro.core.pipeline import POLM2Pipeline
 from repro.experiments import matrix
 from repro.experiments.matrix import CellKey, SqliteCacheBackend, sweep_cache_key
 from repro.experiments.runner import (
@@ -17,6 +21,7 @@ from repro.experiments.runner import (
     ExperimentSettings,
     PROFILING_KEY,
 )
+from repro.workloads import make_workload
 
 WORKLOADS = ("cassandra-wi",)
 STRATEGIES = ("g1", "polm2")
@@ -101,7 +106,21 @@ class TestDiskCacheParity:
         cell = backend.load(
             CellKey(WORKLOADS[0], PROFILING_KEY, settings().seed)
         )
-        assert cell is not None and cell.snapshots is not None
+        assert cell is not None and cell.profile is not None
+
+    def test_profile_served_from_cached_polm2_cell(self, tmp_path, monkeypatch):
+        cache = f"sqlite:///{tmp_path}/sweep.db"
+        warm = ExperimentRunner(settings(cache_backend=cache))
+        expected = warm.cell(WORKLOADS[0], "polm2").profile.to_json()
+        with sqlite3.connect(tmp_path / "sweep.db") as conn:
+            deleted = conn.execute(
+                "DELETE FROM cells WHERE cell_id LIKE ?",
+                (f"%__{PROFILING_KEY}__%",),
+            ).rowcount
+        assert deleted == 1
+        forbid_computing(monkeypatch)
+        cold = ExperimentRunner(settings(cache_backend=cache))
+        assert cold.profile(WORKLOADS[0]).to_json() == expected
 
     def test_settings_change_invalidates_key(self, tmp_path):
         def key(**overrides) -> str:
@@ -114,6 +133,25 @@ class TestDiskCacheParity:
         # jobs/cache_backend are performance knobs, not result inputs.
         assert key() == key(jobs=8)
         assert key() == sweep_cache_key(SimConfig(), PROFILE_MS, PRODUCTION_MS)
+
+
+class TestProfileSource:
+    def test_cell_runs_with_the_sourced_profile(self, tmp_path, monkeypatch):
+        # Another seed's profile: a locally profiled cell would run with
+        # a different one.
+        saved = POLM2Pipeline(
+            lambda: make_workload(WORKLOADS[0], seed=7),
+            config=SimConfig(seed=7),
+        ).run_profiling_phase(duration_ms=PROFILE_MS)
+        assert saved.alloc_directives
+        path = tmp_path / "profile.json"
+        saved.save(str(path))
+        forbid_computing(monkeypatch, "_run_profiling_cell")
+        runner = ExperimentRunner(settings(profile_source=f"file://{path}"))
+        assert runner.profile(WORKLOADS[0]).to_json() == saved.to_json()
+        assert runner.cell(WORKLOADS[0], "polm2").profile.to_json() == (
+            saved.to_json()
+        )
 
 
 class TestPauseSeries:

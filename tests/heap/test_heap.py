@@ -174,11 +174,6 @@ class TestEvacuation:
 
 
 class TestRegionQueries:
-    def test_region_of_address(self, heap):
-        obj = heap.allocate(64)
-        region = heap.region_of_address(obj.address)
-        assert obj in region.objects
-
     def test_live_bytes_by_region(self, heap):
         a = heap.allocate(100)
         b = heap.allocate(200)

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.heap.objects import (
-    HEADER_BYTES,
-    HeapObject,
-    ObjectHeaderReader,
-    next_identity_hash,
-    total_bytes,
-)
+from repro.heap.objects import HEADER_BYTES, HeapObject, next_identity_hash
 
 
 class TestIdentityHash:
@@ -75,17 +69,3 @@ class TestHeapObject:
         obj = HeapObject(size=3 * 4096)
         obj.address = 4096
         assert list(obj.page_span(4096)) == [1, 2, 3]
-
-
-class TestHelpers:
-    def test_total_bytes(self):
-        objs = [HeapObject(size=64), HeapObject(size=100)]
-        assert total_bytes(objs) == 164
-
-    def test_total_bytes_empty(self):
-        assert total_bytes([]) == 0
-
-    def test_header_reader_matches_object_ids(self):
-        objs = [HeapObject(size=64) for _ in range(5)]
-        assert ObjectHeaderReader.read_all(objs) == [o.object_id for o in objs]
-        assert ObjectHeaderReader.identity_hash(objs[0]) == objs[0].object_id

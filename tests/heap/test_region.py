@@ -79,9 +79,6 @@ class TestAccounting:
         assert pages[0] == region.base // 4096
         assert len(pages) == 2
 
-    def test_full_page_span(self, region):
-        assert len(list(region.full_page_span(4096))) == 65536 // 4096
-
 
 class TestReset:
     def test_reset_clears_everything(self, region):

@@ -175,34 +175,3 @@ class TestVersionPolicy:
         self._write_with_schema(path, "something-else")
         with pytest.raises(ProfileFormatError, match="unknown snapshot store"):
             list(SnapshotStore.iter_file(path))
-
-
-class TestDeltaPayloadStrictness:
-    COMMON = dict(
-        seq=2,
-        time_ms=2.0,
-        engine="criu",
-        pages_written=1,
-        size_bytes=64,
-        duration_us=1.0,
-        incremental=True,
-    )
-
-    def test_missing_born_ids_raises(self):
-        payload = dict(self.COMMON, dead_ids=[1, 2])
-        with pytest.raises(ProfileFormatError, match="born_ids"):
-            Snapshot.from_dict(payload)
-
-    def test_missing_dead_ids_raises_naming_source(self):
-        payload = dict(self.COMMON, born_ids=[1, 2])
-        with pytest.raises(ProfileFormatError) as excinfo:
-            Snapshot.from_dict(payload, source="/rec/snapshots.jsonl")
-        message = str(excinfo.value)
-        assert "/rec/snapshots.jsonl" in message
-        assert "dead_ids" in message
-        assert "seq 2" in message
-
-    def test_full_payload_still_loads(self):
-        payload = dict(self.COMMON, live_object_ids=[1, 2, 3])
-        snapshot = Snapshot.from_dict(payload)
-        assert snapshot.live_object_ids == {1, 2, 3}

@@ -1,7 +1,5 @@
 """Unit tests for the snapshot store and the delta representation."""
 
-import pickle
-
 import pytest
 
 from repro.snapshot.snapshot import Snapshot, SnapshotStore
@@ -62,9 +60,6 @@ class TestSnapshotStore:
         store.append(snap(1, 0.0, size=4096))
         store.append(snap(2, 1.0, size=8192))
         assert store.total_bytes() == 12288
-        assert store.sizes_bytes() == [4096, 8192]
-        assert store.total_duration_us() == 200.0
-        assert store.durations_us() == [100.0, 100.0]
 
     def test_snapshots_is_immutable_view(self):
         store = SnapshotStore()
@@ -158,15 +153,7 @@ class TestDeltaSnapshots:
             SnapshotStore.load(full_path)
         )
 
-    def test_store_pickles_compactly_and_correctly(self):
-        store = delta_chain(self.LIVE_SETS)
-        clone = pickle.loads(pickle.dumps(store))
-        assert list(clone) == list(store)
-        assert all(s.is_delta for s in clone)
-
     def test_long_chain_does_not_recurse(self):
         live_sets = [set(range(i, i + 4)) for i in range(3000)]
         store = delta_chain(live_sets)
         assert store[-1].live_object_ids == frozenset(live_sets[-1])
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone[-1].live_object_ids == frozenset(live_sets[-1])

@@ -128,7 +128,7 @@ class TestThirdPartyStrategy:
                 jobs=1,
             )
         )
-        cell = runner.result(WORKLOAD, "g1-observed")
+        cell = runner.cell(WORKLOAD, "g1-observed")
         assert cell.strategy == "g1-observed"
         matrix = runner.full_matrix(
             workloads=[WORKLOAD], strategies=["g1", "g1-observed"]

@@ -6,14 +6,17 @@ The agent/event refactor routed every profiler through
 evacuation engine (plans only), one sweep scheduler (``jobs`` picks
 in-process or the pool), one profile-store layout (content-addressed
 objects plus ``latest`` pointers, v2 profiles only), one tick loop
-(``pipeline.drive``), one sweep cache (``sqlite:///PATH``) and one
-offline entry point (``analyze_recording``).  This test keeps it that
-way: no package module or example may use the removed listener shims,
-legacy attach seams, the batch analyzer, the second snapshot format,
-the per-object evacuation loop, the scheduler modes, the
-``MatrixCache`` view, the flat profile-file API, the v1 profile format,
-the JSON-directory cache or ``ProfileBuilder.from_recording``, and only
-``core/pipeline.py`` may tick a workload.
+(``pipeline.drive``), one sweep cache (``sqlite:///PATH``), one
+offline entry point (``analyze_recording``) and one cell path (a
+single ready queue in ``run_sweep``; a cell keeps only its results).
+This test keeps it that way: no package module or example may use the
+removed listener shims, legacy attach seams, the batch analyzer, the
+second snapshot format, the per-object evacuation loop, the scheduler
+modes, the ``MatrixCache`` view, the flat profile-file API, the v1
+profile format, the JSON-directory cache,
+``ProfileBuilder.from_recording``, the sharded pool, the runner's
+``result``/``series_support`` aliases or the snapshot-payload pickling,
+and only ``core/pipeline.py`` may tick a workload.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ _REMOVED = re.compile(
     r"polm2-profile-v1|"
     r"\.load_tree\(|\.has_profile\(|\.list_workloads\(|\.load_all\(|"
     r"\bDirCacheBackend\b|dir:///|\bREPRO_CACHE_DIR\b|--cache-dir\b|"
-    r"\bcache_dir=|\bfrom_recording\(|\b_reset_identity_hashes\b"
+    r"\bcache_dir=|\bfrom_recording\(|\b_reset_identity_hashes\b|"
+    r"\b_ShardedScheduler\b|\b_run_sweep_pool\b|\bseries_support\b|"
+    r"\bto_full_dict\b|\b_from_payloads\b|\bSnapshot\.from_dict\b|"
+    r"\brunner\.result\("
 )
 
 #: Workload ticks; only the one tick loop (``core/pipeline.py``) may call it.
@@ -77,6 +83,6 @@ def test_no_direct_alloc_listener_calls_outside_runtime():
         "evacuate with an EvacuationPlan, pick the scheduler with jobs, "
         "use ProfileStore.put/load_latest/select, cache in sqlite:///PATH, "
         "analyze recordings with analyze_recording, tick workloads "
-        "through pipeline.drive): "
+        "through pipeline.drive, compute cells through run_sweep): "
         + "; ".join(offenders)
     )
