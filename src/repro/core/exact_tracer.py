@@ -97,26 +97,6 @@ class ExactLifetimeTracer(VMAgent):
         self._pending.append(obj.object_id)
         self.vm.clock.advance_us(self.vm.config.costs.exact_log_us)
 
-    def on_allocation_batch(self, event) -> None:
-        """Batch logging: one stream extend, per-object clock charges.
-
-        The tracer keeps ``heap.ref_write_listeners`` populated, so any
-        batch carrying ``link_from`` already fell back to the scalar path
-        in the VM — this only ever sees plain allocation runs.
-        """
-        trace_id = self.records.intern_trace(event.trace)
-        first = event.first_object_id
-        ids = array("q", range(first, first + event.count))
-        self.records.streams[trace_id].extend(ids)
-        cycle = self.vm.collector.cycles if self.vm.collector else 0
-        birth = self.birth_cycle
-        advance = self.vm.clock.advance_us
-        cost = self.vm.config.costs.exact_log_us
-        for object_id in ids:
-            birth[object_id] = cycle
-            advance(cost)
-        self._pending.extend(ids)
-
     def _on_ref_update(self, parent: "HeapObject", child) -> None:
         # Merlin: every pointer store/clear updates the timestamp of the
         # objects that may have just lost their last incoming reference.

@@ -242,31 +242,19 @@ class Recorder(VMAgent):
             # the paper accepts in exchange for offline analysis.
             vm.clock.advance_us(vm.config.costs.record_log_us)
 
-    def on_allocation_batch(self, event) -> None:
-        """Log a whole quiet run: one stream extend instead of N appends.
+    def on_allocation_batch(
+        self, objs: List["HeapObject"], site: AllocSite, trace: tuple
+    ) -> None:
+        """:meth:`on_allocation` for each of ``objs``, in order.
 
-        Byte-for-byte equivalent to ``count`` :meth:`on_allocation` calls:
-        object ids in a batch are consecutive from ``first_object_id``,
-        and the per-allocation logging cost still advances the clock once
-        per object (float accumulation is not associative).
+        Not an agent hook, and nothing under ``src/`` calls it: it is kept
+        only because the end-to-end benchmark's tracer wraps it by name.
+        Delete it together with the benchmark's
+        ``recorder.alloc_batch_hook.*`` metrics (the open benchmark item
+        in ROADMAP.md).
         """
-        vm_trace_id = event.trace_id
-        if vm_trace_id:
-            record_id = self._record_ids_by_vm_trace.get(vm_trace_id)
-            if record_id is None:
-                record_id = self.records.intern_trace(event.trace)
-                self._record_ids_by_vm_trace[vm_trace_id] = record_id
-        else:
-            record_id = self.records.intern_trace(event.trace)
-        first = event.first_object_id
-        self.records.streams[record_id].extend(
-            array("q", range(first, first + event.count))
-        )
-        if self.vm is not None:
-            advance = self.vm.clock.advance_us
-            cost = self.vm.config.costs.record_log_us
-            for _ in range(event.count):
-                advance(cost)
+        for obj in objs:
+            self.on_allocation(obj, site, trace)
 
     # -- GC cycle callback ----------------------------------------------------------------
 

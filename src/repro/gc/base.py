@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.idset import IdSet
 from repro.errors import GCError
@@ -67,26 +67,6 @@ class GenerationalCollector(abc.ABC):
 
     def after_allocation(self, size: int, gen_id: int) -> None:
         """Post-allocation hook (pretenured-byte accounting); optional."""
-
-    def batch_headroom(self, gen_id: int, max_size: int) -> Tuple[int, int]:
-        """``(quiet_bytes, spare_regions)`` for the batched allocation path.
-
-        ``quiet_bytes`` is a byte budget B such that allocating any
-        sequence of objects (each at most ``max_size``) totalling at most
-        B into ``gen_id`` makes every :meth:`before_allocation` call a
-        guaranteed no-op; ``spare_regions`` bounds how many fresh regions
-        those allocations may claim without tripping a free-reserve
-        trigger.  The VM's batch front-end calls :meth:`before_allocation`
-        *for real* once per quiet run, skips it for the rest of the run,
-        and charges :meth:`after_allocation` once with the run's byte sum
-        — sound only while ``after_allocation`` is additive in ``size``
-        (all shipped collectors' are).
-
-        The default ``(0, 0)`` keeps custom collectors on the exact
-        scalar sequence: every object gets its own ``before_allocation``/
-        ``after_allocation`` pair.
-        """
-        return (0, 0)
 
     @abc.abstractmethod
     def handle_oom(self) -> None:

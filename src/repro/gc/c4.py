@@ -83,25 +83,6 @@ class C4Collector(GenerationalCollector):
         # into generation zero and is compacted concurrently in place.
         return YOUNG_GEN
 
-    def batch_headroom(self, gen_id, max_size):
-        """Quiet-run budget: occupancy stays under the cycle trigger.
-
-        ``int()`` floors the float trigger, so staying within the budget
-        implies ``used + size <= trigger`` for every allocation in the
-        run; eight spare regions below the free-count floor bound the
-        fresh-region claims.
-        """
-        vm = self._require_vm()
-        heap = vm.heap
-        spare = heap.free_region_count - 8
-        if spare < 0:
-            return (0, 0)
-        quiet = (
-            int(self.CYCLE_TRIGGER_OCCUPANCY * vm.config.heap_bytes)
-            - heap.used_bytes
-        )
-        return (quiet if quiet > 0 else 0, spare)
-
     def handle_oom(self) -> None:
         self.concurrent_cycle()
 

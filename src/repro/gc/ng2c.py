@@ -149,35 +149,6 @@ class NG2CCollector(GenerationalCollector):
         if gen_id != YOUNG_GEN:
             self._pretenured_since_gc += size
 
-    def batch_headroom(self, gen_id, max_size):
-        """Quiet-run budget covering all three allocation triggers.
-
-        Young runs: quiet while cumulative bytes stay within the young
-        budget *and* the pretenured-byte trigger (checked whenever the
-        young trigger does not fire) is not already armed.  Pretenured
-        runs: the young trigger must be unfireable for every size in the
-        batch, and the pretenured counter — which grows with each
-        allocation — must stay strictly below the budget at every
-        intermediate check, hence the ``- 1``.
-        """
-        vm = self._require_vm()
-        heap = vm.heap
-        spare = heap.free_region_count - self._free_reserve_regions
-        if spare < 0:
-            return (0, 0)
-        young_budget = vm.config.young_bytes
-        young_used = heap.young.used_bytes
-        if gen_id == YOUNG_GEN:
-            if self._pretenured_since_gc >= young_budget:
-                quiet = 0
-            else:
-                quiet = young_budget - young_used
-        elif young_used + max_size <= young_budget:
-            quiet = young_budget - self._pretenured_since_gc - 1
-        else:
-            quiet = 0
-        return (quiet if quiet > 0 else 0, spare)
-
     def handle_oom(self) -> None:
         self.full_collect()
 

@@ -8,7 +8,7 @@ from repro.config import PAGE_SIZE, REGION_SIZE, YOUNG_GEN, SimConfig
 from repro.core.idset import IdSet
 from repro.errors import OutOfMemoryError, UnknownGenerationError
 from repro.heap.evacuation import EvacuationPlan
-from repro.heap.objects import HeapObject, reserve_identity_hashes
+from repro.heap.objects import HeapObject
 from repro.heap.page import PageTable
 from repro.heap.region import Region
 from repro.heap.space import Generation
@@ -225,49 +225,23 @@ class SimHeap:
 
     def allocate_batch(
         self,
-        sizes,
-        starts,
-        start: int,
-        stop: int,
+        sizes: Sequence[int],
         gen_id: int = YOUNG_GEN,
         site_id: int = 0,
         trace_id: int = 0,
         birth_cycle: int = 0,
-        materialize: bool = False,
-    ) -> Tuple[int, Optional[List[HeapObject]]]:
-        """Bulk-allocate batch objects ``[start, stop)`` into ``gen_id``.
+    ) -> List[HeapObject]:
+        """:meth:`allocate` once per entry of ``sizes``, in order.
 
-        The columnar fast path behind :meth:`allocate`: one consecutive
-        identity-hash block is reserved for the run, the generation
-        extends its region columns chunk-wise, and no :class:`HeapObject`
-        is boxed unless ``materialize`` asks for views (which then carry
-        the given ``trace_id``/``birth_cycle``, exactly as scalar
-        allocation would have stamped them).  Objects must each fit in a
-        region (the caller routes humongous sizes through the scalar
-        path).  Returns ``(first_object_id, views_or_None)``.
+        Nothing under ``src/`` calls this: it is kept only because the
+        end-to-end benchmark's tracer wraps it by name.  Delete it together
+        with the benchmark's ``heap.allocate_batch.*`` metrics (the open
+        benchmark item in ROADMAP.md).
         """
-        gen = self.generation(gen_id)
-        count = stop - start
-        first_id = reserve_identity_hashes(count)
-        chunks = gen.allocate_batch(
-            self.page_table, first_id - start, sizes, starts, start, stop,
-            site_id,
-        )
-        total = starts[stop - 1] + sizes[stop - 1] - starts[start]
-        self.total_allocated_bytes += total
-        self.total_allocated_objects += count
-        views: Optional[List[HeapObject]] = None
-        if materialize:
-            views = []
-            append = views.append
-            for region, base_slot, a, b in chunks:
-                view_at = region.view_at
-                for slot in range(base_slot, base_slot + (b - a)):
-                    view = view_at(slot)
-                    view.trace_id = trace_id
-                    view.birth_cycle = birth_cycle
-                    append(view)
-        return first_id, views
+        return [
+            self.allocate(size, gen_id, 0, site_id, trace_id, birth_cycle)
+            for size in sizes
+        ]
 
     # -- humongous objects -----------------------------------------------------------
 
@@ -509,10 +483,6 @@ class SimHeap:
                     survivor_bytes += placed
                 if dest_gen_id != YOUNG_GEN:
                     for obj in region.objects[start:stop]:
-                        if obj is None:
-                            # Lazy batch placeholder: never materialized,
-                            # so it cannot hold outgoing references.
-                            continue
                         for child in obj._refs:
                             if child.gen_id == YOUNG_GEN:
                                 # Promotion created an old->young edge.
@@ -648,9 +618,6 @@ class SimHeap:
         base = region.base
         gen_id = region.gen_id
         for slot, obj in enumerate(region.objects):
-            if obj is None:
-                # Lazy batch placeholder: the columns alone describe it.
-                continue
             assert obj._region is region and obj._slot == slot, (
                 f"object {obj.object_id} view points at "
                 f"({obj._region and obj._region.index}, {obj._slot}), "

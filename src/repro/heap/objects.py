@@ -42,20 +42,6 @@ def next_identity_hash() -> int:
     return value
 
 
-def reserve_identity_hashes(count: int) -> int:
-    """Reserve ``count`` consecutive identity hashes; returns the first.
-
-    The batched allocation front-end assigns ids to a whole homogeneous
-    batch at once; drawing them as one block keeps the id sequence
-    identical to ``count`` scalar allocations (consecutive, in allocation
-    order), which the recorder streams and golden digests depend on.
-    """
-    global _next_identity_hash
-    first = _next_identity_hash
-    _next_identity_hash = first + count
-    return first
-
-
 class HeapObject:
     """A simulated heap object.
 
@@ -126,40 +112,6 @@ class HeapObject:
         self._refs: List[HeapObject] = []
         self._region = None
         self._slot = -1
-
-    @classmethod
-    def from_columns(
-        cls,
-        object_id: int,
-        size: int,
-        site_id: int,
-        age: int,
-        gen_id: int,
-        address: int,
-    ) -> "HeapObject":
-        """Materialize a view for a lazily allocated slot.
-
-        Batch allocation without refs or roots leaves ``None`` placeholders
-        in ``Region.objects`` (the object is garbage from birth, so nothing
-        can reach it); this constructor rebuilds a view from the region
-        columns *without* drawing a fresh identity hash.  ``trace_id`` and
-        ``birth_cycle`` are not column-mirrored and come back as 0.
-        """
-        view = cls.__new__(cls)
-        view.object_id = object_id
-        view.class_id = 0
-        view.size = size
-        view.site_id = site_id
-        view.trace_id = 0
-        view.gen_id = gen_id
-        view.address = address
-        view._age = age
-        view.birth_cycle = 0
-        view.mark_epoch = 0
-        view._refs = []
-        view._region = None
-        view._slot = -1
-        return view
 
     @property
     def age(self) -> int:

@@ -152,11 +152,8 @@ class Region:
         self.size = size
         self.top = 0
         self.gen_id: Optional[int] = None
-        #: Lazy object views, parallel to the columns below.  Batch
-        #: allocation leaves ``None`` placeholders (garbage-from-birth
-        #: objects that nothing can reach); :meth:`view_at` materializes
-        #: a view on demand.
-        self.objects: List[Optional[HeapObject]] = []
+        #: Object views, parallel to the columns below.
+        self.objects: List[HeapObject] = []
         self._ids = array("q")
         self._sizes = array("q")
         self._sites = array("q")
@@ -228,84 +225,6 @@ class Region:
         objects.append(obj)
         return address
 
-    def append_batch(
-        self,
-        first_id: int,
-        sizes: array,
-        starts: array,
-        start: int,
-        stop: int,
-        site_id: int,
-    ) -> Tuple[int, int, int]:
-        """Bulk-append batch objects ``[start, stop)`` at the bump pointer.
-
-        ``sizes`` and ``starts`` are the whole batch's size column and its
-        exclusive prefix sums (``starts[i]`` = bytes before object ``i``);
-        ids are consecutive from ``first_id``.  Columns are extended with
-        C-level slice/range operations and the offset slice is rebased
-        with one lane add, exactly like :meth:`absorb_slice`.  Object
-        views are **not** built: ``None`` placeholders are appended and
-        :meth:`view_at` materializes a view on demand.  Returns
-        ``(dest_top, span_bytes, base_slot)``; the caller handles page
-        accounting and generation bookkeeping.
-        """
-        count = stop - start
-        dest_top = self.top
-        if stop < len(starts):
-            span = starts[stop] - starts[start]
-        else:
-            span = starts[stop - 1] + sizes[stop - 1] - starts[start]
-        if dest_top + span > self.size:
-            raise RegionFullError(
-                f"region {self.index}: {span} bytes requested, "
-                f"{self.size - dest_top} free"
-            )
-        delta = dest_top - starts[start]
-        if delta == 0:
-            rebased = starts[start:stop]
-        else:
-            packed = _pack_lanes(starts, start, stop)
-            if delta > 0:
-                packed += delta * lane_ones(count)
-            else:
-                packed -= (-delta) * lane_ones(count)
-            rebased = _unpack_lanes(packed, count)
-        base_slot = len(self.objects)
-        ids = self._ids
-        if ids and first_id + start != ids[-1] + 1:
-            self._id_breaks.append(base_slot)
-        ids.extend(array("q", range(first_id + start, first_id + stop)))
-        self._sizes.extend(sizes[start:stop])
-        self._sites.extend(array("q", (site_id,)) * count)
-        self._ages.extend(array("q", bytes(8 * count)))
-        self._offsets.extend(rebased)
-        self.objects.extend([None] * count)
-        self.top = dest_top + span
-        return dest_top, span, base_slot
-
-    def view_at(self, slot: int) -> HeapObject:
-        """The view for ``slot``, materializing a lazy placeholder.
-
-        Batch-allocated slots hold ``None`` until someone needs the boxed
-        object; the rebuilt view reuses the column-recorded identity hash
-        (no fresh id is drawn) and is wired back into ``objects`` so the
-        view/column lockstep invariant holds from then on.
-        """
-        view = self.objects[slot]
-        if view is None:
-            view = HeapObject.from_columns(
-                object_id=self._ids[slot],
-                size=self._sizes[slot],
-                site_id=self._sites[slot],
-                age=self._ages[slot],
-                gen_id=self.gen_id if self.gen_id is not None else -1,
-                address=self.base + self._offsets[slot],
-            )
-            view._region = self
-            view._slot = slot
-            self.objects[slot] = view
-        return view
-
     def adopt_humongous(self, obj: HeapObject) -> None:
         """Register an over-region-size object whose run starts here.
 
@@ -344,11 +263,8 @@ class Region:
         container of object ids (tested with ``in``).
         """
         if isinstance(live, int):
-            # Lazy batch placeholders (None) were garbage from birth and
-            # can never be epoch-marked.
             flags = bytearray(
-                1 if o is not None and o.mark_epoch == live else 0
-                for o in self.objects
+                1 if o.mark_epoch == live else 0 for o in self.objects
             )
         elif isinstance(live, IdSet):
             flags = bytearray(len(self._ids))
@@ -548,7 +464,7 @@ class Region:
         are left alone.
         """
         for view in self.objects:
-            if view is not None and view._region is self:
+            if view._region is self:
                 view._region = None
                 view._slot = -1
         del self.objects[:]

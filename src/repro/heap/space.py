@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional
 
 from repro.errors import OutOfMemoryError
 from repro.heap.objects import HeapObject
@@ -66,60 +66,6 @@ class Generation:
         self._alloc_region = region
         return region
 
-    def bump_room(self) -> int:
-        """Free bytes left in the current allocation region (0 if none)."""
-        region = self._alloc_region
-        return region.free_bytes if region is not None else 0
-
-    def allocate_batch(
-        self,
-        page_table,
-        id_base: int,
-        sizes,
-        starts,
-        start: int,
-        stop: int,
-        site_id: int,
-    ) -> List[Tuple[Region, int, int, int]]:
-        """Bulk-allocate batch objects ``[start, stop)`` into this generation.
-
-        ``sizes``/``starts`` are the whole batch's size column and its
-        exclusive prefix sums; the object at batch index ``i`` gets
-        identity hash ``id_base + i``.  The chunking mirrors
-        :meth:`place_slice` — and therefore per-object bump allocation —
-        exactly: fill the current region with the longest prefix that fits
-        (one bisect over the prefix sums), claim a fresh region precisely
-        where the scalar path would, repeat.  Page dirtying and occupancy
-        are updated once per chunk.  Returns ``(region, base_slot,
-        chunk_start, chunk_stop)`` per chunk so the caller can materialize
-        views on demand.
-        """
-        chunks: List[Tuple[Region, int, int, int]] = []
-        p = start
-        while p < stop:
-            region = self._alloc_region
-            if region is None or not region.has_room(sizes[p]):
-                region = self._claim_region(sizes[p])
-            limit = starts[p] + (region.size - region.top)
-            j = bisect_right(starts, limit, p + 1, stop)
-            if j == stop and starts[stop - 1] + sizes[stop - 1] <= limit:
-                q = stop
-            else:
-                q = j - 1
-            dest_top, span, base_slot = region.append_batch(
-                id_base, sizes, starts, p, q, site_id
-            )
-            base = region.base
-            page_table.mark_written_range(base + dest_top, span)
-            page_table.adjust_occupancy_run(
-                base, region._offsets, base_slot, base_slot + (q - p),
-                region.top, 1,
-            )
-            self._used_bytes += span
-            chunks.append((region, base_slot, p, q))
-            p = q
-        return chunks
-
     def place_slice(
         self,
         page_table,
@@ -166,26 +112,22 @@ class Generation:
                 region.top, 1,
             )
             slot = base_slot
-            # Lazy batch placeholders (None) move as pure column state;
-            # a later view_at materializes from the destination columns.
             if sync_ages:
                 for view, off, age in zip(
                     views, rebased, region._ages[base_slot:]
                 ):
-                    if view is not None:
-                        view._region = region
-                        view._slot = slot
-                        view.address = dbase + off
-                        view.gen_id = gen_id
-                        view._age = age
+                    view._region = region
+                    view._slot = slot
+                    view.address = dbase + off
+                    view.gen_id = gen_id
+                    view._age = age
                     slot += 1
             else:
                 for view, off in zip(views, rebased):
-                    if view is not None:
-                        view._region = region
-                        view._slot = slot
-                        view.address = dbase + off
-                        view.gen_id = gen_id
+                    view._region = region
+                    view._slot = slot
+                    view.address = dbase + off
+                    view.gen_id = gen_id
                     slot += 1
             self._used_bytes += span
             placed += span

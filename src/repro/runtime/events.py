@@ -21,19 +21,8 @@ Event kinds
     ``(obj, site, trace)`` triple, exactly the historical alloc-listener
     signature.  When no subscriber exists the VM skips trace capture
     entirely (the "no listeners → no trace capture" short-circuit).
-``ALLOCATION_BATCH``
-    One homogeneous run of allocations through a record-hooked site on
-    the batched fast path (``VM.allocate_batch``).  Payload:
-    :class:`AllocationBatchEvent` — the shared site/trace plus the first
-    object id and the per-object sizes; object ids are consecutive, so
-    ``range(first_object_id, first_object_id + count)`` enumerates them
-    in allocation order.  Consumers that charge per-allocation mutator
-    time must charge it once per object (the virtual clock is a float
-    accumulator; one ``n×cost`` addition is not byte-identical to ``n``
-    additions of ``cost``).  While ``ALLOCATION`` has more subscribers
-    than ``ALLOCATION_BATCH`` (an agent defining only ``on_allocation``,
-    or a bare callable), ``VM.allocate_batch`` takes the scalar dispatch
-    path so no subscriber misses an allocation.
+    ``SimThread.alloc_batch`` loops over the same path, so each object of
+    a batch is published once, like any other allocation.
 ``SAFEPOINT``
     A workload-declared safepoint (memtable flush, segment merge, batch
     completion).  Payload: :class:`SafepointEvent`.
@@ -60,12 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.idset import IdSet
     from repro.gc.events import GCPause
     from repro.heap.objects import HeapObject
-    from repro.runtime.code import AllocSite, ClassModel
+    from repro.runtime.code import ClassModel
     from repro.runtime.vm import VM
 
 CLASS_LOAD = "class-load"
 ALLOCATION = "allocation"
-ALLOCATION_BATCH = "allocation-batch"
 SAFEPOINT = "safepoint"
 GC_START = "gc-start"
 GC_END = "gc-end"
@@ -74,7 +62,6 @@ SNAPSHOT_POINT = "snapshot-point"
 EVENT_KINDS = (
     CLASS_LOAD,
     ALLOCATION,
-    ALLOCATION_BATCH,
     SAFEPOINT,
     GC_START,
     GC_END,
@@ -87,25 +74,6 @@ class ClassLoadEvent:
     """A class finished loading through the VM's class loader."""
 
     class_model: "ClassModel"
-
-
-@dataclasses.dataclass(frozen=True)
-class AllocationBatchEvent:
-    """One homogeneous batch run allocated through a record-hooked site.
-
-    Every object in the run shares ``site``, ``trace``/``trace_id``, and
-    ``gen_id``; ids are consecutive from ``first_object_id`` in
-    allocation order, and ``sizes[i]`` is the size of object
-    ``first_object_id + i``.
-    """
-
-    site: "AllocSite"
-    trace: tuple
-    trace_id: int
-    first_object_id: int
-    count: int
-    sizes: Sequence[int]
-    gen_id: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,7 +169,6 @@ class VMAgent:
         registered as a class transformer (load-time rewriting);
     ``on_class_load(event: ClassLoadEvent)``
     ``on_allocation(obj, site, trace)``   *(hot path — raw args)*
-    ``on_allocation_batch(event: AllocationBatchEvent)``
     ``on_safepoint(event: SafepointEvent)``
     ``on_gc_start(event: GCStartEvent)``
     ``on_gc_end(event: GCEndEvent)``
@@ -228,7 +195,6 @@ class VMAgent:
 AGENT_HOOKS = (
     (CLASS_LOAD, "on_class_load"),
     (ALLOCATION, "on_allocation"),
-    (ALLOCATION_BATCH, "on_allocation_batch"),
     (SAFEPOINT, "on_safepoint"),
     (GC_START, "on_gc_start"),
     (GC_END, "on_gc_end"),

@@ -134,24 +134,14 @@ class SimThread:
         return obj
 
     def alloc_batch(
-        self,
-        line: int,
-        sizes: Optional[Sequence[int]] = None,
-        count: Optional[int] = None,
-        link_from: Optional[HeapObject] = None,
-        keep: bool = False,
-        materialize: bool = False,
-    ) -> Optional[List[HeapObject]]:
-        """Allocate a homogeneous batch at the site on ``line``.
+        self, line: int, count: int, link_from: Optional[HeapObject] = None
+    ) -> List[HeapObject]:
+        """Allocate ``count`` objects of the site's ``size_hint`` on ``line``.
 
-        The bulk front-end for workload inner loops: one site lookup and
-        one :meth:`VM.allocate_batch` call replace ``count`` scalar
-        :meth:`alloc` calls.  Pass either explicit ``sizes`` or ``count``
-        (which repeats the site's ``size_hint``).  ``link_from`` writes a
-        reference from that object to each allocated one (the usual
-        container-holds-elements idiom).  ``keep`` roots each object in
-        the current frame and implies ``materialize``; the default leaves
-        objects as lazy column views, returning ``None``.
+        One site lookup, then :meth:`VM.allocate_batch` (a loop over the
+        scalar path).  ``link_from`` writes a reference from that object
+        to each allocated one (the usual container-holds-elements idiom);
+        the objects are not rooted in the current frame.
         """
         if not self.frames:
             raise NoActiveFrameError(f"thread {self.name!r} has no active frame")
@@ -163,30 +153,17 @@ class SimThread:
                 f"{frame.method.class_name}.{frame.method.name} has no "
                 f"allocation site at line {line}"
             )
-        if sizes is None:
-            if count is None:
-                raise ValueError("alloc_batch needs sizes or count")
-            sizes = [site.size_hint] * count
         if site.gen_annotated:
             if site.pre_set_gen is not None:
                 pretenure_index = site.pre_set_gen
-                self.vm.set_generation_calls += 2 * len(sizes)
+                self.vm.set_generation_calls += 2 * count
             else:
                 pretenure_index = self.target_gen
         else:
             pretenure_index = 0
-        objs = self.vm.allocate_batch(
-            thread=self,
-            site=site,
-            sizes=sizes,
-            pretenure_index=pretenure_index,
-            link_from=link_from,
-            materialize=materialize or keep,
+        return self.vm.allocate_batch(
+            self, site, [site.size_hint] * count, pretenure_index, link_from
         )
-        if keep and objs:
-            for obj in objs:
-                frame.keep(obj)
-        return objs
 
     def current_stack_trace(self) -> tuple:
         return capture_stack_trace(self.frames)

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right
-from itertools import accumulate
 from typing import (
     Callable,
     Dict,
@@ -26,10 +23,8 @@ from repro.runtime.code import AllocSite, SiteRegistry
 from repro.runtime.events import (
     AGENT_HOOKS,
     ALLOCATION,
-    ALLOCATION_BATCH,
     CLASS_LOAD,
     SAFEPOINT,
-    AllocationBatchEvent,
     ClassLoadEvent,
     EventBus,
     SafepointEvent,
@@ -76,14 +71,6 @@ class VM:
         #: is captured at all — the PR 2 fast-path invariant.
         self._alloc_listeners: List[AllocListener] = self.events.listener_list(
             ALLOCATION
-        )
-        #: Same hot-path aliasing for the batched front-end's event list.
-        #: While ALLOCATION has more subscribers than ALLOCATION_BATCH,
-        #: some subscriber has no batch hook, so ``allocate_batch`` on a
-        #: record-hooked site falls back to scalar dispatch — no
-        #: subscriber ever misses an allocation.
-        self._batch_alloc_listeners: List[Callable] = self.events.listener_list(
-            ALLOCATION_BATCH
         )
         #: The recorded-allocation trace cache (see :meth:`_recorded_trace`):
         #: ``(caller prefix id, site id) -> (trace, trace id)``, and the
@@ -287,185 +274,19 @@ class VM:
         sizes: Sequence[int],
         pretenure_index: int = 0,
         link_from: Optional[HeapObject] = None,
-        materialize: bool = False,
-    ) -> Optional[List[HeapObject]]:
-        """Allocate a homogeneous batch through one site (the fast path).
+    ) -> List[HeapObject]:
+        """Allocate one object per entry of ``sizes`` through ``site``.
 
-        Observably equivalent — addresses, region claims, GC triggers,
-        clock charges, recorder streams, remembered sets — to
-
-        .. code-block:: python
-
-            for size in sizes:
-                obj = vm.allocate_at_site(thread, site, size, pretenure_index)
-                if link_from is not None:
-                    vm.heap.write_ref(link_from, obj)
-
-        but amortized: site id, interned trace, and generation resolve
-        once per quiet run, collector hooks are charged per run (each run
-        opens with one *real* ``before_allocation``; the skipped calls are
-        proven no-ops by :meth:`~repro.gc.base.GenerationalCollector
-        .batch_headroom`), the heap extends region columns in bulk without
-        boxing a ``HeapObject`` per allocation, and one
-        :class:`AllocationBatchEvent` per run replaces per-object listener
-        dispatch.  Per-allocation *clock* charges still loop per object —
-        the virtual clock is a float accumulator, and one ``n×cost`` add
-        is not byte-identical to ``n`` adds of ``cost``.
-
-        Falls back to the scalar path whenever batching could be observed:
-        a record-hooked site while ALLOCATION has more subscribers than
-        ALLOCATION_BATCH (some subscriber has no batch hook),
-        over-region-size (humongous) objects, ``link_from`` while Merlin
-        ref-write listeners are attached, and pretenured record-hooked
-        batches (whose pretenure and logging clock charges interleave).
-
-        Returns the allocated objects when ``materialize`` is true, else
-        ``None`` (object views are built lazily, on demand).
+        A loop over :meth:`allocate_at_site`; with ``link_from``, each new
+        object is linked from it before the next allocation can collect.
         """
-        collector = self.collector
-        if collector is None:
-            raise OutOfMemoryError("no collector attached to the VM")
-        n = len(sizes)
-        if n == 0:
-            return [] if materialize else None
-        heap = self.heap
-        sizes_arr = sizes if isinstance(sizes, array) else array("q", sizes)
-        max_size = max(sizes_arr)
-        record_hook = site.record_hook
-        batch_listeners = self._batch_alloc_listeners
-        if (
-            max_size > heap.region_size
-            or (
-                record_hook
-                and len(self._alloc_listeners) > len(batch_listeners)
-            )
-            or (link_from is not None and heap.ref_write_listeners)
-            or (
-                pretenure_index != 0
-                and record_hook
-                and (self._alloc_listeners or batch_listeners)
-            )
-        ):
-            out = []
-            write_ref = heap.write_ref
-            for size in sizes_arr:
-                obj = self.allocate_at_site(thread, site, size, pretenure_index)
-                if link_from is not None:
-                    write_ref(link_from, obj)
-                out.append(obj)
-            return out if materialize else None
-        site_id = site.cached_site_id
-        if site_id == 0:
-            site_id = self.sites.site_id(site.location)
-            site.cached_site_id = site_id
-        trace: tuple = ()
-        trace_id = 0
-        if record_hook and batch_listeners:
-            # The stack cannot change mid-batch (no frame push/pop), so
-            # the interned trace resolves once for the whole batch.
-            trace, trace_id = self._recorded_trace(thread, site_id)
-        ends = array("q", accumulate(sizes_arr))
-        starts = array("q", (0,))
-        starts.extend(ends[: n - 1])
-        views: Optional[List[HeapObject]] = (
-            [] if (materialize or link_from is not None) else None
-        )
-        clock = self.clock
-        costs = self.config.costs
-        region_size = heap.region_size
-        p = 0
-        while p < n:
-            collector.before_allocation(sizes_arr[p])
-            gen_id = collector.resolve_allocation_gen(pretenure_index)
-            quiet, spare = collector.batch_headroom(gen_id, max_size)
-            if spare < 0:
-                spare = 0
-            room = heap.generation(gen_id).bump_room()
-            # Capacity usable with at most ``spare`` fresh-region claims:
-            # each region abandoned mid-run wastes at most max_size - 1
-            # bytes (the tail too small for the object that triggered the
-            # claim), hence the max_size haircuts.
-            cap = (room - max_size if room > max_size else 0) + spare * (
-                region_size - max_size
-            )
-            budget = quiet if quiet < cap else cap
-            q = p
-            if budget >= sizes_arr[p]:
-                q = bisect_right(ends, starts[p] + budget, p, n)
-            if q > p:
-                first_id, run_views = heap.allocate_batch(
-                    sizes_arr,
-                    starts,
-                    p,
-                    q,
-                    gen_id,
-                    site_id=site_id,
-                    trace_id=trace_id,
-                    birth_cycle=collector.cycles,
-                    materialize=views is not None,
-                )
-                if gen_id != 0:
-                    kib_cost = costs.pretenure_alloc_kib_us
-                    for i in range(p, q):
-                        clock.advance_us(kib_cost * (sizes_arr[i] / 1024.0))
-                collector.after_allocation(ends[q - 1] - starts[p], gen_id)
-                if record_hook and batch_listeners:
-                    event = AllocationBatchEvent(
-                        site=site,
-                        trace=trace,
-                        trace_id=trace_id,
-                        first_object_id=first_id,
-                        count=q - p,
-                        sizes=sizes_arr[p:q],
-                        gen_id=gen_id,
-                    )
-                    for listener in batch_listeners:
-                        listener(event)
-                if views is not None:
-                    views.extend(run_views)
-                    if link_from is not None:
-                        write_ref = heap.write_ref
-                        for obj in run_views:
-                            write_ref(link_from, obj)
-                p = q
-            else:
-                # No quiet headroom: one object the scalar way, reusing
-                # the real before_allocation that just ran.
-                size = sizes_arr[p]
-                try:
-                    obj = heap.allocate(
-                        size, gen_id, site_id=site_id, trace_id=trace_id,
-                        birth_cycle=collector.cycles,
-                    )
-                except OutOfMemoryError:
-                    collector.handle_oom()
-                    obj = heap.allocate(
-                        size, gen_id, site_id=site_id, trace_id=trace_id,
-                        birth_cycle=collector.cycles,
-                    )
-                if gen_id != 0:
-                    clock.advance_us(
-                        costs.pretenure_alloc_kib_us * (size / 1024.0)
-                    )
-                collector.after_allocation(size, gen_id)
-                if record_hook and batch_listeners:
-                    event = AllocationBatchEvent(
-                        site=site,
-                        trace=trace,
-                        trace_id=trace_id,
-                        first_object_id=obj.object_id,
-                        count=1,
-                        sizes=sizes_arr[p : p + 1],
-                        gen_id=gen_id,
-                    )
-                    for listener in batch_listeners:
-                        listener(event)
-                if views is not None:
-                    views.append(obj)
-                    if link_from is not None:
-                        heap.write_ref(link_from, obj)
-                p += 1
-        return views if materialize else None
+        objs = []
+        for size in sizes:
+            obj = self.allocate_at_site(thread, site, size, pretenure_index)
+            if link_from is not None:
+                self.heap.write_ref(link_from, obj)
+            objs.append(obj)
+        return objs
 
     def allocate_anonymous(
         self, size: int, refs: Sequence[HeapObject] = ()

@@ -36,9 +36,6 @@ class TelemetryAgent(VMAgent):
     def on_allocation(self, obj, site, trace) -> None:
         self.allocations_seen += 1
 
-    def on_allocation_batch(self, event) -> None:
-        self.allocations_seen += event.count
-
     def on_safepoint(self, event: "SafepointEvent") -> None:
         self.safepoints += 1
 

@@ -124,3 +124,33 @@ class TestGenerationBracket:
         with thread.entry("Outer", "run"):
             obj = thread.alloc(5, size=1024)
         assert obj.size == 1024
+
+
+class TestAllocBatch:
+    def test_count_uses_size_hint(self):
+        vm = build_vm()
+        thread = vm.new_thread("t")
+        with thread.entry("Outer", "run"):
+            objs = thread.alloc_batch(5, count=7)
+        assert [o.size for o in objs] == [64] * 7
+
+    def test_gen_annotated_site_pretenures(self):
+        vm = build_vm()
+        site = vm.classloader.lookup("Outer").method("run").alloc_site(5)
+        site.gen_annotated = True
+        site.pre_set_gen = 1
+        thread = vm.new_thread("t")
+        with thread.entry("Outer", "run"):
+            objs = thread.alloc_batch(5, count=4)
+        gen_id = vm.collector.ensure_generation(1)
+        assert [o.gen_id for o in objs] == [gen_id] * 4
+        assert vm.set_generation_calls == 2 * 4
+
+    def test_link_from_writes_refs(self):
+        vm = build_vm()
+        parent = vm.allocate_anonymous(64)
+        vm.roots.pin("p", parent)
+        thread = vm.new_thread("t")
+        with thread.entry("Outer", "run"):
+            objs = thread.alloc_batch(5, count=6, link_from=parent)
+        assert parent.refs == objs

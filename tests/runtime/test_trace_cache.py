@@ -54,9 +54,6 @@ class StackCheck:
     def on_allocation(self, obj, site, trace) -> None:
         self._check(trace)
 
-    def on_allocation_batch(self, event) -> None:
-        self._check(event.trace)
-
 
 def recorded_vm():
     """A VM whose two classes are loaded through an attached Recorder."""

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.config import SimConfig
+from repro.config import SimConfig, YOUNG_GEN
 from repro.errors import OutOfMemoryError
 from repro.gc.c4 import C4Collector
 from repro.gc.g1 import G1Collector
+from repro.gc.ng2c import NG2CCollector
 from repro.runtime.code import ClassModel
 from repro.runtime.events import ALLOCATION
 from repro.runtime.vm import VM
@@ -130,8 +131,6 @@ class TestMutatorTime:
         )
 
     def test_pretenured_allocation_pays_slow_path(self):
-        from repro.gc.ng2c import NG2CCollector
-
         vm = VM(SimConfig.small(), collector=NG2CCollector())
         model = ClassModel("C")
         site = model.add_method("m").add_alloc_site(10, "Obj", 4096)
@@ -144,3 +143,35 @@ class TestMutatorTime:
             thread.alloc(10)
         charged = vm.clock.now_us - before
         assert charged >= vm.config.costs.pretenure_alloc_kib_us * 4.0
+
+
+class TestAllocateAnonymousAccounting:
+    """Regression: anonymous allocations skipped ``after_allocation``."""
+
+    def test_after_allocation_charged(self):
+        class Counting(G1Collector):
+            def __init__(self):
+                super().__init__()
+                self.after_calls = []
+
+            def after_allocation(self, size, gen_id):
+                self.after_calls.append((size, gen_id))
+                super().after_allocation(size, gen_id)
+
+        collector = Counting()
+        vm = VM(SimConfig.small(), collector=collector)
+        vm.allocate_anonymous(256)
+        assert collector.after_calls == [(256, YOUNG_GEN)]
+
+    def test_pretenured_anonymous_charges_clock(self):
+        class OldAllocator(NG2CCollector):
+            def resolve_allocation_gen(self, pretenure_index):
+                return self.old_gen_id
+
+        vm = VM(SimConfig.small(), collector=OldAllocator())
+        before = vm.clock.now_us
+        vm.allocate_anonymous(2048)
+        expected = vm.config.costs.pretenure_alloc_kib_us * (2048 / 1024.0)
+        assert vm.clock.now_us == pytest.approx(before + expected)
+        # NG2C's pretenured-byte budget must see the allocation now.
+        assert vm.collector._pretenured_since_gc == 2048

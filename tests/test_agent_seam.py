@@ -7,16 +7,21 @@ evacuation engine (plans only), one sweep scheduler (``jobs`` picks
 in-process or the pool), one profile-store layout (content-addressed
 objects plus ``latest`` pointers, v2 profiles only), one tick loop
 (``pipeline.drive``), one sweep cache (``sqlite:///PATH``), one
-offline entry point (``analyze_recording``) and one cell path (a
-single ready queue in ``run_sweep``; a cell keeps only its results).
+offline entry point (``analyze_recording``), one cell path (a
+single ready queue in ``run_sweep``; a cell keeps only its results) and
+one allocation path (a batch is a loop over ``VM.allocate_at_site``).
 This test keeps it that way: no package module or example may use the
 removed listener shims, legacy attach seams, the batch analyzer, the
 second snapshot format, the per-object evacuation loop, the scheduler
 modes, the ``MatrixCache`` view, the flat profile-file API, the v1
 profile format, the JSON-directory cache,
 ``ProfileBuilder.from_recording``, the sharded pool, the runner's
-``result``/``series_support`` aliases or the snapshot-payload pickling,
-and only ``core/pipeline.py`` may tick a workload.
+``result``/``series_support`` aliases, the snapshot-payload pickling or
+the batched allocation path (batch events, quiet-run headroom, bulk
+region appends, lazy views); nothing there may call the two shims the
+end-to-end benchmark's tracer still wraps (``Recorder
+.on_allocation_batch`` and ``SimHeap.allocate_batch``); and only
+``core/pipeline.py`` may tick a workload.
 """
 
 from __future__ import annotations
@@ -45,7 +50,11 @@ _REMOVED = re.compile(
     r"\bcache_dir=|\bfrom_recording\(|\b_reset_identity_hashes\b|"
     r"\b_ShardedScheduler\b|\b_run_sweep_pool\b|\bseries_support\b|"
     r"\bto_full_dict\b|\b_from_payloads\b|\bSnapshot\.from_dict\b|"
-    r"\brunner\.result\("
+    r"\brunner\.result\(|"
+    r"\bAllocationBatchEvent\b|\bALLOCATION_BATCH\b|\bbatch_headroom\b|"
+    r"\bappend_batch\b|\bview_at\b|\bfrom_columns\b|"
+    r"\breserve_identity_hashes\b|\bbump_room\b|\bmaterialize=|"
+    r"\.on_allocation_batch\(|\bheap\.allocate_batch\("
 )
 
 #: Workload ticks; only the one tick loop (``core/pipeline.py``) may call it.
@@ -83,6 +92,7 @@ def test_no_direct_alloc_listener_calls_outside_runtime():
         "evacuate with an EvacuationPlan, pick the scheduler with jobs, "
         "use ProfileStore.put/load_latest/select, cache in sqlite:///PATH, "
         "analyze recordings with analyze_recording, tick workloads "
-        "through pipeline.drive, compute cells through run_sweep): "
+        "through pipeline.drive, compute cells through run_sweep, "
+        "allocate through VM.allocate_at_site): "
         + "; ".join(offenders)
     )
