@@ -20,12 +20,12 @@ legacy one (embedded here verbatim as the reference):
   the mixed collection.  The single-trace (DFS vs DFS) speedup is also
   recorded separately.
 * **no-need marking** — pre-snapshot page advice.  Legacy: a Python set
-  of needed pages and a per-page loop.  Current: per-region columnar
-  live-run sweeps into a ``bytearray`` needed map, applied with bulk
-  ``translate``/big-int passes.  Timed as the production snapshot point
-  calls it: the live :class:`IdSet` is prebuilt by the Recorder (shared
-  with the CRIU engine, which previously derived it itself) and passed
-  in via ``live_ids``.
+  of needed pages and a per-page loop.  Current: one walk over the
+  heap's regions that compares each object's mark epoch with the
+  trace's and stores its pages into a ``bytearray`` needed map, applied
+  with bulk ``translate``/big-int passes.  Timed as the Recorder calls
+  it at a snapshot point: with the mark epoch of the trace that found
+  the live set.
 
 Every comparison asserts *result parity* with the legacy implementation
 unconditionally.  The timing gates (trace-live ≥ 3×, alloc-logging ≥ 2×)
@@ -42,7 +42,6 @@ from typing import Dict, List, Set, Tuple
 from conftest import RESULTS_DIR, save_result
 
 from repro.config import SimConfig
-from repro.core.idset import IdSet
 from repro.core.recorder import AllocationRecords
 from repro.heap.heap import SimHeap
 from repro.runtime.code import ClassModel, SiteRegistry
@@ -245,10 +244,16 @@ def run_fast_logging(thread: SimThread, sites: list) -> AllocationRecords:
     return records
 
 
-def build_no_need_heap() -> Tuple[SimHeap, list]:
+def build_no_need_heap() -> Tuple[SimHeap, list, int]:
+    """A heap whose every other object is live: the live half is marked
+    with a fresh epoch, as a trace would mark it."""
     heap = SimHeap(SimConfig())
     objects = [heap.allocate(256) for _ in range(NO_NEED_OBJECTS)]
-    return heap, objects[:: 2]  # half the heap is live
+    live = objects[::2]
+    epoch = heap.new_mark_epoch()
+    for obj in live:
+        obj.mark_epoch = epoch
+    return heap, live, epoch
 
 
 def test_gc_loop_speed():
@@ -283,34 +288,17 @@ def test_gc_loop_speed():
     alloc_rate = ALLOC_EVENTS / fast_alloc_s
 
     # -- no-need marking ---------------------------------------------------
-    nn_heap, nn_live = build_no_need_heap()
+    nn_heap, nn_live, nn_epoch = build_no_need_heap()
     legacy_marked = legacy_mark_unused_pages_no_need(nn_heap, nn_live)
     legacy_pages = set(nn_heap.page_table.no_need_pages())
-    fast_marked = nn_heap.mark_unused_pages_no_need(nn_live)
+    fast_marked = nn_heap.mark_unused_pages_no_need(nn_epoch)
     fast_pages = set(nn_heap.page_table.no_need_pages())
     assert fast_marked == legacy_marked, "no-need marked count diverged"
     assert fast_pages == legacy_pages, "no-need page set diverged"
-    # Time the production call shape: at a snapshot point the Recorder
-    # already holds the live IdSet (it hands the same set to the CRIU
-    # engine), so the sweep receives it prebuilt.
-    nn_live_ids = IdSet(obj.object_id for obj in nn_live)
-    prebuilt_marked = nn_heap.mark_unused_pages_no_need(
-        nn_live, live_ids=nn_live_ids
-    )
-    assert prebuilt_marked == legacy_marked, (
-        "no-need marked count diverged with a prebuilt IdSet"
-    )
-    assert set(nn_heap.page_table.no_need_pages()) == legacy_pages, (
-        "no-need page set diverged with a prebuilt IdSet"
-    )
     legacy_nn_s = best_of(
         lambda: legacy_mark_unused_pages_no_need(nn_heap, nn_live)
     )
-    fast_nn_s = best_of(
-        lambda: nn_heap.mark_unused_pages_no_need(
-            nn_live, live_ids=nn_live_ids
-        )
-    )
+    fast_nn_s = best_of(lambda: nn_heap.mark_unused_pages_no_need(nn_epoch))
     no_need_speedup = legacy_nn_s / fast_nn_s
 
     payload = {

@@ -243,7 +243,7 @@ class SimConfig:
 
         Paired with a ×``factor`` run duration, the workload allocates
         ~``factor``× the objects under identical pressure ratios — the
-        ``--object-scale`` knob used for columnar-kernel scaling runs.
+        ``--object-scale`` knob used for scaling runs.
         """
         if factor < 1:
             raise ValueError(f"scale factor must be >= 1, got {factor}")

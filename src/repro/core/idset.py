@@ -244,40 +244,6 @@ class IdSet:
         suffix = ", ..." if self._len > 6 else ""
         return f"IdSet({preview}{suffix} len={self._len})"
 
-    def extract_mask(self, start: int, count: int) -> int:
-        """Membership bitmask for the ``count`` consecutive ids from ``start``.
-
-        Bit ``i`` of the result is set iff ``start + i in self``.  This is
-        the bulk column<->IdSet membership kernel behind columnar marking
-        (:meth:`repro.heap.region.Region.live_runs`): for a region whose id
-        column is a consecutive block — the common case under monotonic
-        identity hashes and allocation-order placement — one call replaces
-        one hash probe per object.  Bitmap chunks answer with a shifted
-        big-int window; sparse chunks contribute a bisected sub-run.
-        """
-        if count <= 0:
-            return 0
-        result = 0
-        end = start + count
-        for key in range(start >> CHUNK_BITS, (end - 1 >> CHUNK_BITS) + 1):
-            container = self._chunks.get(key)
-            if container is None:
-                continue
-            chunk_base = key << CHUNK_BITS
-            lo = max(start, chunk_base)
-            hi = min(end, chunk_base + CHUNK_SPAN)
-            if isinstance(container, array):
-                i = bisect_left(container, lo)
-                j = bisect_left(container, hi)
-                for k in range(i, j):
-                    result |= 1 << (container[k] - start)
-            else:
-                window = (container >> (lo - chunk_base)) & (
-                    (1 << (hi - lo)) - 1
-                )
-                result |= window << (lo - start)
-        return result
-
     def isdisjoint(self, other: "IdSet") -> bool:
         other = IdSet.coerce(other)
         small, large = (

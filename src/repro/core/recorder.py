@@ -270,8 +270,8 @@ class Recorder(VMAgent):
             # the no-need marking and the checkpoint entirely.
             return
         collector = vm.collector
-        live = collector.last_live_objects if collector is not None else []
-        if collector is not None and collector.last_trace_was_partial:
+        live = collector.last_live_objects
+        if collector.last_trace_was_partial:
             # Remembered-set collections only establish young liveness;
             # snapshots need the full live set.  Trace through the
             # *collector* so the result (live list + mark epoch) is adopted
@@ -279,15 +279,13 @@ class Recorder(VMAgent):
             # same safepoint then reuses it instead of tracing the heap a
             # second time.
             live = collector.trace_live()
-        # One compact live-id set serves the whole snapshot point: the
-        # no-need sweep's columnar region kernels and the CRIU engine's
-        # logical content both consume it (identity hashes are monotonic,
-        # so the set is runs + bitmap blocks).
-        live_ids = IdSet(obj.object_id for obj in live)
         if self.mark_no_need:
             # §4.1: before signalling the Dumper, traverse the heap and set
             # the no-need bit on every page with no live objects (madvise).
-            vm.heap.mark_unused_pages_no_need(live, live_ids=live_ids)
+            vm.heap.mark_unused_pages_no_need(collector.last_mark_epoch)
+        # The live ids are the CRIU engine's logical content (identity
+        # hashes are monotonic, so the set is runs + bitmap blocks).
+        live_ids = IdSet(obj.object_id for obj in live)
         vm.events.publish(
             SNAPSHOT_POINT,
             SnapshotPointEvent(pause=pause, live=live, live_ids=live_ids),

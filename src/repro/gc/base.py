@@ -5,7 +5,6 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.core.idset import IdSet
 from repro.errors import GCError
 from repro.gc.events import GCPause, PauseLog
 from repro.heap.objects import HeapObject
@@ -31,7 +30,7 @@ class GenerationalCollector(abc.ABC):
         self.pause_log = PauseLog()
         self.cycles = 0
         #: Live objects found by the most recent trace (consumed by the
-        #: Recorder's no-need page marking and by snapshot engines).
+        #: Recorder and by snapshot engines).
         self.last_live_objects: List[HeapObject] = []
         #: True when the last trace covered only the young generation
         #: (remembered-set mode) — consumers needing full liveness (the
@@ -39,8 +38,9 @@ class GenerationalCollector(abc.ABC):
         self.last_trace_was_partial = False
         #: Heap mark epoch of the most recent trace.  At the same
         #: safepoint, ``obj.mark_epoch == last_mark_epoch`` is equivalent
-        #: to ``obj in last_live_objects`` — collectors use it in place of
-        #: materialized id sets.  Stale once anyone runs a newer trace.
+        #: to ``obj in last_live_objects``; it is the only live test the
+        #: heap takes (evacuation, humongous reclamation, no-need pages).
+        #: Stale once anyone runs a newer trace.
         self.last_mark_epoch = 0
 
     # -- wiring ---------------------------------------------------------------------
@@ -151,18 +151,6 @@ class GenerationalCollector(abc.ABC):
         if vm.config.use_remembered_sets:
             return self.trace_young_live()
         return self.trace_live()
-
-    @staticmethod
-    def live_id_set(live: List[HeapObject]) -> IdSet:
-        """The ids of ``live`` as an :class:`IdSet`.
-
-        Columnar heap kernels (:meth:`repro.heap.region.Region.live_runs`)
-        answer IdSet membership for whole id-column windows at once via
-        :meth:`IdSet.extract_mask`, so an IdSet live test keeps evacuation
-        on the vectorized path where a plain ``set`` would fall back to
-        per-element probes.
-        """
-        return IdSet(obj.object_id for obj in live)
 
     def record_pause(
         self, kind: str, duration_us: float, stats: Optional[Dict[str, int]] = None

@@ -27,8 +27,8 @@ from repro.gc.g1 import G1Collector
 class BinaryPretenuringCollector(G1Collector):
     """G1 mechanics plus a single-target pretenuring API (Memento-style).
 
-    Inherits G1's collections unchanged, including their columnar
-    evacuation plans (:class:`repro.heap.evacuation.SurvivorTenuring` for
+    Inherits G1's collections unchanged, including their evacuation
+    plans (:class:`repro.heap.evacuation.SurvivorTenuring` for
     young pauses, :class:`repro.heap.evacuation.FixedDestination` for
     mixed/full) — pretenuring only redirects *allocation*, never copying.
     """

@@ -128,11 +128,10 @@ class G1Collector(GenerationalCollector):
         old = heap.generation(self.old_gen_id)
         self.young_liveness()
         # The trace just ran at this safepoint: its mark epoch *is* the
-        # live set, so no id set is materialized.
+        # live set.
         epoch = self.last_mark_epoch
         regions: List[Region] = list(young.regions)
-        # Survivor aging and the tenuring-threshold compare run as lane
-        # arithmetic over the age column; eden regions stay one young run.
+        # Each survivor ages by one and is promoted at the threshold.
         plan = SurvivorTenuring(young, old, vm.config.tenure_threshold)
         survivor, promoted, scanned = heap.evacuate(regions, epoch, young, plan)
         heap.reclaim_dead_humongous(

@@ -172,11 +172,10 @@ class NG2CCollector(GenerationalCollector):
         old = heap.generation(self.old_gen_id)
         self.young_liveness()
         # The trace just ran at this safepoint: its mark epoch *is* the
-        # live set, so no id set is materialized.
+        # live set.
         epoch = self.last_mark_epoch
         regions = list(young.regions)
-        # Survivor aging and the tenuring-threshold compare run as lane
-        # arithmetic over the age column; eden regions stay one young run.
+        # Each survivor ages by one and is promoted at the threshold.
         plan = SurvivorTenuring(young, old, vm.config.tenure_threshold)
         survivor, promoted, scanned = heap.evacuate(regions, epoch, young, plan)
         heap.reclaim_dead_humongous(
@@ -208,21 +207,16 @@ class NG2CCollector(GenerationalCollector):
         pretenuring); regions that are mostly garbage are compacted within
         their generation; empty rotated-out generations are retired.
 
-        ``live`` may carry a live set traced *at this same safepoint* (a
-        young collection that just ran); anything else would be stale, so
-        absent that the generation collection traces for itself.
+        ``live`` may carry this collector's own full trace from *this same
+        safepoint* (``last_live_objects`` after a young collection that
+        just ran), whose mark epoch is the live test; absent that the
+        generation collection traces for itself.
         """
         vm = self._require_vm()
         heap = vm.heap
         if live is None:
             live = self.trace_live()
-        if live is self.last_live_objects and not self.last_trace_was_partial:
-            # The list is the collector's own same-safepoint trace, so its
-            # epoch marks are current — no id set needed.
-            live_test = self.last_mark_epoch
-        else:
-            # An arbitrary caller-supplied live list: fall back to ids.
-            live_test = self.live_id_set(live)
+        epoch = self.last_mark_epoch
         live_by_region = heap.live_bytes_by_region(live)
 
         freed_wholesale = 0
@@ -252,11 +246,11 @@ class NG2CCollector(GenerationalCollector):
                 freed_wholesale += 1
             if compact_regions:
                 moved, _, seen = heap.evacuate(
-                    compact_regions, live_test, gen, FixedDestination(gen)
+                    compact_regions, epoch, gen, FixedDestination(gen)
                 )
                 compacted += moved
                 scanned += seen
-        heap.reclaim_dead_humongous(live_test)
+        heap.reclaim_dead_humongous(epoch)
         self._retire_empty_rotated()
         self._pretenured_since_gc = 0
         duration = costmodel.gen_pause_us(

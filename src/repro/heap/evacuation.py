@@ -1,35 +1,23 @@
-"""Evacuation plans: destination policies the columnar engine vectorizes.
+"""Evacuation plans: where each survivor of a collection goes.
 
-A plan expresses where survivors go over *position runs* of a region's
-columns, so :meth:`SimHeap.evacuate <repro.heap.heap.SimHeap.evacuate>`
-splits each live run into maximal same-destination sub-runs and moves
-every sub-run as one column-slice copy, never one Python call per
-survivor.  Evacuation takes a plan and nothing else: the collectors pass
-:class:`FixedDestination` (mixed, full and compacting collections) or
-:class:`SurvivorTenuring` (young collections).
+:meth:`SimHeap.evacuate <repro.heap.heap.SimHeap.evacuate>` is one loop
+over the survivors of the collected regions, in region and allocation
+order; for each it asks the plan for a destination generation and bumps
+the object into it.  Evacuation takes a plan and nothing else: the
+collectors pass :class:`FixedDestination` (mixed, full and compacting
+collections) or :class:`SurvivorTenuring` (young collections).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
-
-from repro.heap.region import Region
+from repro.heap.objects import HeapObject
 from repro.heap.space import Generation
-
-#: A maximal same-destination sub-run: positions [start, stop) -> where.
-SubRun = Tuple[int, int, Generation]
 
 
 class EvacuationPlan:
-    """Base class: maps live position runs to destination generations."""
+    """Base class: maps each survivor to its destination generation."""
 
-    #: Whether the engine must sync view ages from the age column after a
-    #: copy (True only for plans that mutate ages).
-    sync_ages = False
-
-    def split(
-        self, region: Region, runs: List[Tuple[int, int]]
-    ) -> Iterator[SubRun]:
+    def destination(self, obj: HeapObject) -> Generation:
         raise NotImplementedError
 
 
@@ -41,25 +29,13 @@ class FixedDestination(EvacuationPlan):
     def __init__(self, generation: Generation) -> None:
         self.generation = generation
 
-    def split(
-        self, region: Region, runs: List[Tuple[int, int]]
-    ) -> Iterator[SubRun]:
-        generation = self.generation
-        for start, stop in runs:
-            yield start, stop, generation
+    def destination(self, obj: HeapObject) -> Generation:
+        return self.generation
 
 
 class SurvivorTenuring(EvacuationPlan):
     """Young-collection policy: every survivor ages by one collection and
-    is promoted once its age reaches the tenuring threshold.
-
-    The age bump and the threshold compare run as lane arithmetic over the
-    packed age column (:meth:`Region.age_up_and_split`); eden regions —
-    where every lane comes out below the threshold — stay a single
-    young-bound sub-run.
-    """
-
-    sync_ages = True
+    is promoted once its age reaches the tenuring threshold."""
 
     __slots__ = ("young", "old", "threshold")
 
@@ -68,12 +44,7 @@ class SurvivorTenuring(EvacuationPlan):
         self.old = old
         self.threshold = threshold
 
-    def split(
-        self, region: Region, runs: List[Tuple[int, int]]
-    ) -> Iterator[SubRun]:
-        young = self.young
-        old = self.old
-        threshold = self.threshold
-        for start, stop in runs:
-            for a, b, promote in region.age_up_and_split(start, stop, threshold):
-                yield a, b, old if promote else young
+    def destination(self, obj: HeapObject) -> Generation:
+        age = obj.age + 1
+        obj.age = age
+        return self.old if age >= self.threshold else self.young

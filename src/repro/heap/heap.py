@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import PAGE_SIZE, REGION_SIZE, YOUNG_GEN, SimConfig
-from repro.core.idset import IdSet
 from repro.errors import OutOfMemoryError, UnknownGenerationError
 from repro.heap.evacuation import EvacuationPlan
 from repro.heap.objects import HeapObject
@@ -136,25 +135,7 @@ class SimHeap:
         return region
 
     def free_region(self, region: Region) -> None:
-        """Reset a region and return it to the free pool.
-
-        Objects still listed in the region (wholesale reclamation of dead
-        regions / cohorts / humongous runs) are removed from the page
-        occupancy counters here; evacuation subtracts a region's occupancy
-        itself and hands over an already-emptied region.
-        """
-        if region.objects:
-            # One bulk occupancy pass over the offset column (the last
-            # object's end covers humongous spans that exceed region.top).
-            count = len(region.objects)
-            self.page_table.adjust_occupancy_run(
-                region.base,
-                region._offsets,
-                0,
-                count,
-                region._offsets[count - 1] + region._sizes[count - 1],
-                -1,
-            )
+        """Reset a region and return it to the free pool."""
         region.reset()
         self._free_regions.append(region)
 
@@ -210,7 +191,7 @@ class SimHeap:
             address = self._allocate_humongous(obj, gen_id)
         else:
             address = gen.allocate(obj)
-        self.page_table.place_object(address, size)
+        self.page_table.mark_written_range(address, size)
         if refs:
             # A pretenured object born pointing at young children is an
             # old->young edge the write barrier would otherwise miss.
@@ -264,7 +245,7 @@ class SimHeap:
             region.top = region.size  # fully claimed by the object
         obj.address = run[0].base
         obj.gen_id = gen_id
-        run[0].adopt_humongous(obj)
+        run[0].objects.append(obj)
         self._humongous[obj.object_id] = run
         committed = self.committed_bytes
         if committed > self.peak_committed_bytes:
@@ -302,34 +283,27 @@ class SimHeap:
         return obj.object_id in self._humongous
 
     def reclaim_dead_humongous(
-        self, live_ids, only_young: bool = False
+        self, epoch: int, only_young: bool = False
     ) -> Tuple[int, int]:
         """Free the regions of humongous objects no longer reachable.
 
-        ``live_ids`` is either a ``Set[int]`` of live object ids or an
-        ``int`` mark epoch (an object is live iff ``obj.mark_epoch`` equals
-        it) — collectors on the fast path pass the epoch of their latest
-        trace.
+        ``epoch`` is the mark epoch of the collector's latest trace: a
+        humongous object is live iff its ``mark_epoch`` equals it.
 
         Returns ``(objects_reclaimed, bytes_freed)``.  Collectors call
         this during their collections (G1 reclaims dead humongous
         objects eagerly at every young pause since 8u40).  With
-        ``only_young`` (remembered-set collections, whose live set covers
+        ``only_young`` (remembered-set collections, whose trace covers
         only the young generation) tenured humongous objects are left
         alone.
         """
-        use_epoch = isinstance(live_ids, int)
         reclaimed = 0
         freed_bytes = 0
         for object_id in list(self._humongous):
-            run = self._humongous[object_id]
-            first = run[0].objects[0] if run[0].objects else None
-            if use_epoch:
-                if first is not None and first.mark_epoch == live_ids:
-                    continue
-            elif object_id in live_ids:
+            obj = self._humongous[object_id][0].objects[0]
+            if obj.mark_epoch == epoch:
                 continue
-            if only_young and (first is None or first.gen_id != YOUNG_GEN):
+            if only_young and obj.gen_id != YOUNG_GEN:
                 continue
             for region in self._humongous.pop(object_id):
                 freed_bytes += region.size
@@ -426,7 +400,7 @@ class SimHeap:
     def evacuate(
         self,
         regions: Sequence[Region],
-        live,
+        epoch: int,
         source_gen: Generation,
         plan: EvacuationPlan,
     ) -> Tuple[int, int, int]:
@@ -434,62 +408,53 @@ class SimHeap:
 
         Args:
             regions: collection-set regions (must belong to ``source_gen``).
-            live: an ``int`` mark epoch from the collector's latest trace
-                (an object survives iff ``obj.mark_epoch`` equals it), an
-                :class:`~repro.core.idset.IdSet`, or a ``Set[int]`` of
-                reachable object ids.
+            epoch: the mark epoch of the collector's latest trace; an
+                object survives iff its ``mark_epoch`` equals it.
             source_gen: generation owning the regions.
             plan: the :class:`~repro.heap.evacuation.EvacuationPlan`
-                mapping live position runs to destination generations.
+                naming each survivor's destination generation.
 
         Returns:
             ``(survivor_bytes, promoted_bytes, scanned_objects)`` where
             promoted bytes are those copied into a *different* generation.
 
-        Runs a region at a time over the columns.  Per source region: one
-        bulk occupancy subtraction, one columnar mark pass collapsing
-        liveness into position runs, a plan split into maximal
-        same-destination sub-runs (lane-arithmetic aging for tenuring
-        plans), and a column-slice copy per placed chunk.
+        One loop over the survivors, region by region in allocation
+        order: the plan names the destination, the object is bumped into
+        it, its new pages are marked written, and a survivor placed
+        outside the young generation that points at a young object joins
+        the old->young remembered set.  Each source region is freed as
+        soon as its survivors have moved, so a later destination region
+        may reuse it.
         """
         survivor_bytes = 0
         promoted_bytes = 0
         scanned = 0
-        page_table = self.page_table
-        sync_ages = plan.sync_ages
+        mark_written = self.page_table.mark_written_range
         remset = self.old_to_young_remset
+        destination = plan.destination
         for region in regions:
             source_gen.release_region(region)
         for region in regions:
-            count = len(region.objects)
-            scanned += count
-            if count == 0:
-                self.free_region(region)
-                continue
-            # Every scanned copy disappears (survivors move, the rest die):
-            # one bulk occupancy pass over the whole region.
-            page_table.adjust_occupancy_run(
-                region.base, region._offsets, 0, count, region.top, -1
-            )
+            objects = region.objects
+            scanned += len(objects)
             source_gen_id = region.gen_id
-            for start, stop, dest in plan.split(region, region.live_runs(live)):
-                placed = dest.place_slice(
-                    page_table, region, start, stop, sync_ages=sync_ages
-                )
+            for obj in objects:
+                if obj.mark_epoch != epoch:
+                    continue
+                dest = destination(obj)
+                size = obj.size
+                mark_written(dest.allocate(obj), size)
                 dest_gen_id = dest.gen_id
                 if dest_gen_id != source_gen_id:
-                    promoted_bytes += placed
+                    promoted_bytes += size
                 else:
-                    survivor_bytes += placed
+                    survivor_bytes += size
                 if dest_gen_id != YOUNG_GEN:
-                    for obj in region.objects[start:stop]:
-                        for child in obj._refs:
-                            if child.gen_id == YOUNG_GEN:
-                                # Promotion created an old->young edge.
-                                remset[obj.object_id] = obj
-                                break
-            # Occupancy already handed over; don't untrack again on free.
-            region.wipe_contents()
+                    for child in obj._refs:
+                        if child.gen_id == YOUNG_GEN:
+                            # Promotion created an old->young edge.
+                            remset[obj.object_id] = obj
+                            break
             self.free_region(region)
         return survivor_bytes, promoted_bytes, scanned
 
@@ -515,9 +480,9 @@ class SimHeap:
 
         Used by property tests and available for debugging (like HotSpot's
         ``-XX:+VerifyBeforeGC``).  Checks: every region is either free or
-        owned by exactly one generation (or a humongous run); bump
-        pointers match object extents; generation byte accounting matches
-        region contents; no two objects overlap.
+        owned by exactly one generation (or a humongous run); a region's
+        objects tile ``[0, top)`` in order and carry its generation;
+        generation byte accounting matches region contents.
         """
         owned = {}
         for gen in self.generations.values():
@@ -540,155 +505,66 @@ class SimHeap:
             assert region.index not in owned, (
                 f"free region {region.index} also owned"
             )
-            assert region.top == 0, f"free region {region.index} not reset"
+            assert region.top == 0 and not region.objects, (
+                f"free region {region.index} not reset"
+            )
         for gen in self.generations.values():
             actual = sum(r.used_bytes for r in gen.regions)
             assert gen.used_bytes == actual, (
                 f"gen {gen.name}: accounted {gen.used_bytes} != {actual}"
             )
             for region in gen.regions:
-                extent = sum(region._sizes)
-                assert extent == region.top, (
-                    f"region {region.index}: objects span {extent} bytes "
-                    f"but bump pointer is {region.top}"
-                )
-                cursor = 0
-                for slot in range(len(region._offsets)):
-                    assert region._offsets[slot] == cursor, (
-                        f"region {region.index} slot {slot}: offset "
-                        f"{region._offsets[slot]}, expected {cursor}"
+                cursor = region.base
+                for obj in region.objects:
+                    assert obj.address == cursor, (
+                        f"region {region.index}: object {obj.object_id} at "
+                        f"{obj.address}, expected {cursor}"
                     )
-                    cursor += region._sizes[slot]
-                self._verify_region_columns(region)
-        for region in self._free_regions:
-            assert not region.objects and len(region._ids) == 0, (
-                f"free region {region.index} still holds column data"
-            )
-        # The incrementally maintained page occupancy counters must agree
-        # with a from-scratch recount of every object present in the heap
-        # (live or dead — occupancy is presence, not reachability).
-        expected = [0] * self.page_table.num_pages
-        page_size = self.page_size
-        for region in self._regions:
-            base = region.base
-            offsets = region._offsets
-            region_sizes = region._sizes
-            for slot in range(len(offsets)):
-                address = base + offsets[slot]
-                first = address // page_size
-                last = (address + region_sizes[slot] - 1) // page_size
-                for page in range(first, last + 1):
-                    expected[page] += 1
-        actual_occupancy = self.page_table.occupancy_snapshot()
-        assert actual_occupancy == expected, (
-            "page occupancy counters drifted from object placement: "
-            + str(
-                [
-                    (page, expected[page], actual_occupancy[page])
-                    for page in range(len(expected))
-                    if expected[page] != actual_occupancy[page]
-                ][:10]
-            )
-        )
-
-    def _verify_region_columns(self, region: Region) -> None:
-        """Columns and views must describe the same objects slot for slot."""
-        count = len(region.objects)
-        for column in (
-            region._ids,
-            region._sizes,
-            region._sites,
-            region._offsets,
-            region._ages,
-        ):
-            assert len(column) == count, (
-                f"region {region.index}: column length {len(column)} != "
-                f"{count} objects"
-            )
-        ids = region._ids
-        expected_breaks = [
-            slot
-            for slot in range(1, count)
-            if ids[slot] != ids[slot - 1] + 1
-        ]
-        assert list(region._id_breaks) == expected_breaks, (
-            f"region {region.index}: id-break index "
-            f"{list(region._id_breaks)} != recomputed {expected_breaks}"
-        )
-        base = region.base
-        gen_id = region.gen_id
-        for slot, obj in enumerate(region.objects):
-            assert obj._region is region and obj._slot == slot, (
-                f"object {obj.object_id} view points at "
-                f"({obj._region and obj._region.index}, {obj._slot}), "
-                f"expected ({region.index}, {slot})"
-            )
-            assert (
-                region._ids[slot] == obj.object_id
-                and region._sizes[slot] == obj.size
-                and region._sites[slot] == obj.site_id
-                and region._ages[slot] == obj.age
-                and base + region._offsets[slot] == obj.address
-            ), f"region {region.index} slot {slot}: column/view mismatch"
-            assert obj.gen_id == gen_id, (
-                f"object {obj.object_id} tagged gen {obj.gen_id} inside "
-                f"a gen-{gen_id} region"
-            )
+                    assert obj.gen_id == gen.gen_id, (
+                        f"object {obj.object_id} tagged gen {obj.gen_id} "
+                        f"inside a gen-{gen.gen_id} region"
+                    )
+                    cursor += obj.size
+                assert cursor == region.base + region.top, (
+                    f"region {region.index}: objects span "
+                    f"{cursor - region.base} bytes but bump pointer is "
+                    f"{region.top}"
+                )
 
     # -- page advice (paper §3.2 / §4.2) --------------------------------------------
 
-    def mark_unused_pages_no_need(
-        self,
-        live_objects: Iterable[HeapObject],
-        live_ids: Optional[IdSet] = None,
-    ) -> int:
+    def mark_unused_pages_no_need(self, epoch: int) -> int:
         """Set the no-need bit on every page holding no live object.
 
         This models the NG2C modification that POLM2's Recorder invokes
         before each snapshot: walk the heap, madvise away pages with no
-        reachable data so CRIU skips them.  Returns the number of pages
-        marked.
+        reachable data so CRIU skips them.  ``epoch`` is the mark epoch
+        of a full trace: an object is live iff its ``mark_epoch`` equals
+        it.  Returns the number of pages marked.
 
-        Pages of regions that were just evacuated and freed are advised
-        away too: they are still dirty from their old contents but hold
-        nothing reachable.  Note liveness here is *reachability*, not page
-        occupancy — a page can be fully occupied by dead-but-not-yet
-        -reclaimed objects and still be advised away — so the sweep takes
-        the live set, not the occupancy counters.
-
-        The sweep rides the columnar kernels: per region, one
-        :meth:`Region.live_runs` pass, then one page-span slice store per
-        *run* of live objects (objects tile contiguously, so a run's page
-        span is the union of its objects' spans).  Humongous objects are
-        handled off the ``_humongous`` index.  Callers that already hold
-        the live set as an :class:`IdSet` pass it via ``live_ids`` to
-        skip rebuilding it.
+        The sweep walks every generation's regions and the humongous
+        runs, so only objects the heap holds count: pages of regions
+        that were just evacuated and freed are advised away too (still
+        dirty from their old contents, holding nothing reachable), and
+        so are pages full of dead objects not yet reclaimed.
         """
         table = self.page_table
         needed = bytearray(table.num_pages)
         page_size = self.page_size
-        if live_ids is None:
-            live_ids = IdSet(obj.object_id for obj in live_objects)
-        for gen in self.generations.values():
-            for region in gen.regions:
-                if not region.objects:
-                    continue
-                base = region.base
-                offsets = region._offsets
-                count = len(offsets)
-                top = region.top
-                for a, b in region.live_runs(live_ids):
-                    first = (base + offsets[a]) // page_size
-                    end = base + (top if b == count else offsets[b])
-                    last = (end - 1) // page_size
+        regions = [
+            region
+            for gen in self.generations.values()
+            for region in gen.regions
+        ]
+        regions.extend(run[0] for run in self._humongous.values())
+        for region in regions:
+            for obj in region.objects:
+                if obj.mark_epoch == epoch:
+                    address = obj.address
+                    first = address // page_size
+                    last = (address + obj.size - 1) // page_size
                     if first == last:
                         needed[first] = 1
                     else:
                         needed[first : last + 1] = b"\x01" * (last + 1 - first)
-        for object_id, run in self._humongous.items():
-            if object_id in live_ids:
-                obj = run[0].objects[0]
-                first = obj.address // page_size
-                last = (obj.address + obj.size - 1) // page_size
-                needed[first : last + 1] = b"\x01" * (last + 1 - first)
         return table.rewrite_no_need(needed)

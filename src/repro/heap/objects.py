@@ -6,16 +6,11 @@ outgoing references.  Workload *semantics* (keys, postings, vertex values)
 live in plain Python attached elsewhere; the simulated heap only cares
 about sizes, references, and placement.
 
-Since the columnar heap storage landed, a ``HeapObject`` is a *view*: the
-region holding it mirrors identity, size, site, placement offset, and age
-in parallel ``array('q')`` columns (see :mod:`repro.heap.region`), and the
-collector inner loops run over those columns instead of these boxed
-records.  The view keeps plain attributes for the mutator-facing hot
-paths — tracing reads ``mark_epoch``/``_refs``, write barriers read
-``gen_id`` — and the heap keeps view and column in lockstep at every
-placement.  Dead views are simply left behind with their last-written
-placement fields (the columns of a reclaimed region are discarded), which
-preserves the historical stale-read semantics floating garbage relies on.
+A ``HeapObject`` is the only copy of its fields: a region holds its
+objects in a plain list (see :mod:`repro.heap.region`), and evacuation
+rewrites ``address``, ``gen_id`` and ``age`` in place.  A reclaimed
+object keeps its last placement fields, which is what floating garbage
+still reachable from a dead parent reads.
 """
 
 from __future__ import annotations
@@ -55,9 +50,6 @@ class HeapObject:
         gen_id: Id of the generation currently holding the object.
         address: Current virtual address; changes when the object moves.
         age: Number of young collections survived (G1 tenuring input).
-            A write-through property: when the object is attached to a
-            region, assignments also land in the region's age column, so
-            vectorized tenuring passes and per-object mutations agree.
         birth_cycle: GC cycle count at allocation time.
         mark_epoch: Heap mark epoch at which this object was last found
             reachable.  ``obj.mark_epoch == heap.mark_epoch`` means "marked
@@ -74,14 +66,10 @@ class HeapObject:
         "trace_id",
         "gen_id",
         "address",
-        "_age",
+        "age",
         "birth_cycle",
         "mark_epoch",
         "_refs",
-        # Columnar-view backpointers: the region whose columns mirror this
-        # object and the object's lane index there (-1 when detached).
-        "_region",
-        "_slot",
     )
 
     def __init__(
@@ -106,23 +94,10 @@ class HeapObject:
         self.trace_id = trace_id
         self.gen_id = -1
         self.address = -1
-        self._age = 0
+        self.age = 0
         self.birth_cycle = birth_cycle
         self.mark_epoch = 0
         self._refs: List[HeapObject] = []
-        self._region = None
-        self._slot = -1
-
-    @property
-    def age(self) -> int:
-        return self._age
-
-    @age.setter
-    def age(self, value: int) -> None:
-        self._age = value
-        region = self._region
-        if region is not None:
-            region._ages[self._slot] = value
 
     @property
     def refs(self) -> List["HeapObject"]:

@@ -14,19 +14,10 @@ array is a ``bytearray`` so whole-table operations (clearing dirty bits at
 a checkpoint, rewriting no-need advice before one) run as C-level
 ``bytes.translate`` / big-int bitwise passes instead of Python loops —
 these run once per snapshot and used to dominate snapshot overhead.
-
-The table additionally keeps a per-page **object occupancy counter**,
-maintained incrementally by the heap at allocation, evacuation, and region
-reclamation.  A page with zero occupancy holds no object at all (live or
-dead); the counters make page-emptiness queries O(1) and give the
-invariant checks in :meth:`repro.heap.heap.SimHeap.verify` something to
-validate the incremental bookkeeping against.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
 from typing import Iterable, List
 
 from repro.config import PAGE_SIZE
@@ -58,8 +49,6 @@ class PageTable:
         self.page_size = page_size
         self.num_pages = (address_space_bytes + page_size - 1) // page_size
         self._flags = bytearray(self.num_pages)
-        #: Objects (live or dead, headers included) overlapping each page.
-        self._occupancy = array("q", bytes(8 * self.num_pages))
 
     # -- address helpers ----------------------------------------------------
 
@@ -95,16 +84,22 @@ class PageTable:
             flags[page] |= _DIRTY
 
     def mark_written_range(self, address: int, length: int) -> None:
-        """A fresh write: dirty the pages and clear any stale no-need advice
-        in a single pass (allocation / evacuation fast path)."""
+        """A fresh write (an object allocated or evacuated to ``address``):
+        dirty the pages and clear any stale no-need advice in one store.
+
+        Flag bytes hold only the two modelled bits, so "dirty, not
+        no-need" is exactly the byte ``_DIRTY``; most objects fit in one
+        page, which takes a single byte store.
+        """
         if length <= 0:
             return
-        flags = self._flags
         page_size = self.page_size
         first = address // page_size
         last = (address + length - 1) // page_size
-        for page in range(first, last + 1):
-            flags[page] = (flags[page] | _DIRTY) & ~_NO_NEED
+        if first == last:
+            self._flags[first] = _DIRTY
+            return
+        self._flags[first : last + 1] = _DIRTY_BYTE * (last + 1 - first)
 
     def mark_dirty_pages(self, pages: Iterable[int]) -> None:
         for page in pages:
@@ -166,86 +161,6 @@ class PageTable:
         merged = int.from_bytes(cleared, "little") | int.from_bytes(advice, "little")
         self._flags[:] = merged.to_bytes(self.num_pages, "little")
         return needed.count(0)
-
-    # -- object occupancy (incremental page liveness) -------------------------
-
-    def place_object(self, address: int, length: int) -> None:
-        """An object body freshly written at ``address`` (a scalar
-        allocation): dirty its pages, clear any stale no-need advice, and
-        count the object on every page it overlaps.
-
-        The :meth:`mark_written_range` write and the occupancy count in one
-        pass, with a single-page fast path: most objects fit in one page.
-        """
-        if length <= 0:
-            return
-        page_size = self.page_size
-        first = address // page_size
-        last = (address + length - 1) // page_size
-        if first == last:
-            # Flag bytes hold only the two modelled bits, so "dirty, not
-            # no-need" is exactly the byte _DIRTY.
-            self._flags[first] = _DIRTY
-            self._occupancy[first] += 1
-            return
-        self._flags[first : last + 1] = _DIRTY_BYTE * (last + 1 - first)
-        occupancy = self._occupancy
-        for page in range(first, last + 1):
-            occupancy[page] += 1
-
-    def adjust_occupancy_run(
-        self,
-        base: int,
-        offsets,
-        lo: int,
-        hi: int,
-        end_offset: int,
-        delta: int,
-    ) -> None:
-        """Bulk occupancy update for a contiguous run of objects.
-
-        The run's objects start at ``base + offsets[lo:hi]`` (ascending,
-        gap-free prefix sums — the columnar region layout) and tile the
-        span up to ``base + end_offset``.  Equivalent to counting (``delta``
-        +1, as :meth:`place_object` does) or uncounting (-1) each object
-        on every page it overlaps, but does two bisects per touched page
-        instead of one Python call per object: a page's
-        overlap count is the number of run starts inside it, plus one when
-        an earlier run object straddles its left edge.
-        """
-        if hi <= lo or delta == 0:
-            return
-        occupancy = self._occupancy
-        page_size = self.page_size
-        span_start = base + offsets[lo]
-        span_end = base + end_offset
-        first = span_start // page_size
-        last = (span_end - 1) // page_size
-        for page in range(first, last + 1):
-            page_lo = page * page_size - base
-            page_hi = page_lo + page_size
-            s_lo = bisect_left(offsets, page_lo, lo, hi)
-            s_hi = bisect_left(offsets, page_hi, lo, hi)
-            count = s_hi - s_lo
-            # The run object straddling this page's left edge (tiling
-            # means at most one, and only when it starts strictly before
-            # the page and the page starts inside the span).
-            if s_lo > lo and (
-                offsets[s_lo] if s_lo < hi else end_offset
-            ) > page_lo:
-                count += 1
-            if count:
-                occupancy[page] += delta * count
-
-    def occupancy(self, page: int) -> int:
-        return self._occupancy[page]
-
-    def occupied_pages(self) -> List[int]:
-        return [i for i, count in enumerate(self._occupancy) if count]
-
-    def occupancy_snapshot(self) -> List[int]:
-        """A copy of the per-page counters (for invariant verification)."""
-        return list(self._occupancy)
 
     # -- snapshot support -----------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Callable, Iterator, List, Optional
 
 from repro.errors import OutOfMemoryError
@@ -65,74 +64,6 @@ class Generation:
         self.regions.append(region)
         self._alloc_region = region
         return region
-
-    def place_slice(
-        self,
-        page_table,
-        src: Region,
-        start: int,
-        stop: int,
-        sync_ages: bool = False,
-    ) -> int:
-        """Bulk-copy ``src`` objects ``[start, stop)`` into this generation.
-
-        The columnar evacuation placement: fills the current allocation
-        region with the longest prefix of the slice that fits (one bisect
-        over the source offset prefix sums), claims a fresh region exactly
-        where per-object bump allocation would have, and moves each chunk
-        as a column-slice copy.  Page dirtying and occupancy are updated
-        once per chunk; view placement fields are fixed up in one pass.
-        Returns the bytes placed.
-        """
-        offsets = src._offsets
-        sizes = src._sizes
-        gen_id = self.gen_id
-        placed = 0
-        p = start
-        while p < stop:
-            region = self._alloc_region
-            if region is None or not region.has_room(sizes[p]):
-                region = self._claim_region(sizes[p])
-            # Largest q with every object in [p, q) ending within the free
-            # space: ends are the next starts (gap-free tiling), so one
-            # bisect over the offsets finds the capacity split.
-            limit = offsets[p] + (region.size - region.top)
-            j = bisect_right(offsets, limit, p + 1, stop)
-            if j == stop and offsets[stop - 1] + sizes[stop - 1] <= limit:
-                q = stop
-            else:
-                q = j - 1
-            dest_top, span, base_slot, rebased, views = region.absorb_slice(
-                src, p, q
-            )
-            dbase = region.base
-            page_table.mark_written_range(dbase + dest_top, span)
-            page_table.adjust_occupancy_run(
-                dbase, region._offsets, base_slot, base_slot + (q - p),
-                region.top, 1,
-            )
-            slot = base_slot
-            if sync_ages:
-                for view, off, age in zip(
-                    views, rebased, region._ages[base_slot:]
-                ):
-                    view._region = region
-                    view._slot = slot
-                    view.address = dbase + off
-                    view.gen_id = gen_id
-                    view._age = age
-                    slot += 1
-            else:
-                for view, off in zip(views, rebased):
-                    view._region = region
-                    view._slot = slot
-                    view.address = dbase + off
-                    view.gen_id = gen_id
-                    slot += 1
-            self._used_bytes += span
-            placed += span
-            p = q
-        return placed
 
     # -- accounting -----------------------------------------------------------
 

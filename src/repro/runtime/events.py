@@ -107,9 +107,9 @@ class SnapshotPointEvent:
     """The cycle ends with a checkpoint; ``live`` is the full live set.
 
     ``live_ids`` optionally carries the same set as a prebuilt
-    :class:`~repro.core.idset.IdSet` so downstream consumers (no-need
-    marking, the CRIU engine) share one compact-kernel build instead of
-    each re-deriving it from the object list.
+    :class:`~repro.core.idset.IdSet`, which the CRIU engine records as the
+    snapshot's logical content instead of re-deriving it from the object
+    list.
     """
 
     pause: "GCPause"

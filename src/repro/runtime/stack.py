@@ -41,13 +41,6 @@ class Frame:
         self.locals.append(obj)
         return obj
 
-    def drop(self, obj: HeapObject) -> None:
-        """Remove one local-variable root (best effort; no-op if absent)."""
-        try:
-            self.locals.remove(obj)
-        except ValueError:
-            pass
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Frame({self.method.class_name}.{self.method.name}:{self.current_line})"
 

@@ -56,9 +56,8 @@ class CRIUEngine:
                 Recorder) is responsible for having already marked unused
                 pages no-need.
             time_ms: virtual time of the checkpoint.
-            live_ids: optional prebuilt :class:`IdSet` of the same ids;
-                the snapshot-point path builds it once and shares it with
-                the no-need sweep instead of re-deriving it here.
+            live_ids: optional prebuilt :class:`IdSet` of the same ids
+                (the snapshot-point path passes the Recorder's).
         """
         # Only the count matters for image size/time; counting flag bytes
         # is one C pass, no page-index list is materialized.

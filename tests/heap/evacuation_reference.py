@@ -1,8 +1,8 @@
-"""A plain reference for columnar evacuation: one object at a time.
+"""A plain reference for evacuation: one object at a time.
 
-Each scanned object is uncounted from the page table; each survivor is
-bump-allocated into the generation its destination callable names and
-counted again.  Tests compare :meth:`SimHeap.evacuate` and its
+Each survivor is bump-allocated into the generation its destination
+callable names and its new pages are marked written.  Tests compare
+:meth:`SimHeap.evacuate` and its
 :class:`~repro.heap.evacuation.EvacuationPlan` lowering against this
 definition instead of against a second engine inside the heap.
 """
@@ -10,10 +10,9 @@ definition instead of against a second engine inside the heap.
 from repro.config import YOUNG_GEN
 
 
-def evacuate_objects(heap, regions, live, source_gen, destination_for):
+def evacuate_objects(heap, regions, epoch, source_gen, destination_for):
     """Evacuate like ``heap.evacuate``, calling ``destination_for(obj)``
     per survivor; returns ``(survivor_bytes, promoted_bytes, scanned)``."""
-    use_epoch = isinstance(live, int)
     survivor_bytes = promoted_bytes = scanned = 0
     page_table = heap.page_table
     for region in regions:
@@ -21,16 +20,11 @@ def evacuate_objects(heap, regions, live, source_gen, destination_for):
     for region in regions:
         for obj in region.objects:
             scanned += 1
-            # The old copy disappears whether or not the object survives.
-            page_table.adjust_occupancy_run(obj.address, [0], 0, 1, obj.size, -1)
-            if use_epoch:
-                if obj.mark_epoch != live:
-                    continue
-            elif obj.object_id not in live:
+            if obj.mark_epoch != epoch:
                 continue
             dest = destination_for(obj)
             address = dest.allocate(obj)
-            page_table.place_object(address, obj.size)
+            page_table.mark_written_range(address, obj.size)
             if dest.gen_id != region.gen_id:
                 promoted_bytes += obj.size
             else:
@@ -40,7 +34,5 @@ def evacuate_objects(heap, regions, live, source_gen, destination_for):
             ):
                 # Promotion created an old->young edge.
                 heap.old_to_young_remset[obj.object_id] = obj
-        # Occupancy already handed over; don't uncount again on free.
-        region.wipe_contents()
         heap.free_region(region)
     return survivor_bytes, promoted_bytes, scanned

@@ -132,9 +132,10 @@ class TestEvacuation:
         live_obj = heap.allocate(128)
         dead_obj = heap.allocate(128)
         original_id = live_obj.object_id
+        heap.trace_live([live_obj])
         regions = list(heap.young.regions)
         survivor, promoted, scanned = heap.evacuate(
-            regions, {live_obj.object_id}, heap.young, FixedDestination(old)
+            regions, heap.mark_epoch, heap.young, FixedDestination(old)
         )
         assert scanned == 2
         assert promoted == 128
@@ -147,15 +148,19 @@ class TestEvacuation:
         free_before = heap.free_region_count
         regions = list(heap.young.regions)
         heap.evacuate(
-            regions, set(), heap.young, FixedDestination(heap.young)
+            regions,
+            heap.new_mark_epoch(),  # nothing marked: everything is dead
+            heap.young,
+            FixedDestination(heap.young),
         )
         assert heap.free_region_count == free_before + len(regions)
 
     def test_within_generation_counts_as_survivor(self, heap):
         obj = heap.allocate(128)
+        heap.trace_live([obj])
         regions = list(heap.young.regions)
         survivor, promoted, _ = heap.evacuate(
-            regions, {obj.object_id}, heap.young, FixedDestination(heap.young)
+            regions, heap.mark_epoch, heap.young, FixedDestination(heap.young)
         )
         assert survivor == 128
         assert promoted == 0
@@ -163,10 +168,11 @@ class TestEvacuation:
     def test_destination_pages_dirtied(self, heap):
         old = heap.new_generation("old")
         obj = heap.allocate(128)
+        heap.trace_live([obj])
         heap.page_table.clear_dirty()
         heap.evacuate(
             list(heap.young.regions),
-            {obj.object_id},
+            heap.mark_epoch,
             heap.young,
             FixedDestination(old),
         )
@@ -185,12 +191,13 @@ class TestRegionQueries:
 class TestNoNeedMarking:
     def test_unused_pages_marked(self, heap):
         live_obj = heap.allocate(64)
-        marked = heap.mark_unused_pages_no_need([live_obj])
+        heap.trace_live([live_obj])
+        marked = heap.mark_unused_pages_no_need(heap.mark_epoch)
         assert marked > 0
         live_page = live_obj.address // heap.page_size
         assert not heap.page_table.is_no_need(live_page)
 
     def test_all_pages_marked_when_nothing_live(self, heap):
         heap.allocate(64)
-        marked = heap.mark_unused_pages_no_need([])
+        marked = heap.mark_unused_pages_no_need(heap.new_mark_epoch())
         assert marked == heap.page_table.num_pages

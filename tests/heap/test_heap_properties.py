@@ -1,4 +1,10 @@
-"""Property-based tests for heap invariants (hypothesis)."""
+"""Property-based tests for heap invariants (hypothesis).
+
+Evacuation is also checked against the plain per-object reference in
+:mod:`tests.heap.evacuation_reference` on twin heaps built from the same
+graph: placements, ages, promotions, remembered-set entries and page
+bits must all agree.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +13,10 @@ from typing import List, Set, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.config import PAGE_SIZE, SimConfig
-from repro.heap.evacuation import FixedDestination
+from repro.heap.evacuation import FixedDestination, SurvivorTenuring
 from repro.heap.heap import SimHeap
-from repro.heap.objects import HeapObject
+from repro.heap.objects import HeapObject, reset_identity_hashes
+from tests.heap.evacuation_reference import evacuate_objects
 
 
 def fresh_heap() -> SimHeap:
@@ -83,10 +90,9 @@ class TestAccountingProperties:
         heap.page_table.set_no_need(range(heap.page_table.num_pages))
         objects = [heap.allocate(size) for size in sizes]
         assert heap.young.used_bytes == sum(sizes)
-        # verify() recounts page occupancy from the object placement,
-        # which pins the fused page write for objects that straddle a
-        # page boundary or span several pages.
         heap.verify()
+        # Objects that straddle a page boundary or span several pages
+        # take the multi-page branch of the page write.
         table = heap.page_table
         for obj in objects:
             for page in obj.page_span(heap.page_size):
@@ -109,10 +115,11 @@ class TestEvacuationProperties:
         objects = build_graph(heap, specs)
         roots = objects[:root_count]
         live_before = reachable_closure(roots)
+        heap.trace_live(roots)
         dest = heap.new_generation("dest")
         heap.evacuate(
             list(heap.young.regions),
-            live_before,
+            heap.mark_epoch,
             heap.young,
             FixedDestination(dest),
         )
@@ -126,10 +133,11 @@ class TestEvacuationProperties:
         objects = build_graph(heap, specs)
         live_ids = reachable_closure(objects[:1])
         live_bytes = sum(o.size for o in objects if o.object_id in live_ids)
+        heap.trace_live(objects[:1])
         dest = heap.new_generation("dest")
         survivor, promoted, _ = heap.evacuate(
             list(heap.young.regions),
-            live_ids,
+            heap.mark_epoch,
             heap.young,
             FixedDestination(dest),
         )
@@ -141,10 +149,11 @@ class TestEvacuationProperties:
         heap = fresh_heap()
         objects = build_graph(heap, specs)
         live_ids = reachable_closure(objects[:1])
+        heap.trace_live(objects[:1])
         dest = heap.new_generation("dest")
         heap.evacuate(
             list(heap.young.regions),
-            live_ids,
+            heap.mark_epoch,
             heap.young,
             FixedDestination(dest),
         )
@@ -159,7 +168,101 @@ class TestPageAdviceProperties:
         heap = fresh_heap()
         objects = build_graph(heap, specs)
         live = heap.trace_live(objects[:3])
-        heap.mark_unused_pages_no_need(live)
+        heap.mark_unused_pages_no_need(heap.mark_epoch)
         for obj in live:
             for page in obj.page_span(heap.page_size):
                 assert not heap.page_table.is_no_need(page)
+
+
+def heap_state(heap: SimHeap, counts):
+    """Everything evacuation decides: (id, address, gen, age) per object,
+    the returned byte counts, the remembered set and the page bits."""
+    placements = sorted(
+        (obj.object_id, obj.address, obj.gen_id, obj.age)
+        for gen in heap.generations.values()
+        for obj in gen.iter_objects()
+    )
+    table = heap.page_table
+    return (
+        placements,
+        counts,
+        list(heap.old_to_young_remset),
+        table.dirty_pages(),
+        table.no_need_pages(),
+    )
+
+
+class TestEngineEquivalence:
+    @given(specs=graph_specs, root_count=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=25, deadline=None)
+    def test_placement_equals_reference_loop(self, specs, root_count):
+        """Twin heaps, same graph: plan-driven evacuation must place every
+        survivor where the per-object reference loop does."""
+        results = []
+        for use_plan in (False, True):
+            reset_identity_hashes()
+            heap = fresh_heap()
+            objects = build_graph(heap, specs)
+            heap.trace_live(objects[:root_count])
+            dest = heap.new_generation("dest")
+            args = (list(heap.young.regions), heap.mark_epoch, heap.young)
+            if use_plan:
+                counts = heap.evacuate(*args, FixedDestination(dest))
+            else:
+                counts = evacuate_objects(heap, *args, lambda o: dest)
+            heap.verify()
+            results.append(heap_state(heap, counts))
+        assert results[0] == results[1]
+
+    @given(
+        specs=graph_specs,
+        root_count=st.integers(min_value=1, max_value=4),
+        threshold=st.integers(min_value=1, max_value=3),
+        rounds=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_repeated_tenuring_matches_reference(
+        self, specs, root_count, threshold, rounds
+    ):
+        """Aging + promotion across several young collections: the
+        tenuring plan and the reference closure must agree everywhere."""
+        results = []
+        for use_plan in (False, True):
+            reset_identity_hashes()
+            heap = fresh_heap()
+            objects = build_graph(heap, specs)
+            old = heap.new_generation("old")
+            young = heap.young
+
+            def reference(obj):
+                obj.age += 1
+                return old if obj.age >= threshold else young
+
+            counts = []
+            for _ in range(rounds):
+                heap.trace_live(objects[:root_count])
+                args = (list(young.regions), heap.mark_epoch, young)
+                if use_plan:
+                    plan = SurvivorTenuring(young, old, threshold)
+                    counts.append(heap.evacuate(*args, plan))
+                else:
+                    counts.append(evacuate_objects(heap, *args, reference))
+            heap.verify()
+            results.append(heap_state(heap, counts))
+        assert results[0] == results[1]
+
+    @given(specs=graph_specs)
+    @settings(max_examples=25, deadline=None)
+    def test_sources_empty_after_evacuation(self, specs):
+        heap = fresh_heap()
+        objects = build_graph(heap, specs)
+        heap.trace_live(objects[:1])
+        dest = heap.new_generation("dest")
+        sources = list(heap.young.regions)
+        heap.evacuate(
+            sources, heap.mark_epoch, heap.young, FixedDestination(dest)
+        )
+        for region in sources:
+            assert region.top == 0 and region.gen_id is None
+            assert not region.objects
+        heap.verify()

@@ -72,7 +72,7 @@ class TestHumongousReclamation:
     def test_dead_humongous_reclaimed(self, heap):
         obj = heap.allocate(2 * heap.region_size)
         free_before = heap.free_region_count
-        reclaimed, freed = heap.reclaim_dead_humongous(live_ids=set())
+        reclaimed, freed = heap.reclaim_dead_humongous(heap.new_mark_epoch())
         assert reclaimed == 1
         assert freed == 2 * heap.region_size
         assert heap.free_region_count == free_before + 2
@@ -80,7 +80,8 @@ class TestHumongousReclamation:
 
     def test_live_humongous_kept(self, heap):
         obj = heap.allocate(2 * heap.region_size)
-        reclaimed, _ = heap.reclaim_dead_humongous(live_ids={obj.object_id})
+        heap.trace_live([obj])
+        reclaimed, _ = heap.reclaim_dead_humongous(heap.mark_epoch)
         assert reclaimed == 0
         assert heap.is_humongous(obj)
 

@@ -180,67 +180,3 @@ class TestRewriteNoNeed:
     def test_rejects_wrong_size_map(self, table):
         with pytest.raises(ValueError):
             table.rewrite_no_need(bytearray(table.num_pages - 1))
-
-
-def untrack(table, address: int, length: int) -> None:
-    """Uncount one object: a one-object run over ``[address, +length)``."""
-    table.adjust_occupancy_run(address, [0], 0, 1, length, -1)
-
-
-class TestOccupancy:
-    def test_track_and_untrack(self, table):
-        table.place_object(100, 200)
-        assert table.occupancy(0) == 1
-        table.place_object(0, 4096)
-        assert table.occupancy(0) == 2
-        untrack(table, 100, 200)
-        assert table.occupancy(0) == 1
-        untrack(table, 0, 4096)
-        assert table.occupied_pages() == []
-
-    def test_spanning_object_counts_on_every_page(self, table):
-        table.place_object(4000, 5000)  # pages 0..2
-        assert [table.occupancy(p) for p in (0, 1, 2, 3)] == [1, 1, 1, 0]
-        untrack(table, 4000, 5000)
-        assert table.occupied_pages() == []
-
-    def test_zero_length_is_noop(self, table):
-        table.place_object(100, 0)
-        table.adjust_occupancy_run(0, [0], 0, 0, 0, -1)  # an empty run
-        assert table.occupied_pages() == []
-        assert table.dirty_pages() == []
-
-    def test_object_spanning_last_page(self, table):
-        # An allocation whose extent ends exactly at the address-space end.
-        table.place_object(15 * 4096, 4096)
-        assert table.occupancy(15) == 1
-        assert table.occupied_pages() == [15]
-        assert table.dirty_pages() == [15]
-
-    def test_occupancy_on_partial_trailing_page(self):
-        table = PageTable(address_space_bytes=4096 + 100, page_size=4096)
-        table.place_object(4096, 100)
-        assert table.occupancy(1) == 1
-        assert table.dirty_pages() == [1]
-
-
-class TestPlaceObject:
-    """``place_object`` is ``mark_written_range`` plus the occupancy count."""
-
-    @pytest.mark.parametrize(
-        "address, length",
-        [(0, 16), (4080, 16), (4090, 16), (100, 4096), (4000, 9000), (8192, 8192)],
-    )
-    def test_matches_written_range_and_count(self, address, length):
-        fused = PageTable(address_space_bytes=16 * 4096, page_size=4096)
-        split = PageTable(address_space_bytes=16 * 4096, page_size=4096)
-        for table in (fused, split):
-            table.set_no_need(range(16))
-            table.mark_dirty_pages([0, 5])
-        fused.place_object(address, length)
-        split.mark_written_range(address, length)
-        expected = list(split.pages_for_range(address, length))
-        assert fused.dirty_pages() == split.dirty_pages()
-        assert fused.no_need_pages() == split.no_need_pages()
-        assert fused.occupied_pages() == expected
-        assert all(fused.occupancy(page) == 1 for page in expected)

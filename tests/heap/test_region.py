@@ -36,39 +36,12 @@ class TestBumpAllocation:
         with pytest.raises(RegionFullError):
             region.bump_allocate(HeapObject(size=16))
 
-    def test_has_room(self, region):
-        assert region.has_room(65536)
-        region.bump_allocate(HeapObject(size=65536 - 64))
-        assert region.has_room(64)
-        assert not region.has_room(65)
-
 
 class TestAccounting:
     def test_used_and_free(self, region):
         region.bump_allocate(HeapObject(size=100))
         assert region.used_bytes == 100
         assert region.free_bytes == 65536 - 100
-
-    def test_live_bytes(self, region):
-        a = HeapObject(size=100)
-        b = HeapObject(size=200)
-        region.bump_allocate(a)
-        region.bump_allocate(b)
-        assert region.live_bytes({a.object_id}) == 100
-        assert region.live_bytes({a.object_id, b.object_id}) == 300
-        assert region.live_bytes(set()) == 0
-
-    def test_live_bytes_takes_any_id_container_without_warning(self, region):
-        import warnings
-
-        a = HeapObject(size=100)
-        b = HeapObject(size=200)
-        region.bump_allocate(a)
-        region.bump_allocate(b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert region.live_bytes([b.object_id]) == 200
-            assert region.live_bytes({a.object_id: True}) == 100
 
     def test_page_span_empty(self, region):
         assert list(region.page_span(4096)) == []
@@ -88,4 +61,4 @@ class TestReset:
         assert region.top == 0
         assert region.gen_id is None
         assert region.objects == []
-        assert region.has_room(65536)
+        assert region.free_bytes == 65536

@@ -13,17 +13,11 @@ class TestFrame:
         frame.current_line = 42
         assert frame.location == ("C", "m", 42)
 
-    def test_keep_and_drop(self):
+    def test_keep_roots_object(self):
         frame = Frame(MethodModel("C", "m"))
         obj = HeapObject(size=64)
         assert frame.keep(obj) is obj
         assert obj in frame.locals
-        frame.drop(obj)
-        assert obj not in frame.locals
-
-    def test_drop_missing_is_noop(self):
-        frame = Frame(MethodModel("C", "m"))
-        frame.drop(HeapObject(size=64))  # must not raise
 
 
 class TestStackTraceCapture:

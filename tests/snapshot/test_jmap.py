@@ -49,9 +49,10 @@ class TestAddressInstability:
         obj = heap.allocate(128)
         id_before = obj.object_id
         view_before = JmapDumper.address_keyed_view([obj])
+        heap.trace_live([obj])
         heap.evacuate(
             list(heap.young.regions),
-            {obj.object_id},
+            heap.mark_epoch,
             heap.young,
             FixedDestination(dest),
         )

@@ -3,18 +3,22 @@
 The agent/event refactor routed every profiler through
 ``vm.attach_agent`` and left one analysis path (the streaming
 ``ProfileBuilder``) and one recording layout; later changes left one
-evacuation engine (plans only), one sweep scheduler (``jobs`` picks
-in-process or the pool), one profile-store layout (content-addressed
-objects plus ``latest`` pointers, v2 profiles only), one tick loop
-(``pipeline.drive``), one sweep cache (``sqlite:///PATH``), one
-offline entry point (``analyze_recording``), one cell path (a
-single ready queue in ``run_sweep``; a cell keeps only its results) and
-one allocation path (a batch is a loop over ``VM.allocate_at_site``).
-This test keeps it that way: no package module or example may use the
-removed listener shims, legacy attach seams, the batch analyzer, the
-second snapshot format, the per-object evacuation loop, the scheduler
-modes, the ``MatrixCache`` view, the flat profile-file API, the v1
-profile format, the JSON-directory cache,
+evacuation engine (``SimHeap.evacuate``: one loop over survivors, taking
+a plan and a mark epoch), one copy of every heap object (a region is a
+bump pointer and its ``HeapObject`` list), one sweep scheduler (``jobs``
+picks in-process or the pool), one profile-store layout
+(content-addressed objects plus ``latest`` pointers, v2 profiles only),
+one tick loop (``pipeline.drive``), one sweep cache
+(``sqlite:///PATH``), one offline entry point (``analyze_recording``),
+one cell path (a single ready queue in ``run_sweep``; a cell keeps only
+its results) and one allocation path (a batch is a loop over
+``VM.allocate_at_site``).  This test keeps it that way: no package
+module or example may use the removed listener shims, legacy attach
+seams, the batch analyzer, the second snapshot format, a second
+evacuation loop beside ``evacuate``, the region columns and their
+kernels, the page occupancy counters, the id-set live tests, the
+scheduler modes, the ``MatrixCache`` view, the flat profile-file API,
+the v1 profile format, the JSON-directory cache,
 ``ProfileBuilder.from_recording``, the sharded pool, the runner's
 ``result``/``series_support`` aliases, the snapshot-payload pickling or
 the batched allocation path (batch events, quiet-run headroom, bulk
@@ -54,7 +58,10 @@ _REMOVED = re.compile(
     r"\bAllocationBatchEvent\b|\bALLOCATION_BATCH\b|\bbatch_headroom\b|"
     r"\bappend_batch\b|\bview_at\b|\bfrom_columns\b|"
     r"\breserve_identity_hashes\b|\bbump_room\b|\bmaterialize=|"
-    r"\.on_allocation_batch\(|\bheap\.allocate_batch\("
+    r"\.on_allocation_batch\(|\bheap\.allocate_batch\(|"
+    r"\b_occupancy\b|\badjust_occupancy_run\b|\babsorb_slice\b|"
+    r"\bplace_slice\b|\bage_up_and_split\b|\blive_runs\b|\blive_flags\b|"
+    r"\bextract_mask\b|\b_id_breaks\b|\blive_id_set\b"
 )
 
 #: Workload ticks; only the one tick loop (``core/pipeline.py``) may call it.
@@ -89,7 +96,8 @@ def test_no_direct_alloc_listener_calls_outside_runtime():
     assert offenders == [], (
         "these lines use removed seams (subscribe via vm.attach_agent / "
         "vm.events, analyze with ProfileBuilder, record snapshots.bin, "
-        "evacuate with an EvacuationPlan, pick the scheduler with jobs, "
+        "evacuate with SimHeap.evacuate and a mark epoch, keep heap "
+        "objects only in Region.objects, pick the scheduler with jobs, "
         "use ProfileStore.put/load_latest/select, cache in sqlite:///PATH, "
         "analyze recordings with analyze_recording, tick workloads "
         "through pipeline.drive, compute cells through run_sweep, "
