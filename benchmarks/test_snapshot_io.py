@@ -9,14 +9,16 @@ bitmap/run kernels, kernel cohort algebra):
 * **snapshot load** — read every snapshot off disk and materialize every
   live set.  Legacy: ``json.loads`` per line plus frozenset delta
   application.  Current: binary columns decoded into IdSets (one C
-  ``int.from_bytes`` per dense chunk).
+  ``int.from_bytes`` per dense chunk) plus IdSet delta application.
 * **live-set intersection** — matching the recorded ids against every
   snapshot's live set (the seed analyzer's per-snapshot survival pass).  Legacy:
   frozenset ∩ frozenset, one hash probe per element.  Current: IdSet ∩
   IdSet, one big-int AND + popcount per chunk.
-* **cohort survival** — the full delta-chain survival counting, reported
-  for parity and context (its runtime is dominated by per-id count
-  crediting, identical in both implementations, so no gate applies).
+* **cohort survival** — survival counting over every snapshot's born and
+  dead ids, reported for parity and context (its runtime is dominated by
+  per-id count crediting, identical in both implementations, so no gate
+  applies; the current side also diffs consecutive live sets, as the
+  streaming analyzer does).
 * **id-set bytes** — resident bytes of all materialized live sets
   (frozenset table + 28 B/boxed id vs ``IdSet.nbytes``).
 
@@ -36,12 +38,14 @@ from conftest import RESULTS_DIR, save_result
 
 from repro.core.analyzer import credit_counts
 from repro.core.idset import EMPTY_IDSET, IdSet
-from repro.snapshot.snapshot import Snapshot, SnapshotStore
+from repro.snapshot.binstore import iter_binary, write_store
+from repro.snapshot.snapshot import Snapshot
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 #: Snapshot-chain shape: monotonic identity hashes, a full first image,
-#: then born/dead deltas — the exact population the CRIU engine records.
+#: then incremental snapshots that gain and lose dense id ranges — the
+#: population the CRIU engine records.
 SNAPSHOTS = 10 if SMOKE else 60
 BORN_PER_SNAPSHOT = 500 if SMOKE else 8_000
 DEAD_PER_SNAPSHOT = 300 if SMOKE else 6_000
@@ -84,11 +88,21 @@ class LegacySnapshot:
             self.is_delta = True
 
 
-def legacy_save(store: SnapshotStore, path: str) -> None:
-    """Seed save path: one JSON object per snapshot, one per line."""
+def legacy_save(snapshots: List[Snapshot], path: str) -> None:
+    """Seed save path: one JSON object per snapshot, one per line; an
+    incremental snapshot after the first holds its born/dead ids against
+    the snapshot before it instead of its live set."""
+    previous: Optional[IdSet] = None
     with open(path, "w") as handle:
-        for snapshot in store:
-            handle.write(json.dumps(snapshot.to_dict()) + "\n")
+        for snapshot in snapshots:
+            payload = snapshot.to_dict()
+            live = snapshot.live_object_ids
+            if snapshot.incremental and previous is not None:
+                del payload["live_object_ids"]
+                payload["born_ids"] = (live - previous).to_list()
+                payload["dead_ids"] = (previous - live).to_list()
+            handle.write(json.dumps(payload) + "\n")
+            previous = live
 
 
 def legacy_load(path: str) -> List[LegacySnapshot]:
@@ -154,11 +168,8 @@ def legacy_survival_counts(snapshots: List[LegacySnapshot]) -> Dict[int, int]:
 
 
 def current_load(path: str) -> List[Snapshot]:
-    """Current load path: binary columns -> IdSets, live sets materialized."""
-    snapshots = list(SnapshotStore.iter_file(path))
-    for snapshot in snapshots:
-        snapshot.live_object_ids  # materialize + cache, like the analyzer
-    return snapshots
+    """Current load path: binary columns -> IdSets, deltas applied."""
+    return list(iter_binary(path))
 
 
 def current_intersection_counts(
@@ -169,14 +180,15 @@ def current_intersection_counts(
 
 
 def current_survival_counts(snapshots: List[Snapshot]) -> Dict[int, int]:
-    """The streaming analyzer's delta cohort algebra over IdSet kernels."""
+    """The streaming analyzer's cohort algebra over IdSet kernels: each
+    live set is diffed against the previous one."""
     counts: Dict[int, int] = {}
     cohorts: Dict[int, IdSet] = {}
+    previous = EMPTY_IDSET
     for index, snapshot in enumerate(snapshots):
-        if snapshot.is_delta:
-            born, dead = snapshot.born_ids, snapshot.dead_ids
-        else:
-            born, dead = snapshot.live_object_ids, EMPTY_IDSET
+        live = snapshot.live_object_ids
+        born, dead = live - previous, previous - live
+        previous = live
         if dead:
             for birth in list(cohorts):
                 cohort = cohorts[birth]
@@ -197,40 +209,36 @@ def current_survival_counts(snapshots: List[Snapshot]) -> Dict[int, int]:
 
 
 # --------------------------------------------------------------------------
-# Fixture: one delta chain with monotonic ids, saved in both formats.
+# Fixture: one snapshot sequence with monotonic ids, saved in both formats.
 # --------------------------------------------------------------------------
 
 
-def build_store() -> SnapshotStore:
-    store = SnapshotStore()
+def build_snapshots() -> List[Snapshot]:
+    snapshots: List[Snapshot] = []
+    live = EMPTY_IDSET
     next_id = 0
     oldest = 0
-    previous: Optional[Snapshot] = None
     for seq in range(1, SNAPSHOTS + 1):
-        born = range(next_id, next_id + BORN_PER_SNAPSHOT)
+        live = live | IdSet(range(next_id, next_id + BORN_PER_SNAPSHOT))
         next_id += BORN_PER_SNAPSHOT
-        common = dict(
-            seq=seq,
-            time_ms=float(seq * 100),
-            engine="criu",
-            pages_written=64,
-            size_bytes=64 * 4096,
-            duration_us=500.0,
-            incremental=seq > 1,
-        )
-        if previous is None:
-            snapshot = Snapshot(live_object_ids=born, **common)
-        else:
+        if seq > 1:
             # The oldest still-living ids die: dense ranges on both
             # sides, exactly the monotonic-identity-hash shape.
-            dead = range(oldest, oldest + DEAD_PER_SNAPSHOT)
+            live = live - IdSet(range(oldest, oldest + DEAD_PER_SNAPSHOT))
             oldest += DEAD_PER_SNAPSHOT
-            snapshot = Snapshot(
-                born_ids=born, dead_ids=dead, predecessor=previous, **common
+        snapshots.append(
+            Snapshot(
+                seq=seq,
+                time_ms=float(seq * 100),
+                engine="criu",
+                pages_written=64,
+                size_bytes=64 * 4096,
+                duration_us=500.0,
+                live_object_ids=live,
+                incremental=seq > 1,
             )
-        store.append(snapshot)
-        previous = snapshot
-    return store
+        )
+    return snapshots
 
 
 def legacy_live_bytes(snapshots: List[LegacySnapshot]) -> int:
@@ -245,11 +253,11 @@ def current_live_bytes(snapshots: List[Snapshot]) -> int:
 
 
 def test_snapshot_io_speed(tmp_path):
-    store = build_store()
+    snapshots = build_snapshots()
     jsonl_path = str(tmp_path / "snapshots.jsonl")
     bin_path = str(tmp_path / "snapshots.bin")
-    legacy_save(store, jsonl_path)
-    store.save(bin_path)
+    legacy_save(snapshots, jsonl_path)
+    write_store(bin_path, snapshots)
 
     # -- parity: both loaders reconstruct identical live sets ------------
     legacy_snapshots = legacy_load(jsonl_path)

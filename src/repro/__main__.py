@@ -66,27 +66,11 @@ def _scaled_run(args):
 
 def cmd_profile(args) -> int:
     config, duration_ms = _scaled_run(args)
-    if args.keep_recording:
-        # Record-then-analyze: leaves the raw recording behind and
-        # produces the same profile (the streaming replay is
-        # digest-identical to the in-VM path).
-        from repro.core.offline import analyze_recording, record_to_dir
-
-        record_to_dir(
-            args.workload,
-            args.keep_recording,
-            duration_ms=duration_ms,
-            seed=args.seed,
-            config=config,
-        )
-        print(f"recording kept -> {args.keep_recording}")
-        profile = analyze_recording(args.keep_recording)
-    else:
-        pipeline = POLM2Pipeline(
-            lambda: make_workload(args.workload, seed=args.seed),
-            config=config,
-        )
-        profile = pipeline.run_profiling_phase(duration_ms=duration_ms)
+    pipeline = POLM2Pipeline(
+        lambda: make_workload(args.workload, seed=args.seed),
+        config=config,
+    )
+    profile = pipeline.run_profiling_phase(duration_ms=duration_ms)
     print(
         f"{profile.instrumented_site_count} sites, "
         f"{profile.generations_used} generations, "
@@ -354,11 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("-o", "--output", default="profile.json")
     p_profile.add_argument("--duration-ms", type=float, default=30_000.0)
     p_profile.add_argument("--seed", type=int, default=42)
-    p_profile.add_argument(
-        "--keep-recording",
-        metavar="DIR",
-        help="also persist the raw recording to DIR (record + analyze)",
-    )
     _add_object_scale_option(p_profile)
     p_profile.set_defaults(func=cmd_profile)
 

@@ -40,15 +40,6 @@ class LifetimeDistribution:
     def sample_count(self) -> int:
         return sum(self.buckets.values())
 
-    @property
-    def mode_survival(self) -> int:
-        """The survival count most objects reached (ties -> the smaller,
-        i.e. the conservative, less-pretenured choice)."""
-        if not self.buckets:
-            return 0
-        best_count = max(self.buckets.values())
-        return min(s for s, c in self.buckets.items() if c == best_count)
-
     def mode_generation(self, max_generations: int) -> int:
         """The generation index most objects fall into.
 

@@ -10,16 +10,15 @@ to jmap.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.runtime.events import SnapshotPointEvent, VMAgent
 from repro.snapshot.criu import CRIUEngine
-from repro.snapshot.snapshot import Snapshot, SnapshotStore
+from repro.snapshot.snapshot import Snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.idset import IdSet
-    from repro.heap.objects import HeapObject
     from repro.runtime.vm import VM
 
 
@@ -27,16 +26,14 @@ class Dumper(VMAgent):
     """Creates incremental memory snapshots of the profiled VM.
 
     An agent subscribed to ``SNAPSHOT_POINT`` events published by the
-    Recorder: ``vm.attach_agent(dumper)`` wires it to a VM.
+    Recorder: ``vm.attach_agent(dumper)`` wires it to a VM.  Snapshots
+    accumulate in :attr:`snapshots`, oldest first.
     """
 
-    def __init__(self, store: Optional[SnapshotStore] = None) -> None:
+    def __init__(self) -> None:
         self.vm: Optional["VM"] = None
         self.engine: Optional[CRIUEngine] = None
-        # NOTE: an explicit identity check — a freshly created store is
-        # empty and therefore falsy, so ``store or SnapshotStore()`` would
-        # silently discard a caller-provided store.
-        self.store = store if store is not None else SnapshotStore()
+        self.snapshots: List[Snapshot] = []
 
     # -- agent lifecycle -----------------------------------------------------------
 
@@ -46,33 +43,27 @@ class Dumper(VMAgent):
             self.engine = CRIUEngine(vm.config.costs)
 
     def on_snapshot_point(self, event: SnapshotPointEvent) -> None:
-        self.take_snapshot(event.live, live_ids=event.live_ids)
+        self.take_snapshot(event.live_ids)
 
     def telemetry(self) -> Dict[str, int]:
         return {"snapshots_taken": self.snapshots_taken}
 
     # -- snapshotting ---------------------------------------------------------------
 
-    def take_snapshot(
-        self,
-        live_objects: Iterable["HeapObject"],
-        live_ids: Optional["IdSet"] = None,
-    ) -> Snapshot:
+    def take_snapshot(self, live_ids: "IdSet") -> Snapshot:
         """Checkpoint now; the application is stopped for the duration.
 
-        ``live_ids``, when provided (the snapshot-point path), is the
-        prebuilt :class:`IdSet` of ``live_objects``' ids, saving the
-        engine one per-object pass.
+        ``live_ids`` holds the identity hashes of the reachable objects.
         """
         if self.vm is None or self.engine is None:
             raise ReproError("Dumper is not attached to a VM")
         snapshot = self.engine.checkpoint(
-            self.vm.heap, live_objects, self.vm.clock.now_ms, live_ids=live_ids
+            self.vm.heap, live_ids, self.vm.clock.now_ms
         )
         self.vm.clock.advance_us(snapshot.duration_us)
-        self.store.append(snapshot)
+        self.snapshots.append(snapshot)
         return snapshot
 
     @property
     def snapshots_taken(self) -> int:
-        return len(self.store)
+        return len(self.snapshots)

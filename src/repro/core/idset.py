@@ -164,13 +164,6 @@ class IdSet:
             return ids
         return cls(ids)
 
-    @classmethod
-    def union_all(cls, sets: Iterable["IdSet"]) -> "IdSet":
-        result = EMPTY_IDSET
-        for other in sets:
-            result = result | other
-        return result
-
     # -- basic protocol ---------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -243,35 +236,6 @@ class IdSet:
         preview = self.to_list()[:6]
         suffix = ", ..." if self._len > 6 else ""
         return f"IdSet({preview}{suffix} len={self._len})"
-
-    def isdisjoint(self, other: "IdSet") -> bool:
-        other = IdSet.coerce(other)
-        small, large = (
-            (self, other) if len(self._chunks) <= len(other._chunks) else (other, self)
-        )
-        for key, ca in small._chunks.items():
-            cb = large._chunks.get(key)
-            if cb is None:
-                continue
-            if self._chunk_intersects(ca, cb):
-                return False
-        return True
-
-    @staticmethod
-    def _chunk_intersects(ca, cb) -> bool:
-        a_is_run = isinstance(ca, array)
-        b_is_run = isinstance(cb, array)
-        if not a_is_run and not b_is_run:
-            return bool(ca & cb)
-        if a_is_run and b_is_run:
-            probe = frozenset(cb)
-            return any(v in probe for v in ca)
-        run, raw = (ca, cb) if a_is_run else (cb, ca)
-        raw_bytes = raw.to_bytes(BITMAP_BYTES, "little")
-        return any(
-            raw_bytes[(v & CHUNK_MASK) >> 3] >> ((v & CHUNK_MASK) & 7) & 1
-            for v in run
-        )
 
     # -- set algebra ------------------------------------------------------------------
 
@@ -443,10 +407,6 @@ class IdSet:
                     chunks[key] = bitmap
                 total += count
         return IdSet._from_chunks(chunks, total)
-
-    intersection = __and__
-    union = __or__
-    difference = __sub__
 
     # -- (de)serialization -----------------------------------------------------------
     #

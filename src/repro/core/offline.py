@@ -36,6 +36,7 @@ from repro.core.stages import (
 )
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
+from repro.snapshot import binstore
 from repro.workloads import make_workload
 
 __all__ = [
@@ -69,7 +70,9 @@ def record_to_dir(
 
     os.makedirs(output_dir, exist_ok=True)
     recorder.records.flush_to_dir(output_dir)
-    dumper.store.save(os.path.join(output_dir, SNAPSHOTS_BIN_FILE))
+    binstore.write_store(
+        os.path.join(output_dir, SNAPSHOTS_BIN_FILE), dumper.snapshots
+    )
     with open(os.path.join(output_dir, META_FILE), "w") as handle:
         json.dump(
             {
@@ -81,7 +84,7 @@ def record_to_dir(
                 "snapshot_format": "binary",
                 "max_generations": vm.config.max_generations,
                 "allocations_recorded": recorder.records.total_allocations,
-                "snapshots_taken": len(dumper.store),
+                "snapshots_taken": len(dumper.snapshots),
             },
             handle,
             indent=2,

@@ -86,12 +86,6 @@ class AllocationRecords:
     def total_allocations(self) -> int:
         return sum(len(stream) for stream in self.streams.values())
 
-    def recorded_object_ids(self) -> List[int]:
-        ids: List[int] = []
-        for stream in self.streams.values():
-            ids.extend(stream)
-        return ids
-
     # -- persistence (the "flushed to disk at the end" behaviour of §3.2) ----
 
     def flush_to_dir(self, path: str) -> None:
@@ -287,6 +281,5 @@ class Recorder(VMAgent):
         # hashes are monotonic, so the set is runs + bitmap blocks).
         live_ids = IdSet(obj.object_id for obj in live)
         vm.events.publish(
-            SNAPSHOT_POINT,
-            SnapshotPointEvent(pause=pause, live=live, live_ids=live_ids),
+            SNAPSHOT_POINT, SnapshotPointEvent(pause=pause, live_ids=live_ids)
         )

@@ -17,7 +17,7 @@ ROLP-style runtime profilers use:
   :class:`LiveVMSource` is a VMAgent subscribing to snapshot-point
   events inside the profiled VM (the streaming workflow; the serve
   cycle's :class:`~repro.serve.cycle.BoundedLiveSource` is the same
-  source with a trimmed snapshot store).
+  source with a trimmed snapshot list).
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ from repro.core.analyzer import (
     estimate_trace_generations,
     lifetime_distributions,
 )
-from repro.core.idset import IdSet
+from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.core.profile import AllocationProfile
 from repro.core.recorder import AllocationRecords
 from repro.core.sttree import STTree
 from repro.errors import ProfileError, ProfileFormatError
 from repro.runtime.events import SnapshotPointEvent, VMAgent
-from repro.snapshot.snapshot import Snapshot, SnapshotStore
+from repro.snapshot import binstore
+from repro.snapshot.snapshot import Snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dumper import Dumper
@@ -60,20 +61,16 @@ RECORDING_SCHEMA_VERSION = 1
 class IncrementalAnalyzer:
     """The bucket algorithm as a bounded-memory stream.
 
-    Survival counting is a delta-chain cohort algebra applied per
-    arriving snapshot: ids are grouped into per-birth-index cohorts,
-    deaths peel off each cohort and credit the interval length.  A
-    snapshot that does not chain onto the previously seen one (a full
-    image, or a delta from elsewhere) is synthesized into a born/dead
-    pair against the union of the live cohorts — crediting interval
-    lengths over those synthesized deltas sums to exactly the number of
-    snapshots each id appears live in, so the resulting STTree is the
-    same whichever way the snapshots are encoded.
+    Survival counting is a cohort algebra applied per arriving snapshot:
+    each live set is diffed against the previous one into born and dead
+    ids, born ids form a new per-birth-index cohort, and deaths peel off
+    each cohort and credit the interval length.  Crediting interval
+    lengths sums to exactly the number of snapshots each id appears live
+    in.
 
     Memory: the analyzer keeps the survival counts, the live cohorts (id
-    ints, no snapshot references), and the latest snapshot (for the
-    chain identity check) — never more than two snapshots' id sets at
-    once, and O(live ids) overall.
+    ints, no snapshot references), and the previous live set — O(live
+    ids) overall.
     """
 
     def __init__(self, max_generations: int = 16, min_samples: int = 8) -> None:
@@ -86,7 +83,7 @@ class IncrementalAnalyzer:
         self._counts: Dict[int, int] = {}
         #: birth index -> ids born there and still alive.
         self._cohorts: Dict[int, IdSet] = {}
-        self._previous: Optional[Snapshot] = None
+        self._previous_live = EMPTY_IDSET
         self._tree: Optional[STTree] = None
         #: Per-trace survival histograms and estimated generations, kept
         #: by :meth:`finish` for :meth:`site_report` and demographics.
@@ -99,16 +96,9 @@ class IncrementalAnalyzer:
         if self._tree is not None:
             raise ProfileError("IncrementalAnalyzer is already finished")
         index = self.snapshots_seen
-        chained = snapshot.is_delta and snapshot.predecessor is self._previous
-        if chained:
-            born, dead = snapshot.born_ids, snapshot.dead_ids
-        else:
-            # Full image or out-of-chain delta: synthesize the delta
-            # against what the cohorts say is currently live.
-            live = snapshot.live_object_ids
-            current = IdSet.union_all(self._cohorts.values())
-            born = live - current
-            dead = current - live
+        live = snapshot.live_object_ids
+        born = live - self._previous_live
+        dead = self._previous_live - live
         if dead:
             for birth in list(self._cohorts):
                 cohort = self._cohorts[birth]
@@ -122,7 +112,7 @@ class IncrementalAnalyzer:
                     credit_counts(self._counts, died, index - birth)
         if born:
             self._cohorts[index] = born
-        self._previous = snapshot
+        self._previous_live = live
         self.snapshots_seen += 1
 
     def on_trace_flush(self, records: AllocationRecords) -> None:
@@ -150,7 +140,7 @@ class IncrementalAnalyzer:
                 cutoff = cohort_max
             credit_counts(self._counts, cohort, total - birth)
         self._cohorts.clear()
-        self._previous = None
+        self._previous_live = EMPTY_IDSET
         self.distributions = lifetime_distributions(
             self.records, self._counts, cutoff
         )
@@ -304,7 +294,7 @@ class RecordingDirSource:
     def iter_snapshots(self) -> Iterator[Snapshot]:
         path = os.path.join(self.recording_dir, SNAPSHOTS_BIN_FILE)
         try:
-            yield from SnapshotStore.iter_file(path)
+            yield from binstore.iter_binary(path)
         except OSError as exc:
             raise ProfileFormatError(
                 f"{path}: cannot read recording snapshots (recording "
@@ -329,9 +319,9 @@ class LiveVMSource(VMAgent):
     """Streams a live VM's snapshot points into a ProfileBuilder.
 
     Attach AFTER the Dumper: snapshot-point listeners run in attachment
-    order, so the Dumper's snapshot is already in its store when this
+    order, so the Dumper's snapshot is already in its list when this
     agent forwards it.  Call :meth:`flush` once the run ends to hand the
-    Recorder's completed streams to the analyzer.  The store is left
+    Recorder's completed streams to the analyzer.  The list is left
     whole; the serve cycle's
     :class:`~repro.serve.cycle.BoundedLiveSource` trims it.
     """
@@ -349,15 +339,15 @@ class LiveVMSource(VMAgent):
         self._last: Optional[Snapshot] = None
 
     def on_snapshot_point(self, event: SnapshotPointEvent) -> None:
-        store = self.dumper.store
-        # The newest snapshot, not the store's length: a trimming
+        snapshots = self.dumper.snapshots
+        # The newest snapshot, not the list's length: a trimming
         # subclass keeps only the last one.
-        if len(store) == 0 or store[-1] is self._last:
+        if not snapshots or snapshots[-1] is self._last:
             raise ProfileError(
                 f"{type(self).__name__} saw a snapshot point before the "
                 "Dumper's snapshot landed; attach the Dumper first"
             )
-        self._last = store[-1]
+        self._last = snapshots[-1]
         self.builder.feed_snapshot(self._last)
         self.snapshots_streamed += 1
 

@@ -49,10 +49,6 @@ class PretenuringUnsupportedError(GCError):
     """The active collector does not implement the pretenuring API."""
 
 
-class SnapshotError(ReproError):
-    """Base class for snapshot/checkpoint errors."""
-
-
 class ProfileError(ReproError):
     """Base class for profiling / analysis errors."""
 

@@ -326,7 +326,7 @@ def run_madvise_ablation(
         vm.attach_agent(Recorder(mark_no_need=mark))
         vm.attach_agent(dumper)
         drive(vm, make_workload(workload, seed=seed), duration_ms)
-        totals[mark] = dumper.store.total_bytes()
+        totals[mark] = sum(s.size_bytes for s in dumper.snapshots)
     return MadviseAblation(
         workload=workload,
         bytes_with_madvise=totals[True],

@@ -34,21 +34,20 @@ Event kinds
     cycle.
 ``SNAPSHOT_POINT``
     The Recorder decided this cycle ends with a checkpoint: the no-need
-    pages are already marked and the full live set is attached.  Payload:
-    :class:`SnapshotPointEvent`.  The Dumper subscribes here.
+    pages are already marked and the full live-id set is attached.
+    Payload: :class:`SnapshotPointEvent`.  The Dumper subscribes here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.idset import IdSet
     from repro.gc.events import GCPause
-    from repro.heap.objects import HeapObject
     from repro.runtime.code import ClassModel
     from repro.runtime.vm import VM
 
@@ -104,17 +103,15 @@ class GCEndEvent:
 
 @dataclasses.dataclass(frozen=True)
 class SnapshotPointEvent:
-    """The cycle ends with a checkpoint; ``live`` is the full live set.
+    """The cycle ends with a checkpoint; ``live_ids`` is the full live set.
 
-    ``live_ids`` optionally carries the same set as a prebuilt
-    :class:`~repro.core.idset.IdSet`, which the CRIU engine records as the
-    snapshot's logical content instead of re-deriving it from the object
-    list.
+    The identity hashes of every reachable object, as the
+    :class:`~repro.core.idset.IdSet` the CRIU engine records as the
+    snapshot's logical content.
     """
 
     pause: "GCPause"
-    live: Sequence["HeapObject"]
-    live_ids: Optional["IdSet"] = None
+    live_ids: "IdSet"
 
 
 class EventBus:

@@ -17,10 +17,9 @@ against one wall-clock budget:
   reported via counters, never silently queued into the next window;
 * memory is bounded per cycle, not per run: the
   :class:`BoundedLiveSource` — a :class:`~repro.core.stages.LiveVMSource`
-  that also trims — keeps only the newest snapshot in the store and
-  releases each consumed delta's predecessor chain, so the live
-  snapshot count never exceeds two regardless of how many cycles the
-  daemon has run.
+  that also trims — keeps only the newest snapshot in the Dumper's
+  list, so the live snapshot count never exceeds two regardless of how
+  many cycles the daemon has run.
 
 Because a completed cycle is exactly the streaming profiling phase at a
 fixed seed, its STTree is byte-identical to the offline
@@ -62,20 +61,19 @@ class BoundedLiveSource(LiveVMSource):
     """A :class:`~repro.core.stages.LiveVMSource` with bounded memory.
 
     After each snapshot is fed to the analyzer it trims the Dumper's
-    store to the newest snapshot and severs the consumed delta's
-    predecessor link, so a cycle retains at most two snapshots (the one
-    being taken plus the previous chain head) at any instant.
+    list to the newest snapshot, so a cycle retains at most two
+    snapshots (the one being taken plus the previous one) at any
+    instant.
     """
 
-    #: Most snapshots the Dumper's store held at once.
+    #: Most snapshots the Dumper's list held at once.
     live_snapshot_peak = 0
 
     def on_snapshot_point(self, event: SnapshotPointEvent) -> None:
         super().on_snapshot_point(event)
-        store = self.dumper.store
-        self.live_snapshot_peak = max(self.live_snapshot_peak, len(store))
-        store.trim(keep_last=1)
-        store[-1].release_predecessor()
+        snapshots = self.dumper.snapshots
+        self.live_snapshot_peak = max(self.live_snapshot_peak, len(snapshots))
+        del snapshots[:-1]
 
     def telemetry(self) -> Dict[str, int]:
         return {

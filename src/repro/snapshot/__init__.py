@@ -9,6 +9,6 @@ walks and serializes every live object on every dump.
 
 from repro.snapshot.criu import CRIUEngine
 from repro.snapshot.jmap import JmapDumper
-from repro.snapshot.snapshot import Snapshot, SnapshotStore
+from repro.snapshot.snapshot import Snapshot
 
-__all__ = ["CRIUEngine", "JmapDumper", "Snapshot", "SnapshotStore"]
+__all__ = ["CRIUEngine", "JmapDumper", "Snapshot"]

@@ -19,6 +19,13 @@ id columns     per snapshot, in order:
                  full   -> u32 len + live_object_ids column
 ```
 
+Snapshots live in memory as full live sets; the file keeps the paper's
+incremental images.  :func:`write_store` stores every ``incremental``
+snapshot after the first as a ``delta``, born and dead ids against the
+snapshot before it, and every other one ``full``; :func:`iter_binary`
+applies each delta to the live set before it (the empty set when a
+delta comes first).
+
 Each id column is an :meth:`repro.core.idset.IdSet.to_bytes` payload —
 varint-delta runs for sparse chunks, raw bitmap blocks for dense ranges
 — so decoding a column is mostly one C ``int.from_bytes`` per dense
@@ -39,13 +46,11 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import Iterator, Optional, Sequence
 
-from repro.core.idset import IdSet
+from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.errors import ProfileFormatError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.snapshot.snapshot import Snapshot
+from repro.snapshot.snapshot import Snapshot
 
 #: First bytes of every binary snapshot store.
 SNAPSHOTS_MAGIC = b"POLM2SNP"
@@ -68,11 +73,13 @@ _COLUMNS = (
 )
 
 
-def write_store(path: str, snapshots: Sequence["Snapshot"]) -> None:
+def write_store(path: str, snapshots: Sequence[Snapshot]) -> None:
     """Write the snapshot sequence as one binary columnar file."""
     columns = {name: [] for name in _COLUMNS}
     payloads = []
+    previous: Optional[IdSet] = None
     for snapshot in snapshots:
+        live = snapshot.live_object_ids
         columns["seq"].append(snapshot.seq)
         columns["time_ms"].append(snapshot.time_ms)
         columns["engine"].append(snapshot.engine)
@@ -80,14 +87,15 @@ def write_store(path: str, snapshots: Sequence["Snapshot"]) -> None:
         columns["size_bytes"].append(snapshot.size_bytes)
         columns["duration_us"].append(snapshot.duration_us)
         columns["incremental"].append(snapshot.incremental)
-        if snapshot.is_delta:
+        if snapshot.incremental and previous is not None:
             columns["kind"].append("delta")
             payloads.append(
-                (snapshot.born_ids.to_bytes(), snapshot.dead_ids.to_bytes())
+                ((live - previous).to_bytes(), (previous - live).to_bytes())
             )
         else:
             columns["kind"].append("full")
-            payloads.append((snapshot.live_object_ids.to_bytes(),))
+            payloads.append((live.to_bytes(),))
+        previous = live
     header = json.dumps(
         {
             "schema": SNAPSHOTS_SCHEMA,
@@ -181,21 +189,19 @@ def _load_header(blob: bytes, path: str) -> dict:
     return header
 
 
-def iter_binary(path: str) -> Iterator["Snapshot"]:
-    """Stream snapshots out of a binary store, chaining delta predecessors.
+def iter_binary(path: str) -> Iterator[Snapshot]:
+    """Stream full snapshots out of a binary store, applying each delta.
 
     Metadata columns are decoded up front (they are tiny); id columns
     are decoded one snapshot at a time, so the caller decides how many
     snapshots stay alive.
     """
-    from repro.snapshot.snapshot import Snapshot
-
     with open(path, "rb") as handle:
         blob = handle.read()
     header = _load_header(blob, path)
     columns = header["columns"]
     offset = header["_body_offset"]
-    previous: Optional[Snapshot] = None
+    live = EMPTY_IDSET
     for index in range(header["count"]):
         seq = columns["seq"][index]
         kind = columns["kind"][index]
@@ -211,21 +217,17 @@ def iter_binary(path: str) -> Iterator["Snapshot"]:
         if kind == "delta":
             born, offset = _read_column(blob, offset, path, "born_ids", seq)
             dead, offset = _read_column(blob, offset, path, "dead_ids", seq)
-            snapshot = Snapshot(
-                born_ids=born, dead_ids=dead, predecessor=previous, **common
-            )
+            live = (live | born) - dead
         elif kind == "full":
             live, offset = _read_column(
                 blob, offset, path, "live_object_ids", seq
             )
-            snapshot = Snapshot(live_object_ids=live, **common)
         else:
             raise ProfileFormatError(
                 f"{path}: unknown snapshot kind {kind!r} for seq {seq} "
                 f"({SNAPSHOTS_SCHEMA})"
             )
-        yield snapshot
-        previous = snapshot
+        yield Snapshot(live_object_ids=live, **common)
     if offset != len(blob):
         raise ProfileFormatError(
             f"{path}: {len(blob) - offset} trailing bytes after the last id "

@@ -14,21 +14,18 @@ write time are what Figures 3/4 compare against ``jmap``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.config import CostModel
 from repro.core.idset import IdSet
 from repro.heap.heap import SimHeap
-from repro.heap.objects import HeapObject
 from repro.snapshot.snapshot import Snapshot
 
 
 class CRIUEngine:
     """Incremental checkpointer over the simulated heap's page table.
 
-    The first checkpoint is a full image; every later one is stored
-    delta-encoded (``born_ids``/``dead_ids`` against its predecessor),
-    mirroring the incremental image directories CRIU leaves on disk.
+    The first checkpoint is a full image and every later one is
+    ``incremental``: it writes only the pages dirtied since the one
+    before, and ``snapshots.bin`` stores its ids as a delta against it.
     """
 
     name = "criu"
@@ -36,28 +33,20 @@ class CRIUEngine:
     def __init__(self, costs: CostModel) -> None:
         self.costs = costs
         self._seq = 0
-        self._prev_live: Optional[IdSet] = None
-        self._prev_snapshot: Optional[Snapshot] = None
 
     def checkpoint(
-        self,
-        heap: SimHeap,
-        live_objects: Iterable[HeapObject],
-        time_ms: float,
-        live_ids: Optional[IdSet] = None,
+        self, heap: SimHeap, live_ids: IdSet, time_ms: float
     ) -> Snapshot:
         """Create one incremental snapshot.
 
         Args:
             heap: the heap to checkpoint (its page table supplies the
                 dirty/no-need bits).
-            live_objects: objects reachable at checkpoint time; their ids
-                become the snapshot's logical content.  The caller (the
-                Recorder) is responsible for having already marked unused
-                pages no-need.
+            live_ids: identity hashes of the objects reachable at
+                checkpoint time, the snapshot's logical content.  The
+                caller (the Recorder) is responsible for having already
+                marked unused pages no-need.
             time_ms: virtual time of the checkpoint.
-            live_ids: optional prebuilt :class:`IdSet` of the same ids
-                (the snapshot-point path passes the Recorder's).
         """
         # Only the count matters for image size/time; counting flag bytes
         # is one C pass, no page-index list is materialized.
@@ -70,37 +59,13 @@ class CRIUEngine:
         # CRIU clears the dirty bits so the next checkpoint is a delta.
         heap.page_table.clear_dirty()
         self._seq += 1
-        # The captured ids go straight into the compact kernel: identity
-        # hashes are monotonic, so the live set is runs + bitmap blocks.
-        live = (
-            live_ids
-            if live_ids is not None
-            else IdSet(obj.object_id for obj in live_objects)
-        )
-        common = dict(
+        return Snapshot(
             seq=self._seq,
             time_ms=time_ms,
             engine=self.name,
             pages_written=pages_written,
             size_bytes=size_bytes,
             duration_us=duration_us,
+            live_object_ids=live_ids,
             incremental=self._seq > 1,
         )
-        if self._prev_live is not None:
-            # Logical content mirrors the physical image: only what
-            # changed since the previous checkpoint is stored.
-            snapshot = Snapshot(
-                born_ids=live - self._prev_live,
-                dead_ids=self._prev_live - live,
-                predecessor=self._prev_snapshot,
-                **common,
-            )
-        else:
-            snapshot = Snapshot(live_object_ids=live, **common)
-        self._prev_live = live
-        self._prev_snapshot = snapshot
-        return snapshot
-
-    @property
-    def checkpoints_taken(self) -> int:
-        return self._seq

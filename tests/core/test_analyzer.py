@@ -111,10 +111,6 @@ class TestDistributions:
         dist = LifetimeDistribution(1, {s: 1 for s in range(8, 16)})
         assert dist.mode_generation(16) == 4
 
-    def test_mode_survival_tie_breaks_small(self):
-        dist = LifetimeDistribution(1, {0: 5, 3: 5})
-        assert dist.mode_survival == 0
-
 
 class TestEstimation:
     def test_short_lived_estimated_young(self):

@@ -1,4 +1,4 @@
-"""Streaming analyzer hot path: delta-chain parity and cached results."""
+"""Streaming analyzer hot path: survival-count parity and cached results."""
 
 import random
 
@@ -32,30 +32,8 @@ def full_snapshot(seq, live):
     )
 
 
-def delta_snapshots(live_sets):
-    """The same live sets, stored as a delta chain (first image full)."""
-    snaps = []
-    prev_live = None
-    prev_snap = None
-    for seq, live in enumerate(live_sets, start=1):
-        live = frozenset(live)
-        if prev_live is None:
-            snap = full_snapshot(seq, live)
-        else:
-            snap = Snapshot(
-                seq=seq,
-                time_ms=float(seq),
-                engine="criu",
-                pages_written=1,
-                size_bytes=4096,
-                duration_us=10.0,
-                born_ids=live - prev_live,
-                dead_ids=prev_live - live,
-                predecessor=prev_snap,
-            )
-        snaps.append(snap)
-        prev_live, prev_snap = live, snap
-    return snaps
+def full_snapshots(live_sets):
+    return [full_snapshot(seq, live) for seq, live in enumerate(live_sets, 1)]
 
 
 def random_live_sets(rng, ids, n_snapshots):
@@ -95,11 +73,13 @@ def buckets(distributions):
 
 class TestDeltaFastPathParity:
     def test_counts_match_intersection_fallback(self):
+        # Random live sets with resurrections: diffing consecutive live
+        # sets must count each id once per snapshot it is live in.
         rng = random.Random(7)
         ids = list(range(1, 120))
         live_sets = random_live_sets(rng, ids, 20)
         records = build_records(ids)
-        snaps = delta_snapshots(live_sets)
+        snaps = full_snapshots(live_sets)
 
         analyzer = analyze(records, snaps)
         assert buckets(analyzer.distributions) == buckets(
@@ -107,48 +87,11 @@ class TestDeltaFastPathParity:
         )
         assert analyzer.finish().digest() == reference_tree(records, snaps).digest()
 
-    def test_fast_path_internal_methods_agree(self):
-        # The chained-delta path and the synthesized-delta path (full
-        # images) of on_snapshot must count identically.
-        rng = random.Random(11)
-        ids = list(range(1, 60))
-        live_sets = random_live_sets(rng, ids, 12)
-        records = build_records(ids)
-        chained = analyze(records, delta_snapshots(live_sets))
-        full = analyze(
-            records,
-            [full_snapshot(i, s) for i, s in enumerate(live_sets, start=1)],
-        )
-        assert buckets(chained.distributions) == buckets(full.distributions)
-        assert chained.estimates == full.estimates
-        assert chained.finish().digest() == full.finish().digest()
-
-    def test_fast_path_avoids_materializing_tail(self):
-        live_sets = [{1, 2}, {2, 3}, {3, 4}, {4, 5}]
-        snaps = delta_snapshots(live_sets)
-        analyze(build_records([1, 2, 3, 4, 5]), snaps)
-        # Neither survival counting nor the id cutoff needed the full
-        # cumulative live-set of the later snapshots.
-        assert not snaps[-1].is_materialized
-
-    def test_broken_chain_falls_back(self):
-        live_sets = [{5, 6}, {6, 7}]
-        snaps = delta_snapshots(live_sets)
-        # A foreign full snapshot in the middle breaks the chain.
-        mixed = [snaps[0], full_snapshot(5, {1}), snaps[1]]
-        records = build_records([1, 5, 6, 7])
-        analyzer = analyze(records, mixed, min_samples=1)
-        # Ids 1, 5 and 7 (trace 1) are each live in exactly one snapshot;
-        # id 6 (trace 2) in two, across the foreign image.
-        assert buckets(analyzer.distributions) == {1: {1: 3}, 2: {2: 1}}
-        expected = reference_distributions(records, mixed)
-        assert buckets(analyzer.distributions) == buckets(expected)
-
 
 class TestMemoization:
     def test_results_cached_across_calls(self):
         live_sets = [{1, 2}, {2, 3}]
-        analyzer = analyze(build_records([1, 2, 3]), delta_snapshots(live_sets))
+        analyzer = analyze(build_records([1, 2, 3]), full_snapshots(live_sets))
         tree = analyzer.finish()
         distributions = analyzer.distributions
         estimates = analyzer.estimates
@@ -160,7 +103,7 @@ class TestMemoization:
     def test_survival_counts_computed_once(self, monkeypatch):
         live_sets = [{1, 2}, {2, 3}]
         builder = ProfileBuilder()
-        for snapshot in delta_snapshots(live_sets):
+        for snapshot in full_snapshots(live_sets):
             builder.feed_snapshot(snapshot)
         builder.feed_trace_flush(build_records([1, 2, 3]))
         calls = {"n": 0}
@@ -179,12 +122,12 @@ class TestMemoization:
 
 class TestHumongousMixedLifetimes:
     def test_delta_matches_intersection_with_humongous_objects(self):
-        """Delta cohorts == intersection counting with humongous objects.
+        """Cohort counting == intersection counting with humongous objects.
 
         Multi-region objects never move and are reclaimed by a separate
         path than regular evacuation, so their ids enter and leave the
-        snapshot live-sets differently — the streaming analyzer's delta
-        cohort algebra must still count them exactly like the
+        snapshot live-sets differently — the streaming analyzer's cohort
+        algebra must still count them exactly like the
         snapshot-by-snapshot reference.
         """
         vm = VM(SimConfig.small(), collector=G1Collector())
@@ -220,10 +163,10 @@ class TestHumongousMixedLifetimes:
                     humongous_high_water, vm.heap.humongous_count
                 )
         assert humongous_high_water > 0
-        assert len(dumper.store) >= 3
+        assert len(dumper.snapshots) >= 3
 
         source.flush()
-        records, snapshots = recorder.records, list(dumper.store)
+        records, snapshots = recorder.records, dumper.snapshots
         analyzer = builder.analyzer
         tree = analyzer.finish()
         assert buckets(analyzer.distributions) == buckets(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
+from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
 
@@ -13,8 +14,8 @@ def vm() -> VM:
     return VM(SimConfig.small(), collector=NG2CCollector())
 
 
-def attached(vm, **kwargs) -> Dumper:
-    dumper = Dumper(**kwargs)
+def attached(vm) -> Dumper:
+    dumper = Dumper()
     vm.attach_agent(dumper)
     return dumper
 
@@ -24,36 +25,27 @@ class TestDumper:
         dumper = attached(vm)
         obj = vm.allocate_anonymous(4096)
         before = vm.clock.now_us
-        snapshot = dumper.take_snapshot([obj])
+        snapshot = dumper.take_snapshot(IdSet([obj.object_id]))
         assert vm.clock.now_us == before + snapshot.duration_us
 
     def test_snapshots_accumulate_in_store(self, vm):
         dumper = attached(vm)
-        dumper.take_snapshot([])
-        dumper.take_snapshot([])
+        dumper.take_snapshot(EMPTY_IDSET)
+        dumper.take_snapshot(EMPTY_IDSET)
         assert dumper.snapshots_taken == 2
-        assert dumper.store[0].seq == 1
-        assert dumper.store[1].seq == 2
+        assert [s.seq for s in dumper.snapshots] == [1, 2]
 
     def test_snapshot_times_are_virtual(self, vm):
         dumper = attached(vm)
-        first = dumper.take_snapshot([])
+        first = dumper.take_snapshot(EMPTY_IDSET)
         vm.clock.advance_ms(500.0)
-        second = dumper.take_snapshot([])
+        second = dumper.take_snapshot(EMPTY_IDSET)
         assert second.time_ms > first.time_ms + 499.0
-
-    def test_external_store_shared(self, vm):
-        from repro.snapshot.snapshot import SnapshotStore
-
-        store = SnapshotStore()
-        dumper = attached(vm, store=store)
-        dumper.take_snapshot([])
-        assert len(store) == 1
 
     def test_incremental_across_snapshots(self, vm):
         dumper = attached(vm)
         vm.allocate_anonymous(8192)
-        first = dumper.take_snapshot([])
-        second = dumper.take_snapshot([])
+        first = dumper.take_snapshot(EMPTY_IDSET)
+        second = dumper.take_snapshot(EMPTY_IDSET)
         assert second.pages_written == 0
         assert first.pages_written > 0

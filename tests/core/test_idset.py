@@ -105,25 +105,12 @@ class TestSetAlgebra:
                 assert_matches(a & b, left & right)
                 assert_matches(a | b, left | right)
                 assert_matches(a - b, left - right)
-                assert (a.isdisjoint(b)) == left.isdisjoint(right)
 
     def test_accepts_plain_sets_on_the_right(self):
         a = IdSet(range(100))
         assert_matches(a & {5, 50, 500}, {5, 50})
         assert_matches(a - set(range(50)), set(range(50, 100)))
         assert_matches(a | {1000}, set(range(100)) | {1000})
-
-    def test_method_aliases(self):
-        a, b = IdSet({1, 2, 3}), IdSet({2, 3, 4})
-        assert a.intersection(b) == {2, 3}
-        assert a.union(b) == {1, 2, 3, 4}
-        assert a.difference(b) == {1}
-
-    def test_union_all(self):
-        parts = [IdSet({i, i + 100}) for i in range(10)]
-        expected = {i for i in range(10)} | {i + 100 for i in range(10)}
-        assert_matches(IdSet.union_all(parts), expected)
-        assert IdSet.union_all([]) is EMPTY_IDSET
 
     def test_results_stay_canonical(self):
         # A bitmap result that shrinks below the threshold must demote

@@ -15,29 +15,29 @@ from repro.core.offline import (
 from repro.core.pipeline import POLM2Pipeline
 from repro.core.recorder import AllocationRecords
 from repro.errors import ProfileFormatError
-from repro.snapshot.snapshot import Snapshot, SnapshotStore
+from repro.snapshot.binstore import iter_binary, write_store
+from repro.snapshot.snapshot import Snapshot
 from repro.workloads import make_workload
 
 
 class TestSnapshotPersistence:
     def test_store_roundtrip(self, tmp_path):
-        store = SnapshotStore()
-        for seq in (1, 2):
-            store.append(
-                Snapshot(
-                    seq=seq,
-                    time_ms=float(seq),
-                    engine="criu",
-                    pages_written=seq,
-                    size_bytes=seq * 4096,
-                    duration_us=seq * 10.0,
-                    live_object_ids=frozenset({seq, seq + 10}),
-                    incremental=seq > 1,
-                )
+        snapshots = [
+            Snapshot(
+                seq=seq,
+                time_ms=float(seq),
+                engine="criu",
+                pages_written=seq,
+                size_bytes=seq * 4096,
+                duration_us=seq * 10.0,
+                live_object_ids=frozenset({seq, seq + 10}),
+                incremental=seq > 1,
             )
+            for seq in (1, 2)
+        ]
         path = str(tmp_path / "snaps.bin")
-        store.save(path)
-        loaded = SnapshotStore.load(path)
+        write_store(path, snapshots)
+        loaded = list(iter_binary(path))
         assert len(loaded) == 2
         assert loaded[0].live_object_ids == frozenset({1, 11})
         assert loaded[1].incremental
@@ -225,7 +225,7 @@ class TestLegacyLayouts:
         legacy = str(tmp_path / "legacy")
         shutil.copytree(recording, legacy)
         snapshots_path = os.path.join(legacy, "snapshots.bin")
-        snapshots = SnapshotStore.load(snapshots_path)
+        snapshots = list(iter_binary(snapshots_path))
         os.remove(snapshots_path)
         with open(os.path.join(legacy, "snapshots.jsonl"), "w") as handle:
             for snapshot in snapshots:

@@ -21,8 +21,8 @@ from tests.core.survival_reference import reference_tree
 from tests.core.test_analyzer_delta import (
     analyze,
     build_records,
-    delta_snapshots,
     full_snapshot,
+    full_snapshots,
     random_live_sets,
 )
 
@@ -35,35 +35,18 @@ def assert_tree_parity(records, snapshots, **kwargs):
 
 
 class TestIncrementalBatchParity:
-    def test_delta_chain(self):
-        rng = random.Random(7)
-        ids = list(range(1, 120))
-        live_sets = random_live_sets(rng, ids, 20)
-        assert_tree_parity(build_records(ids), delta_snapshots(live_sets))
-
     def test_full_snapshots(self):
         rng = random.Random(11)
         ids = list(range(1, 90))
         live_sets = random_live_sets(rng, ids, 15)
-        snaps = [full_snapshot(i, s) for i, s in enumerate(live_sets, 1)]
-        assert_tree_parity(build_records(ids), snaps)
-
-    def test_broken_chain(self):
-        # A foreign full snapshot in the middle breaks the chain: the
-        # stage synthesizes deltas against its live cohorts.
-        live_sets = [{1, 2}, {2, 3}, {3, 7}, {7, 9}]
-        snaps = delta_snapshots(live_sets)
-        mixed = [snaps[0], snaps[1], full_snapshot(3, {3, 7}), snaps[3]]
-        records = build_records([1, 2, 3, 7, 9])
-        assert mixed[3].predecessor is not mixed[2]
-        assert_tree_parity(records, mixed, min_samples=1)
+        assert_tree_parity(build_records(ids), full_snapshots(live_sets))
 
     def test_resurrections_with_low_min_samples(self):
         rng = random.Random(13)
         ids = list(range(1, 40))
         live_sets = random_live_sets(rng, ids, 10)
         records = build_records(ids)
-        assert_tree_parity(records, delta_snapshots(live_sets), min_samples=1)
+        assert_tree_parity(records, full_snapshots(live_sets), min_samples=1)
 
     def test_no_snapshots(self):
         assert_tree_parity(build_records([1, 2, 3]), [])
@@ -73,7 +56,7 @@ class TestIncrementalBatchParity:
         # live and must not be bucketed.
         live_sets = [{1, 2}, {2, 3}]
         records = build_records([1, 2, 3, 100, 102])
-        assert_tree_parity(records, delta_snapshots(live_sets), min_samples=1)
+        assert_tree_parity(records, full_snapshots(live_sets), min_samples=1)
 
 
 class TestBoundedMemory:
@@ -103,7 +86,7 @@ class TestBoundedMemory:
         stage.on_trace_flush(build_records([1, 2, 3]))
         stage.finish()
         assert stage._cohorts == {}
-        assert stage._previous is None
+        assert not stage._previous_live
 
 
 class TestStageErrors:
@@ -134,7 +117,7 @@ class TestStageErrors:
 class TestProfileBuilder:
     def test_build_matches_batch_profile(self):
         live_sets = [{1, 2}, {2, 3}, {3, 4}]
-        snaps = delta_snapshots(live_sets)
+        snaps = full_snapshots(live_sets)
         records = build_records([1, 2, 3, 4])
 
         builder = ProfileBuilder(min_samples=1)
@@ -193,11 +176,11 @@ class TestLiveSources:
         bounded, bounded_dumper = _stream(BoundedLiveSource)
         streamed = plain.snapshots_streamed
         assert streamed > 1
-        # The plain source leaves the Dumper's store whole; the bounded
+        # The plain source leaves the Dumper's list whole; the bounded
         # one keeps only the newest snapshot.
-        assert len(plain_dumper.store) == streamed
+        assert len(plain_dumper.snapshots) == streamed
         assert bounded.snapshots_streamed == streamed
-        assert len(bounded_dumper.store) == 1
+        assert len(bounded_dumper.snapshots) == 1
         assert bounded.live_snapshot_peak == 2
         assert (
             bounded.builder.analyzer.finish().digest()

@@ -147,10 +147,10 @@ def run_scenario(
             "pages_written": snap.pages_written,
             "size_bytes": snap.size_bytes,
             "duration_us": round(snap.duration_us, 6),
-            "live_count": snap.live_count,
+            "live_count": len(snap.live_object_ids),
             "live_sha": _sha(sorted(snap.live_object_ids)),
         }
-        for snap in dumper.store
+        for snap in dumper.snapshots
     ]
     # The analysis must also be invariant: the STTree the streaming
     # analyzer built during the run is reduced to its content hash

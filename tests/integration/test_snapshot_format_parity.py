@@ -1,9 +1,9 @@
 """Binary snapshot-store round trip on the golden scenarios.
 
-Each gc-loop parity scenario's snapshot store is saved as
-``snapshots.bin``, streamed back with ``SnapshotStore.iter_file``, and
-must yield the same snapshots and analyze to the same STTree digest the
-streaming analyzer produced during the run.
+Each gc-loop parity scenario's snapshots are saved as ``snapshots.bin``
+with ``binstore.write_store``, streamed back with ``binstore.iter_binary``,
+and must yield the same snapshots and analyze to the same STTree digest
+the streaming analyzer produced during the run.
 """
 
 import hashlib
@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.core.stages import ProfileBuilder
-from repro.snapshot.snapshot import SnapshotStore
+from repro.snapshot.binstore import iter_binary, write_store
 from tests.integration.parity_harness import SCENARIOS, _record_scenario
 
 
@@ -52,29 +52,29 @@ def recording(request):
 def test_binary_round_trip_identical(recording, tmp_path):
     _, dumper, _ = recording
     path = str(tmp_path / "snapshots.bin")
-    dumper.store.save(path)
-    loaded = list(SnapshotStore.iter_file(path))
-    assert _digest_snapshots(loaded) == _digest_snapshots(dumper.store)
+    write_store(path, dumper.snapshots)
+    loaded = list(iter_binary(path))
+    assert _digest_snapshots(loaded) == _digest_snapshots(dumper.snapshots)
 
 
 def test_reread_profile_identical(recording, tmp_path):
     recorder, dumper, sttree = recording
     path = str(tmp_path / "snapshots.bin")
-    dumper.store.save(path)
+    write_store(path, dumper.snapshots)
     builder = ProfileBuilder()
-    for snapshot in SnapshotStore.iter_file(path):
+    for snapshot in iter_binary(path):
         builder.feed_snapshot(snapshot)
     builder.feed_trace_flush(recorder.records)
     assert builder.analyzer.finish().digest() == sttree.digest()
 
 
 def test_binary_is_smaller_on_disk(tmp_path):
-    # Against the same store rendered as JSON lines, one object per
-    # snapshot (the text layout snapshots.bin replaced).
+    # Against the same snapshots rendered as JSON lines, one object per
+    # snapshot.
     _, _, dumper, _ = _record_scenario(*SCENARIOS[0][:4], 900.0)
     binary = str(tmp_path / "snapshots.bin")
-    dumper.store.save(binary)
+    write_store(binary, dumper.snapshots)
     text_bytes = sum(
-        len(json.dumps(snapshot.to_dict())) + 1 for snapshot in dumper.store
+        len(json.dumps(snapshot.to_dict())) + 1 for snapshot in dumper.snapshots
     )
     assert os.path.getsize(binary) < text_bytes

@@ -157,7 +157,7 @@ class TestDeterminism:
 class TestBoundedMemory:
     def test_live_snapshots_bounded_across_50_cycles(self):
         # The acceptance bound: at most 2 snapshots live at any instant
-        # (the newest plus its just-consumed predecessor), regardless of
+        # (the newest plus the one just consumed), regardless of
         # how many cycles the engine has run.  A reduced heap forces
         # several GC cycles — and thus snapshots — per 600ms window.
         eng = engine(

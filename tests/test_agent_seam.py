@@ -11,8 +11,9 @@ picks in-process or the pool), one profile-store layout
 one tick loop (``pipeline.drive``), one sweep cache
 (``sqlite:///PATH``), one offline entry point (``analyze_recording``),
 one cell path (a single ready queue in ``run_sweep``; a cell keeps only
-its results) and one allocation path (a batch is a loop over
-``VM.allocate_at_site``).  This test keeps it that way: no package
+its results), one allocation path (a batch is a loop over
+``VM.allocate_at_site``) and one snapshot form (a snapshot holds its
+live-id set; ``snapshots.bin`` alone stores deltas).  This test keeps it that way: no package
 module or example may use the removed listener shims, legacy attach
 seams, the batch analyzer, the second snapshot format, a second
 evacuation loop beside ``evacuate``, the region columns and their
@@ -20,9 +21,10 @@ kernels, the page occupancy counters, the id-set live tests, the
 scheduler modes, the ``MatrixCache`` view, the flat profile-file API,
 the v1 profile format, the JSON-directory cache,
 ``ProfileBuilder.from_recording``, the sharded pool, the runner's
-``result``/``series_support`` aliases, the snapshot-payload pickling or
+``result``/``series_support`` aliases, the snapshot-payload pickling,
 the batched allocation path (batch events, quiet-run headroom, bulk
-region appends, lazy views); nothing there may call the two shims the
+region appends, lazy views) or the in-memory snapshot delta chain
+(``SnapshotStore``, its view, predecessor links and their release); nothing there may call the two shims the
 end-to-end benchmark's tracer still wraps (``Recorder
 .on_allocation_batch`` and ``SimHeap.allocate_batch``); and only
 ``core/pipeline.py`` may tick a workload.
@@ -61,7 +63,10 @@ _REMOVED = re.compile(
     r"\.on_allocation_batch\(|\bheap\.allocate_batch\(|"
     r"\b_occupancy\b|\badjust_occupancy_run\b|\babsorb_slice\b|"
     r"\bplace_slice\b|\bage_up_and_split\b|\blive_runs\b|\blive_flags\b|"
-    r"\bextract_mask\b|\b_id_breaks\b|\blive_id_set\b"
+    r"\bextract_mask\b|\b_id_breaks\b|\blive_id_set\b|"
+    r"\bSnapshotStore\b|\bSnapshotView\b|\.release_predecessor\(|"
+    r"\.is_delta\b|\.is_materialized\b|\.born_ids\b|\.dead_ids\b|"
+    r"\bpredecessor=|\.union_all\(|\bcheckpoints_taken\b"
 )
 
 #: Workload ticks; only the one tick loop (``core/pipeline.py``) may call it.
@@ -101,6 +106,7 @@ def test_no_direct_alloc_listener_calls_outside_runtime():
         "use ProfileStore.put/load_latest/select, cache in sqlite:///PATH, "
         "analyze recordings with analyze_recording, tick workloads "
         "through pipeline.drive, compute cells through run_sweep, "
-        "allocate through VM.allocate_at_site): "
+        "allocate through VM.allocate_at_site, keep snapshots in "
+        "Dumper.snapshots and write them with binstore): "
         + "; ".join(offenders)
     )

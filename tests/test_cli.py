@@ -301,11 +301,11 @@ class TestSnapshotFormatOption:
         import json
         import os
 
-        from repro.snapshot.snapshot import SnapshotStore
+        from repro.snapshot.binstore import iter_binary
 
         rec_dir = self._record(tmp_path)
         snapshots_path = os.path.join(rec_dir, "snapshots.bin")
-        snapshots = SnapshotStore.load(snapshots_path)
+        snapshots = list(iter_binary(snapshots_path))
         with open(snapshots_path, "w") as handle:
             for snapshot in snapshots:
                 handle.write(json.dumps(snapshot.to_dict()) + "\n")
@@ -315,26 +315,3 @@ class TestSnapshotFormatOption:
         assert err.startswith("error: ")
         assert snapshots_path in err
         assert len(err.strip().splitlines()) == 1
-
-    def test_profile_keep_recording(self, tmp_path):
-        import os
-
-        out_path = str(tmp_path / "p.json")
-        rec_dir = str(tmp_path / "rec")
-        code = main(
-            [
-                "profile",
-                "lucene",
-                "-o",
-                out_path,
-                "--duration-ms",
-                "1000",
-                "--keep-recording",
-                rec_dir,
-            ]
-        )
-        assert code == 0
-        assert os.path.exists(os.path.join(rec_dir, "snapshots.bin"))
-        from repro import AllocationProfile
-
-        assert AllocationProfile.load(out_path).workload == "lucene"

@@ -17,7 +17,6 @@ class TestErrorHierarchy:
             errors.NoActiveFrameError,
             errors.UnknownGenerationError,
             errors.PretenuringUnsupportedError,
-            errors.SnapshotError,
             errors.ConflictResolutionError,
             errors.ProfileFormatError,
             errors.UnknownWorkloadError,
