@@ -23,7 +23,7 @@ from repro.core.dumper import Dumper
 from repro.core.offline import analyze_recording, record_to_dir
 from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
-from repro.core.stages import LiveVMSource, ProfileBuilder
+from repro.core.stages import ProfileBuilder
 from repro.gc.gclog import GCLog
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
@@ -39,13 +39,10 @@ def main() -> None:
     vm = VM(SimConfig(), collector=collector)
     gclog = GCLog(vm)
     recorder = Recorder()
-    dumper = Dumper()
-    builder = ProfileBuilder()
-    source = LiveVMSource(builder, recorder, dumper)
-    for agent in (recorder, dumper, source):
-        vm.attach_agent(agent)
+    builder = ProfileBuilder(recorder.records)
+    vm.attach_agent(recorder)
+    vm.attach_agent(Dumper(builder.feed_snapshot))
     drive(vm, workload, 15_000.0)
-    source.flush()
 
     print(f"=== GC log ({workload_name}, profiling phase, last 10 pauses) ===")
     for line in gclog.tail(10):

@@ -24,12 +24,7 @@ from repro.core.pipeline import POLM2Pipeline, PhaseResult
 from repro.core.profile import AllocationProfile, AllocDirective, CallDirective
 from repro.core.profilestore import ProfileStore
 from repro.core.recorder import AllocationRecords, Recorder
-from repro.core.stages import (
-    IncrementalAnalyzer,
-    LiveVMSource,
-    ProfileBuilder,
-    RecordingDirSource,
-)
+from repro.core.stages import IncrementalAnalyzer, ProfileBuilder
 from repro.core.sttree import STTree
 
 __all__ = [
@@ -42,12 +37,10 @@ __all__ = [
     "IdSet",
     "IncrementalAnalyzer",
     "Instrumenter",
-    "LiveVMSource",
     "POLM2Pipeline",
     "PhaseResult",
     "ProfileBuilder",
     "ProfileStore",
     "Recorder",
-    "RecordingDirSource",
     "STTree",
 ]

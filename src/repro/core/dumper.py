@@ -10,7 +10,7 @@ to jmap.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.runtime.events import SnapshotPointEvent, VMAgent
@@ -26,14 +26,17 @@ class Dumper(VMAgent):
     """Creates incremental memory snapshots of the profiled VM.
 
     An agent subscribed to ``SNAPSHOT_POINT`` events published by the
-    Recorder: ``vm.attach_agent(dumper)`` wires it to a VM.  Snapshots
-    accumulate in :attr:`snapshots`, oldest first.
+    Recorder: ``vm.attach_agent(dumper)`` wires it to a VM.  Each
+    snapshot goes to ``consume`` the moment it is taken (the analyzer's
+    ``ProfileBuilder.feed_snapshot``, or a caller's list); the Dumper
+    keeps none of them, only the count in :attr:`snapshots_taken`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, consume: Callable[[Snapshot], None]) -> None:
+        self.consume = consume
         self.vm: Optional["VM"] = None
         self.engine: Optional[CRIUEngine] = None
-        self.snapshots: List[Snapshot] = []
+        self.snapshots_taken = 0
 
     # -- agent lifecycle -----------------------------------------------------------
 
@@ -54,6 +57,7 @@ class Dumper(VMAgent):
         """Checkpoint now; the application is stopped for the duration.
 
         ``live_ids`` holds the identity hashes of the reachable objects.
+        The snapshot is handed to ``consume`` before this returns.
         """
         if self.vm is None or self.engine is None:
             raise ReproError("Dumper is not attached to a VM")
@@ -61,9 +65,6 @@ class Dumper(VMAgent):
             self.vm.heap, live_ids, self.vm.clock.now_ms
         )
         self.vm.clock.advance_us(snapshot.duration_us)
-        self.snapshots.append(snapshot)
+        self.snapshots_taken += 1
+        self.consume(snapshot)
         return snapshot
-
-    @property
-    def snapshots_taken(self) -> int:
-        return len(self.snapshots)

@@ -3,10 +3,10 @@
 :class:`POLM2Pipeline` wires the components end-to-end:
 
 * **profiling phase** — a fresh VM with NG2C (whose modified heap walk
-  supports the no-need marking), the Recorder, the Dumper, and a
-  streaming :class:`~repro.core.stages.LiveVMSource` attached; the
-  incremental analyzer digests each snapshot as it is taken and
-  the :class:`~repro.core.stages.ProfileBuilder` flattens the result
+  supports the no-need marking), the Recorder and the Dumper attached;
+  the Dumper hands each snapshot to the
+  :class:`~repro.core.stages.ProfileBuilder` as it is taken, whose
+  incremental analyzer digests it, and the builder flattens the result
   into an :class:`AllocationProfile`;
 * **production phase** — a fresh VM with NG2C and only the Instrumenter
   attached, applying the profile at class-load time;
@@ -29,7 +29,7 @@ from repro.core.dumper import Dumper
 from repro.core.profile import AllocationProfile
 from repro.core.profilesource import ProfileSource, resolve_profile
 from repro.core.recorder import Recorder
-from repro.core.stages import LiveVMSource, ProfileBuilder
+from repro.core.stages import ProfileBuilder
 from repro.errors import ReproError
 from repro.gc.base import GenerationalCollector
 from repro.gc.events import GCPause
@@ -289,11 +289,10 @@ class POLM2Pipeline:
         """Run the workload with the streaming profiler attached; return
         the allocation profile.
 
-        Analysis happens *during* the run: a
-        :class:`~repro.core.stages.LiveVMSource` feeds every snapshot
-        into the :class:`~repro.core.stages.ProfileBuilder`'s incremental
-        analyzer at the snapshot-point event, so no end-of-run pass over
-        the snapshot sequence is needed.
+        Analysis happens *during* the run: the Dumper hands every
+        snapshot to the :class:`~repro.core.stages.ProfileBuilder`'s
+        incremental analyzer as it is taken and keeps none, so no
+        end-of-run pass over a snapshot sequence is needed.
 
         ``keep_result`` (optional, a list) receives the profiling-run
         :class:`PhaseResult` (profile, pauses, telemetry) — how a sweep's
@@ -303,16 +302,15 @@ class POLM2Pipeline:
         collector = NG2CCollector()
         vm = VM(self.config, collector=collector)
         recorder = Recorder(snapshot_every=self.snapshot_every)
-        dumper = Dumper()
         builder = ProfileBuilder(
-            max_generations=self.config.max_generations, push_up=push_up
+            recorder.records,
+            max_generations=self.config.max_generations,
+            push_up=push_up,
         )
-        source = LiveVMSource(builder, recorder, dumper)
-        agents = [recorder, dumper, source, TelemetryAgent()]
+        agents = [recorder, Dumper(builder.feed_snapshot), TelemetryAgent()]
         for agent in agents:
             vm.attach_agent(agent)
         timeline = drive(vm, workload, duration_ms)
-        source.flush()
         profile = builder.build(workload=workload.name)
         if keep_result is not None:
             keep_result.append(

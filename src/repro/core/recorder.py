@@ -39,6 +39,26 @@ _STREAMS_MAGIC = b"POLM2IDS"
 _STREAMS_FILENAME = "streams.bin"
 
 
+def _parse_trace(frames: object) -> Tuple[CodeLocation, ...]:
+    """One ``traces.json`` entry: a list of ``[class, method, line]``."""
+    if not isinstance(frames, list):
+        raise ValueError(f"expected a list of frames, got {frames!r}")
+    trace = []
+    for frame in frames:
+        if (
+            not isinstance(frame, list)
+            or len(frame) != 3
+            or not isinstance(frame[0], str)
+            or not isinstance(frame[1], str)
+            or type(frame[2]) is not int
+        ):
+            raise ValueError(
+                f"frame {frame!r} is not [class, method, int line]"
+            )
+        trace.append((frame[0], frame[1], frame[2]))
+    return tuple(trace)
+
+
 class AllocationRecords:
     """In-memory allocation records: trace table + per-trace id streams.
 
@@ -121,11 +141,19 @@ class AllocationRecords:
             raise ProfileFormatError(
                 f"{table_path}: cannot read trace table: {exc}"
             ) from exc
-        for tid_str, trace_list in table.items():
-            tid = int(tid_str)
-            trace = tuple(
-                (frame[0], frame[1], int(frame[2])) for frame in trace_list
+        if not isinstance(table, dict):
+            raise ProfileFormatError(
+                f"{table_path}: trace table must be a JSON object mapping "
+                "trace ids to frame lists"
             )
+        for tid_str, trace_list in table.items():
+            try:
+                tid = int(tid_str)
+                trace = _parse_trace(trace_list)
+            except ValueError as exc:
+                raise ProfileFormatError(
+                    f"{table_path}: malformed trace {tid_str!r}: {exc}"
+                ) from exc
             records._trace_ids[trace] = tid
             records.traces[tid] = trace
             records.streams[tid] = array("q")
@@ -146,6 +174,7 @@ class AllocationRecords:
             )
         offset = len(_STREAMS_MAGIC)
         end = len(blob)
+        seen = set()
         while offset < end:
             if offset + 16 > end:
                 raise ProfileFormatError(f"{streams_path}: truncated header")
@@ -157,6 +186,16 @@ class AllocationRecords:
                 raise ProfileFormatError(
                     f"{streams_path}: truncated stream for trace {trace_id}"
                 )
+            if trace_id not in self.traces:
+                raise ProfileFormatError(
+                    f"{streams_path}: stream for trace {trace_id} has no "
+                    "entry in the trace table"
+                )
+            if trace_id in seen:
+                raise ProfileFormatError(
+                    f"{streams_path}: second stream for trace {trace_id}"
+                )
+            seen.add(trace_id)
             stream = array("q")
             stream.frombytes(blob[offset : offset + 8 * count])
             offset += 8 * count

@@ -8,23 +8,20 @@ ROLP-style runtime profilers use:
   snapshot is credited into per-birth-index cohorts on arrival and then
   dropped, so peak memory is O(live ids), not O(ids × snapshots); its
   artifact is the canonical :class:`~repro.core.sttree.STTree` IR;
-* :class:`ProfileBuilder` — the profiling entry point: feeds the
-  analyzer from a source and flattens the finished IR into an
-  :class:`~repro.core.profile.AllocationProfile`;
-* two sources driving the same builder: :class:`RecordingDirSource`
-  replays an on-disk recording directory (the offline workflow, whose
-  one entry point is :func:`~repro.core.offline.analyze_recording`) and
-  :class:`LiveVMSource` is a VMAgent subscribing to snapshot-point
-  events inside the profiled VM (the streaming workflow; the serve
-  cycle's :class:`~repro.serve.cycle.BoundedLiveSource` is the same
-  source with a trimmed snapshot list).
+* :class:`ProfileBuilder` — the profiling entry point: takes the
+  allocation records, is fed one snapshot at a time, and flattens the
+  finished IR into an :class:`~repro.core.profile.AllocationProfile`.
+
+A profiled VM's :class:`~repro.core.dumper.Dumper` feeds
+:meth:`ProfileBuilder.feed_snapshot` directly, with the Recorder's live
+:class:`~repro.core.recorder.AllocationRecords`; an on-disk recording
+(:func:`~repro.core.offline.analyze_recording`) feeds the same builder
+from ``snapshots.bin`` with the records loaded from its directory.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, Iterator, Optional, TYPE_CHECKING
+from typing import Dict, Optional
 
 from repro.core.analyzer import (
     LifetimeDistribution,
@@ -37,25 +34,8 @@ from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.core.profile import AllocationProfile
 from repro.core.recorder import AllocationRecords
 from repro.core.sttree import STTree
-from repro.errors import ProfileError, ProfileFormatError
-from repro.runtime.events import SnapshotPointEvent, VMAgent
-from repro.snapshot import binstore
+from repro.errors import ProfileError
 from repro.snapshot.snapshot import Snapshot
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.dumper import Dumper
-    from repro.core.recorder import Recorder
-
-#: Files of a recording directory.  Kept here, next to the code that
-#: replays them; ``repro.core.offline`` re-exports both.
-SNAPSHOTS_BIN_FILE = "snapshots.bin"
-META_FILE = "meta.json"
-
-#: Version of the recording-directory layout (``meta.json`` +
-#: ``traces.json`` + ``streams.bin`` + ``snapshots.bin``).  Readers
-#: accept this version and older; newer versions fail with a one-line
-#: error instead of misparsing.
-RECORDING_SCHEMA_VERSION = 1
 
 
 class IncrementalAnalyzer:
@@ -68,17 +48,26 @@ class IncrementalAnalyzer:
     lengths sums to exactly the number of snapshots each id appears live
     in.
 
+    ``records`` (the trace table and per-trace id streams) is read only
+    by :meth:`finish`, so a live Recorder's records may still grow
+    while snapshots arrive.
+
     Memory: the analyzer keeps the survival counts, the live cohorts (id
     ints, no snapshot references), and the previous live set — O(live
     ids) overall.
     """
 
-    def __init__(self, max_generations: int = 16, min_samples: int = 8) -> None:
+    def __init__(
+        self,
+        records: AllocationRecords,
+        max_generations: int = 16,
+        min_samples: int = 8,
+    ) -> None:
         if max_generations < 2:
             raise ProfileError("max_generations must be >= 2")
+        self.records = records
         self.max_generations = max_generations
         self.min_samples = min_samples
-        self.records: Optional[AllocationRecords] = None
         self.snapshots_seen = 0
         self._counts: Dict[int, int] = {}
         #: birth index -> ids born there and still alive.
@@ -115,23 +104,10 @@ class IncrementalAnalyzer:
         self._previous_live = live
         self.snapshots_seen += 1
 
-    def on_trace_flush(self, records: AllocationRecords) -> None:
-        if self.records is not None and self.records is not records:
-            raise ProfileError(
-                "IncrementalAnalyzer is already bound to different "
-                "allocation records"
-            )
-        self.records = records
-
     def finish(self) -> STTree:
         """Close the open cohorts and fold counts into the STTree IR."""
         if self._tree is not None:
             return self._tree
-        if self.records is None:
-            raise ProfileError(
-                "no allocation records flushed into the analyzer; feed "
-                "on_trace_flush() before finish()"
-            )
         total = self.snapshots_seen
         cutoff = None
         for birth, cohort in self._cohorts.items():
@@ -191,33 +167,30 @@ class IncrementalAnalyzer:
 
 
 class ProfileBuilder:
-    """The profiling entry point: an analyzer fed by a source, profile out.
+    """The profiling entry point: records in, snapshots fed, profile out.
 
-    Both deployment shapes run through here — a
-    :class:`RecordingDirSource` replaying a recording from disk
-    (:func:`~repro.core.offline.analyze_recording`), or a
-    :class:`LiveVMSource` pushing events during the profiling run — so
-    there is exactly one analysis code path.
+    Both deployment shapes run through here — a live VM's Dumper calling
+    :meth:`feed_snapshot` as each snapshot is taken, or
+    :func:`~repro.core.offline.analyze_recording` replaying a recording
+    from disk — so there is exactly one analysis code path.
     """
 
     def __init__(
         self,
+        records: AllocationRecords,
         max_generations: int = 16,
         min_samples: int = 8,
         push_up: bool = True,
     ) -> None:
         self.push_up = push_up
         self.analyzer = IncrementalAnalyzer(
-            max_generations=max_generations, min_samples=min_samples
+            records, max_generations=max_generations, min_samples=min_samples
         )
 
     # -- event intake ----------------------------------------------------------------
 
     def feed_snapshot(self, snapshot: Snapshot) -> None:
         self.analyzer.on_snapshot(snapshot)
-
-    def feed_trace_flush(self, records: AllocationRecords) -> None:
-        self.analyzer.on_trace_flush(records)
 
     # -- output ----------------------------------------------------------------------
 
@@ -229,7 +202,6 @@ class ProfileBuilder:
         """Finish the analysis and flatten its IR into a profile."""
         tree = self.analyzer.finish()
         records = self.analyzer.records
-        assert records is not None  # finish() above guarantees it
         meta: Dict[str, object] = {
             "snapshots_analyzed": self.analyzer.snapshots_seen,
             "traces_analyzed": records.trace_count,
@@ -241,119 +213,3 @@ class ProfileBuilder:
         return AllocationProfile.from_sttree(
             tree, workload=workload, push_up=self.push_up, metadata=meta
         )
-
-
-class RecordingDirSource:
-    """Replays an on-disk recording directory through a ProfileBuilder.
-
-    Validates ``meta.json`` up front (missing, corrupt, or
-    newer-than-supported recordings fail with a
-    :class:`~repro.errors.ProfileFormatError` naming the offending path
-    and the expected schema version) and streams ``snapshots.bin`` one
-    snapshot at a time, so replay memory matches the live source's.
-    """
-
-    def __init__(self, recording_dir: str) -> None:
-        self.recording_dir = recording_dir
-        meta_path = os.path.join(recording_dir, META_FILE)
-        try:
-            with open(meta_path) as handle:
-                meta = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ProfileFormatError(
-                f"{meta_path}: not a readable recording meta (expected "
-                f"recording schema v{RECORDING_SCHEMA_VERSION}): {exc}"
-            ) from exc
-        if not isinstance(meta, dict):
-            raise ProfileFormatError(
-                f"{meta_path}: recording meta must be a JSON object "
-                f"(expected recording schema v{RECORDING_SCHEMA_VERSION})"
-            )
-        version = meta.get("schema_version", 1)
-        if not isinstance(version, int) or version < 1:
-            raise ProfileFormatError(
-                f"{meta_path}: invalid recording schema_version {version!r} "
-                f"(expected an int <= {RECORDING_SCHEMA_VERSION})"
-            )
-        if version > RECORDING_SCHEMA_VERSION:
-            raise ProfileFormatError(
-                f"{meta_path}: recording schema v{version} is newer than "
-                f"the supported v{RECORDING_SCHEMA_VERSION}; upgrade repro "
-                "to read it"
-            )
-        self.meta = meta
-
-    @property
-    def workload(self) -> str:
-        return str(self.meta.get("workload", "unknown"))
-
-    @property
-    def max_generations(self) -> int:
-        return int(self.meta.get("max_generations", 16))
-
-    def iter_snapshots(self) -> Iterator[Snapshot]:
-        path = os.path.join(self.recording_dir, SNAPSHOTS_BIN_FILE)
-        try:
-            yield from binstore.iter_binary(path)
-        except OSError as exc:
-            raise ProfileFormatError(
-                f"{path}: cannot read recording snapshots (recording "
-                f"schema v{RECORDING_SCHEMA_VERSION}): {exc}"
-            ) from exc
-        except ValueError as exc:
-            raise ProfileFormatError(
-                f"{path}: corrupt snapshot store (recording schema "
-                f"v{RECORDING_SCHEMA_VERSION}): {exc}"
-            ) from exc
-
-    def load_records(self) -> AllocationRecords:
-        return AllocationRecords.load_from_dir(self.recording_dir)
-
-    def replay(self, builder: ProfileBuilder) -> None:
-        for snapshot in self.iter_snapshots():
-            builder.feed_snapshot(snapshot)
-        builder.feed_trace_flush(self.load_records())
-
-
-class LiveVMSource(VMAgent):
-    """Streams a live VM's snapshot points into a ProfileBuilder.
-
-    Attach AFTER the Dumper: snapshot-point listeners run in attachment
-    order, so the Dumper's snapshot is already in its list when this
-    agent forwards it.  Call :meth:`flush` once the run ends to hand the
-    Recorder's completed streams to the analyzer.  The list is left
-    whole; the serve cycle's
-    :class:`~repro.serve.cycle.BoundedLiveSource` trims it.
-    """
-
-    def __init__(
-        self,
-        builder: ProfileBuilder,
-        recorder: "Recorder",
-        dumper: "Dumper",
-    ) -> None:
-        self.builder = builder
-        self.recorder = recorder
-        self.dumper = dumper
-        self.snapshots_streamed = 0
-        self._last: Optional[Snapshot] = None
-
-    def on_snapshot_point(self, event: SnapshotPointEvent) -> None:
-        snapshots = self.dumper.snapshots
-        # The newest snapshot, not the list's length: a trimming
-        # subclass keeps only the last one.
-        if not snapshots or snapshots[-1] is self._last:
-            raise ProfileError(
-                f"{type(self).__name__} saw a snapshot point before the "
-                "Dumper's snapshot landed; attach the Dumper first"
-            )
-        self._last = snapshots[-1]
-        self.builder.feed_snapshot(self._last)
-        self.snapshots_streamed += 1
-
-    def flush(self) -> None:
-        """End of run: flush the Recorder's streams into the analyzer."""
-        self.builder.feed_trace_flush(self.recorder.records)
-
-    def telemetry(self) -> Dict[str, int]:
-        return {"snapshots_streamed": self.snapshots_streamed}

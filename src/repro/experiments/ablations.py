@@ -322,11 +322,13 @@ def run_madvise_ablation(
     totals: Dict[bool, int] = {}
     for mark in (True, False):
         vm = VM(SimConfig(seed=seed), collector=NG2CCollector())
-        dumper = Dumper()
+        sizes: List[int] = []
         vm.attach_agent(Recorder(mark_no_need=mark))
-        vm.attach_agent(dumper)
+        vm.attach_agent(
+            Dumper(lambda snapshot: sizes.append(snapshot.size_bytes))
+        )
         drive(vm, make_workload(workload, seed=seed), duration_ms)
-        totals[mark] = sum(s.size_bytes for s in dumper.snapshots)
+        totals[mark] = sum(sizes)
     return MadviseAblation(
         workload=workload,
         bytes_with_madvise=totals[True],

@@ -21,7 +21,7 @@ from repro.config import SimConfig
 from repro.core.dumper import Dumper
 from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
-from repro.core.stages import LiveVMSource, ProfileBuilder
+from repro.core.stages import ProfileBuilder
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.code import ClassModel
 from repro.runtime.vm import VM
@@ -93,13 +93,10 @@ def measure_workload(
     workload = workload or make_workload(workload_name, seed=seed)
     vm = VM(SimConfig(seed=seed), collector=NG2CCollector())
     recorder = Recorder()
-    dumper = Dumper()
-    builder = ProfileBuilder()
-    source = LiveVMSource(builder, recorder, dumper)
-    for agent in (recorder, dumper, source):
-        vm.attach_agent(agent)
+    builder = ProfileBuilder(recorder.records)
+    vm.attach_agent(recorder)
+    vm.attach_agent(Dumper(builder.feed_snapshot))
     drive(vm, workload, duration_ms)
-    source.flush()
     analyzer = builder.analyzer
     analyzer.finish()
     # The per-trace histograms already exclude ids allocated after the

@@ -73,9 +73,9 @@ def run_workload(
     workload = make_workload(workload_name, seed=seed)
     collector = NG2CCollector()
     vm = VM(SimConfig(seed=seed), collector=collector)
-    dumper = Dumper()
+    criu: List[Snapshot] = []
     vm.attach_agent(Recorder())
-    vm.attach_agent(dumper)
+    vm.attach_agent(Dumper(criu.append))
 
     jmap = JmapDumper(vm.config.costs)
     shadow: List[Snapshot] = []
@@ -84,14 +84,14 @@ def run_workload(
         # Subscribed after the Recorder's GC_END hook, so the CRIU
         # snapshot for this cycle already exists; dump the same live set
         # the jmap way, without advancing the clock.
-        if len(shadow) < len(dumper.snapshots):
+        if len(shadow) < len(criu):
             shadow.append(
                 jmap.dump(vm.heap, collector.last_live_objects, vm.clock.now_ms)
             )
 
     vm.events.subscribe(GC_END, shadow_jmap)
     drive(vm, workload, duration_ms, stop=lambda: len(shadow) >= max_snapshots)
-    criu_snaps = dumper.snapshots[:max_snapshots]
+    criu_snaps = criu[:max_snapshots]
     return SnapshotComparison(
         workload=workload_name,
         criu=criu_snaps,

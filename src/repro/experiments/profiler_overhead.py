@@ -65,7 +65,7 @@ def _run(workload_name: str, seed: int, ticks: int, profiler: str) -> float:
     vm = VM(SimConfig(seed=seed), collector=collector)
     if profiler == "polm2":
         vm.attach_agent(Recorder())
-        vm.attach_agent(Dumper())
+        vm.attach_agent(Dumper(lambda snapshot: None))
     elif profiler == "exact":
         vm.attach_agent(ExactLifetimeTracer())
     # ``stop`` runs once before each tick: the (ticks + 1)-th call ends

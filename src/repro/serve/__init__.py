@@ -10,11 +10,10 @@ and telemetry to production-phase VMs over a small stdlib HTTP API.
 """
 
 from repro.serve.api import ProfileService
-from repro.serve.cycle import BoundedLiveSource, CycleReport, ProfilingCycleEngine
+from repro.serve.cycle import CycleReport, ProfilingCycleEngine
 from repro.serve.daemon import ServeConfig, ServeDaemon
 
 __all__ = [
-    "BoundedLiveSource",
     "CycleReport",
     "ProfileService",
     "ProfilingCycleEngine",

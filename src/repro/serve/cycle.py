@@ -15,11 +15,10 @@ against one wall-clock budget:
   e.g. the daemon's merge/commit) runs *inside* the budget, checked at
   every stage boundary — a cycle that overruns is truncated and
   reported via counters, never silently queued into the next window;
-* memory is bounded per cycle, not per run: the
-  :class:`BoundedLiveSource` — a :class:`~repro.core.stages.LiveVMSource`
-  that also trims — keeps only the newest snapshot in the Dumper's
-  list, so the live snapshot count never exceeds two regardless of how
-  many cycles the daemon has run.
+* memory is bounded per cycle, not per run: the Dumper hands each
+  snapshot straight to the cycle's analyzer and keeps none, so one
+  snapshot is alive at a time regardless of how many cycles the daemon
+  has run.
 
 Because a completed cycle is exactly the streaming profiling phase at a
 fixed seed, its STTree is byte-identical to the offline
@@ -38,11 +37,10 @@ from repro.config import SimConfig
 from repro.core.dumper import Dumper
 from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
-from repro.core.stages import LiveVMSource, ProfileBuilder
+from repro.core.stages import ProfileBuilder
 from repro.core.sttree import STTree
 from repro.errors import ProfileError
 from repro.gc.ng2c import NG2CCollector
-from repro.runtime.events import SnapshotPointEvent
 from repro.runtime.vm import VM
 from repro.strategies.agents import TelemetryAgent
 from repro.workloads import make_workload
@@ -55,31 +53,6 @@ BUDGET_POLL_TICKS = 32
 #: Stage names of the built-in cycle stages.
 STAGE_PROFILE = "profile"
 STAGE_ANALYZE = "analyze"
-
-
-class BoundedLiveSource(LiveVMSource):
-    """A :class:`~repro.core.stages.LiveVMSource` with bounded memory.
-
-    After each snapshot is fed to the analyzer it trims the Dumper's
-    list to the newest snapshot, so a cycle retains at most two
-    snapshots (the one being taken plus the previous one) at any
-    instant.
-    """
-
-    #: Most snapshots the Dumper's list held at once.
-    live_snapshot_peak = 0
-
-    def on_snapshot_point(self, event: SnapshotPointEvent) -> None:
-        super().on_snapshot_point(event)
-        snapshots = self.dumper.snapshots
-        self.live_snapshot_peak = max(self.live_snapshot_peak, len(snapshots))
-        del snapshots[:-1]
-
-    def telemetry(self) -> Dict[str, int]:
-        return {
-            **super().telemetry(),
-            "live_snapshot_peak": self.live_snapshot_peak,
-        }
 
 
 @dataclasses.dataclass
@@ -100,7 +73,6 @@ class CycleReport:
     #: Seconds past budget when the cycle ended (0.0 when on budget).
     overrun_s: float
     snapshots_streamed: int
-    live_snapshot_peak: int
     #: The cycle's STTree — None when the cycle was truncated before the
     #: analyze stage produced one.
     tree: Optional[STTree] = None
@@ -122,7 +94,6 @@ class CycleReport:
             "truncated_after": self.truncated_after,
             "overrun_s": self.overrun_s,
             "snapshots_streamed": self.snapshots_streamed,
-            "live_snapshot_peak": self.live_snapshot_peak,
             "tree_hash": None if self.tree is None else self.tree.digest(),
         }
 
@@ -168,7 +139,6 @@ class ProfilingCycleEngine:
         self.cycles_run = 0
         self.cycles_truncated = 0
         self.overrun_s_total = 0.0
-        self.live_snapshot_peak = 0
         self.last_report: Optional[CycleReport] = None
         #: Summed TelemetryAgent counters across every cycle's VM.
         self.vm_telemetry: Dict[str, int] = {}
@@ -191,11 +161,12 @@ class ProfilingCycleEngine:
         workload = make_workload(self.workload_name, seed=self.seed)
         vm = VM(self.config, collector=NG2CCollector())
         recorder = Recorder()
-        dumper = Dumper()
-        builder = ProfileBuilder(max_generations=self.config.max_generations)
-        source = BoundedLiveSource(builder, recorder, dumper)
+        builder = ProfileBuilder(
+            recorder.records, max_generations=self.config.max_generations
+        )
+        dumper = Dumper(builder.feed_snapshot)
         telemetry = TelemetryAgent()
-        for agent in (recorder, dumper, source, telemetry):
+        for agent in (recorder, dumper, telemetry):
             vm.attach_agent(agent)
         ticks = itertools.count()
 
@@ -219,7 +190,6 @@ class ProfilingCycleEngine:
             # Stage 2 — post-processing: close the streaming analyzer and
             # fold the survival counts into the cycle's STTree.
             stage_start = self.clock()
-            source.flush()
             tree = builder.analyzer.finish()
             stage_timings.append((STAGE_ANALYZE, self.clock() - stage_start))
             if self.clock() >= deadline:
@@ -251,8 +221,7 @@ class ProfilingCycleEngine:
             truncated=truncated,
             truncated_after=truncated_after,
             overrun_s=max(0.0, elapsed - self.budget_s),
-            snapshots_streamed=source.snapshots_streamed,
-            live_snapshot_peak=source.live_snapshot_peak,
+            snapshots_streamed=dumper.snapshots_taken,
             tree=tree,
         )
         self.cycles_run += 1
@@ -261,9 +230,6 @@ class ProfilingCycleEngine:
         self.overrun_s_total += report.overrun_s
         for counter, value in telemetry.telemetry().items():
             self.vm_telemetry[counter] = self.vm_telemetry.get(counter, 0) + value
-        self.live_snapshot_peak = max(
-            self.live_snapshot_peak, report.live_snapshot_peak
-        )
         self.last_report = report
         return report
 
@@ -274,5 +240,4 @@ class ProfilingCycleEngine:
             "cycles_run": self.cycles_run,
             "cycles_truncated": self.cycles_truncated,
             "overrun_s_total": round(self.overrun_s_total, 6),
-            "live_snapshot_peak": self.live_snapshot_peak,
         }

@@ -358,12 +358,8 @@ class ServeDaemon:
         """The ``GET /metrics`` payload: budgets, overruns, VM telemetry."""
         with self._lock:
             vm_telemetry: Dict[str, int] = {}
-            live_snapshot_peak = 0
             for engines in self.engines.values():
                 for engine in engines:
-                    live_snapshot_peak = max(
-                        live_snapshot_peak, engine.live_snapshot_peak
-                    )
                     for counter, value in engine.vm_telemetry.items():
                         vm_telemetry[counter] = (
                             vm_telemetry.get(counter, 0) + value
@@ -375,10 +371,7 @@ class ServeDaemon:
                     "cycle_budget_s": self.config.cycle_budget_s,
                     "sim_duration_ms": self.config.sim_duration_ms,
                 },
-                "cycles": {
-                    **self._totals(),
-                    "live_snapshot_peak": live_snapshot_peak,
-                },
+                "cycles": self._totals(),
                 "vm_telemetry": vm_telemetry,
                 "profiles": {
                     name: {

@@ -34,19 +34,17 @@ def build_records(young_ids: List[int], long_ids: List[int]) -> AllocationRecord
 
 
 def analyze(records, snapshots, **kwargs) -> IncrementalAnalyzer:
-    analyzer = IncrementalAnalyzer(**kwargs)
+    analyzer = IncrementalAnalyzer(records, **kwargs)
     for snapshot in snapshots:
         analyzer.on_snapshot(snapshot)
-    analyzer.on_trace_flush(records)
     analyzer.finish()
     return analyzer
 
 
 def build_profile(records, snapshots, workload):
-    builder = ProfileBuilder()
+    builder = ProfileBuilder(records)
     for snapshot in snapshots:
         builder.feed_snapshot(snapshot)
-    builder.feed_trace_flush(records)
     return builder.build(workload=workload)
 
 

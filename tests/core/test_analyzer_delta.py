@@ -6,7 +6,7 @@ from repro.config import SimConfig
 from repro.core import stages
 from repro.core.dumper import Dumper
 from repro.core.recorder import AllocationRecords, Recorder
-from repro.core.stages import IncrementalAnalyzer, LiveVMSource, ProfileBuilder
+from repro.core.stages import IncrementalAnalyzer, ProfileBuilder
 from repro.gc.g1 import G1Collector
 from repro.runtime.code import ClassModel
 from repro.runtime.vm import VM
@@ -59,10 +59,9 @@ def build_records(ids):
 
 
 def analyze(records, snapshots, **kwargs):
-    analyzer = IncrementalAnalyzer(**kwargs)
+    analyzer = IncrementalAnalyzer(records, **kwargs)
     for snapshot in snapshots:
         analyzer.on_snapshot(snapshot)
-    analyzer.on_trace_flush(records)
     analyzer.finish()
     return analyzer
 
@@ -102,10 +101,9 @@ class TestMemoization:
 
     def test_survival_counts_computed_once(self, monkeypatch):
         live_sets = [{1, 2}, {2, 3}]
-        builder = ProfileBuilder()
+        builder = ProfileBuilder(build_records([1, 2, 3]))
         for snapshot in full_snapshots(live_sets):
             builder.feed_snapshot(snapshot)
-        builder.feed_trace_flush(build_records([1, 2, 3]))
         calls = {"n": 0}
         original = stages.lifetime_distributions
 
@@ -132,11 +130,15 @@ class TestHumongousMixedLifetimes:
         """
         vm = VM(SimConfig.small(), collector=G1Collector())
         recorder = Recorder(snapshot_every=1)
-        dumper = Dumper()
-        builder = ProfileBuilder()
-        source = LiveVMSource(builder, recorder, dumper)
-        for agent in (recorder, dumper, source):
-            vm.attach_agent(agent)
+        builder = ProfileBuilder(recorder.records)
+        snapshots = []
+
+        def consume(snapshot):
+            snapshots.append(snapshot)
+            builder.feed_snapshot(snapshot)
+
+        vm.attach_agent(recorder)
+        vm.attach_agent(Dumper(consume))
         region = vm.heap.region_size
         model = ClassModel("H")
         method = model.add_method("run")
@@ -163,10 +165,9 @@ class TestHumongousMixedLifetimes:
                     humongous_high_water, vm.heap.humongous_count
                 )
         assert humongous_high_water > 0
-        assert len(dumper.snapshots) >= 3
+        assert len(snapshots) >= 3
 
-        source.flush()
-        records, snapshots = recorder.records, dumper.snapshots
+        records = recorder.records
         analyzer = builder.analyzer
         tree = analyzer.finish()
         assert buckets(analyzer.distributions) == buckets(

@@ -54,10 +54,9 @@ def build_world(
 
 
 def analyze(records, snapshots) -> IncrementalAnalyzer:
-    analyzer = IncrementalAnalyzer(min_samples=1)
+    analyzer = IncrementalAnalyzer(records, min_samples=1)
     for snapshot in snapshots:
         analyzer.on_snapshot(snapshot)
-    analyzer.on_trace_flush(records)
     analyzer.finish()
     return analyzer
 

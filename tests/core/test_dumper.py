@@ -14,8 +14,8 @@ def vm() -> VM:
     return VM(SimConfig.small(), collector=NG2CCollector())
 
 
-def attached(vm) -> Dumper:
-    dumper = Dumper()
+def attached(vm, consume=lambda snapshot: None) -> Dumper:
+    dumper = Dumper(consume)
     vm.attach_agent(dumper)
     return dumper
 
@@ -29,11 +29,15 @@ class TestDumper:
         assert vm.clock.now_us == before + snapshot.duration_us
 
     def test_snapshots_accumulate_in_store(self, vm):
-        dumper = attached(vm)
-        dumper.take_snapshot(EMPTY_IDSET)
+        # The consumer is the store: each snapshot reaches it, in order,
+        # before take_snapshot returns; the Dumper keeps only a count.
+        store = []
+        dumper = attached(vm, store.append)
+        first = dumper.take_snapshot(EMPTY_IDSET)
+        assert store == [first]
         dumper.take_snapshot(EMPTY_IDSET)
         assert dumper.snapshots_taken == 2
-        assert [s.seq for s in dumper.snapshots] == [1, 2]
+        assert [s.seq for s in store] == [1, 2]
 
     def test_snapshot_times_are_virtual(self, vm):
         dumper = attached(vm)

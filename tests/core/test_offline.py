@@ -4,9 +4,11 @@ import hashlib
 import json
 import os
 import shutil
+from array import array
 
 import pytest
 
+from repro.__main__ import main
 from repro.core.offline import (
     RECORDING_SCHEMA_VERSION,
     analyze_recording,
@@ -114,6 +116,65 @@ class TestRecordingDeterminism:
         assert digest.startswith("3641b8b7ed85")
 
 
+def _edit_json(name, change):
+    """A recording edit that rewrites the JSON file ``name``."""
+
+    def edit(recording_dir):
+        path = os.path.join(recording_dir, name)
+        with open(path) as handle:
+            payload = json.load(handle)
+        with open(path, "w") as handle:
+            json.dump(change(payload), handle)
+
+    return edit
+
+
+def _set_meta(key, value):
+    return _edit_json("meta.json", lambda meta: {**meta, key: value})
+
+
+def _first_frame(change_frame):
+    def change(table):
+        frames = table[min(table, key=int)]
+        frames[0] = change_frame(frames[0])
+        return table
+
+    return _edit_json("traces.json", change)
+
+
+def _rekey_first_trace(table):
+    first = min(table, key=int)
+    table["trace-" + first] = table.pop(first)
+    return table
+
+
+def _drop_last_trace(table):
+    del table[max(table, key=int)]
+    return table
+
+
+def _repeat_first_stream(recording_dir):
+    # A second, empty stream for trace 1 after the real one.
+    with open(os.path.join(recording_dir, "streams.bin"), "ab") as handle:
+        handle.write(array("q", (1, 0)).tobytes())
+
+
+#: ``(case id, recording edit, file the error must name)``.
+_MALFORMED = [
+    ("max-generations-str", _set_meta("max_generations", "x"), "meta.json"),
+    ("max-generations-list", _set_meta("max_generations", [1]), "meta.json"),
+    ("traces-not-object", _edit_json("traces.json", lambda t: []), "traces.json"),
+    ("trace-key-not-int", _edit_json("traces.json", _rekey_first_trace),
+     "traces.json"),
+    ("one-element-frame", _first_frame(lambda f: f[:1]), "traces.json"),
+    ("line-not-int", _first_frame(lambda f: [f[0], f[1], "ten"]), "traces.json"),
+    # The table loses a trace whose stream streams.bin still carries.
+    ("stream-without-trace", _edit_json("traces.json", _drop_last_trace),
+     "streams.bin"),
+    ("stream-repeated", _repeat_first_stream, "streams.bin"),
+]
+
+
 class TestRecordingFormatErrors:
     """Corrupt or future-versioned recordings fail loudly, naming the file."""
 
@@ -192,6 +253,28 @@ class TestRecordingFormatErrors:
         assert snapshots_path in message
         assert "trailing bytes" in message
         assert "\n" not in message
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [case[1:] for case in _MALFORMED],
+        ids=[case[0] for case in _MALFORMED],
+    )
+    def test_malformed_contents_fail_in_one_line(
+        self, recording, tmp_path, capsys, edit, named
+    ):
+        # Through the library and through ``repro analyze`` (exit 2).
+        broken = self._copy(recording, tmp_path)
+        edit(broken)
+        with pytest.raises(ProfileFormatError) as err:
+            analyze_recording(broken)
+        message = str(err.value)
+        assert os.path.join(broken, named) in message
+        assert "\n" not in message
+        out = str(tmp_path / "profile.json")
+        assert main(["analyze", broken, "-o", out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not os.path.exists(out)
 
 
 class TestLegacyLayouts:

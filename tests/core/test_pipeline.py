@@ -100,7 +100,9 @@ class TestProfilingPhase:
         assert result.pauses
         telemetry = result.telemetry
         assert telemetry["snapshots_taken"] == len(result.pauses)
-        assert telemetry["snapshots_streamed"] == telemetry["snapshots_taken"]
+        assert (
+            profile.metadata["snapshots_analyzed"] == telemetry["snapshots_taken"]
+        )
         assert telemetry["allocations_logged"] > 0
         # A cell keeps only its results, never the snapshot chain.
         assert "snapshots" not in result.to_dict()

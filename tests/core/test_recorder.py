@@ -15,17 +15,19 @@ from repro.runtime.code import ClassModel
 from repro.runtime.vm import VM
 
 
-def build_vm_with_recorder(snapshot_every: int = 1, with_dumper: bool = True):
+def build_vm_with_recorder(snapshot_every: int = 1):
+    """A small VM with a Recorder and a Dumper whose snapshots land in
+    the returned list."""
     vm = VM(SimConfig.small(), collector=NG2CCollector())
     recorder = Recorder(snapshot_every=snapshot_every)
-    dumper = Dumper() if with_dumper else None
+    snapshots = []
+    dumper = Dumper(snapshots.append)
     vm.attach_agent(recorder)
-    if dumper is not None:
-        vm.attach_agent(dumper)
+    vm.attach_agent(dumper)
     model = ClassModel("C")
     model.add_method("m").add_alloc_site(10, "Obj", 512)
     vm.classloader.load(model)
-    return vm, recorder, dumper
+    return vm, recorder, dumper, snapshots
 
 
 class TestAllocationRecords:
@@ -108,13 +110,13 @@ class TestAllocationRecords:
 
 class TestRecorderInstrumentation:
     def test_all_sites_record_hooked_at_load(self):
-        vm, recorder, _ = build_vm_with_recorder()
+        vm, recorder, _, _ = build_vm_with_recorder()
         site = vm.classloader.lookup("C").method("m").alloc_site(10)
         assert site.record_hook
         assert recorder.instrumented_site_count == 1
 
     def test_allocations_logged_with_trace(self):
-        vm, recorder, _ = build_vm_with_recorder()
+        vm, recorder, _, _ = build_vm_with_recorder()
         thread = vm.new_thread("t")
         with thread.entry("C", "m"):
             obj = thread.alloc(10)
@@ -124,7 +126,7 @@ class TestRecorderInstrumentation:
         assert list(recorder.records.streams[trace_id]) == [obj.object_id]
 
     def test_logging_charges_mutator_time(self):
-        vm, recorder, _ = build_vm_with_recorder()
+        vm, recorder, _, _ = build_vm_with_recorder()
         thread = vm.new_thread("t")
         before = vm.clock.now_us
         with thread.entry("C", "m"):
@@ -134,7 +136,7 @@ class TestRecorderInstrumentation:
 
 class TestSnapshotTriggering:
     def test_snapshot_after_every_gc_cycle(self):
-        vm, recorder, dumper = build_vm_with_recorder(snapshot_every=1)
+        vm, recorder, dumper, _ = build_vm_with_recorder(snapshot_every=1)
         thread = vm.new_thread("t")
         with thread.entry("C", "m"):
             while vm.collector.cycles < 3:
@@ -142,7 +144,7 @@ class TestSnapshotTriggering:
         assert dumper.snapshots_taken == vm.collector.cycles
 
     def test_snapshot_every_n_cycles(self):
-        vm, recorder, dumper = build_vm_with_recorder(snapshot_every=2)
+        vm, recorder, dumper, _ = build_vm_with_recorder(snapshot_every=2)
         thread = vm.new_thread("t")
         with thread.entry("C", "m"):
             while vm.collector.cycles < 4:
@@ -150,23 +152,23 @@ class TestSnapshotTriggering:
         assert dumper.snapshots_taken == vm.collector.cycles // 2
 
     def test_no_need_marked_before_snapshot(self):
-        vm, recorder, dumper = build_vm_with_recorder()
+        vm, recorder, _, snapshots = build_vm_with_recorder()
         thread = vm.new_thread("t")
         with thread.entry("C", "m"):
-            while not dumper.snapshots:
+            while not snapshots:
                 thread.alloc(10, keep=False)
         # Everything allocated was garbage, so the snapshot skipped the
         # (dead) young pages: far fewer pages than were dirtied.
-        snap = dumper.snapshots[0]
+        snap = snapshots[0]
         assert snap.pages_written * vm.heap.page_size < vm.config.young_bytes
 
     def test_snapshot_time_charged_to_clock(self):
-        vm, recorder, dumper = build_vm_with_recorder()
+        vm, recorder, _, snapshots = build_vm_with_recorder()
         thread = vm.new_thread("t")
         with thread.entry("C", "m"):
-            while not dumper.snapshots:
+            while not snapshots:
                 thread.alloc(10, keep=False)
-        snap = dumper.snapshots[0]
+        snap = snapshots[0]
         assert vm.clock.now_us >= snap.duration_us
 
     def test_invalid_snapshot_every(self):
@@ -183,7 +185,7 @@ class TestSingleFullTracePerSnapshot:
         config = dataclasses.replace(SimConfig.small(), use_remembered_sets=True)
         vm = VM(config, collector=G1Collector())
         recorder = Recorder(snapshot_every=1)
-        dumper = Dumper()
+        dumper = Dumper(lambda snapshot: None)
         vm.attach_agent(recorder)
         vm.attach_agent(dumper)
         model = ClassModel("C")

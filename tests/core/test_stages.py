@@ -7,15 +7,11 @@ import weakref
 import pytest
 
 from repro.config import SimConfig
-from repro.core.dumper import Dumper
-from repro.core.pipeline import drive
+from repro.core.pipeline import POLM2Pipeline
 from repro.core.profile import AllocationProfile
-from repro.core.recorder import Recorder
-from repro.core.stages import IncrementalAnalyzer, LiveVMSource, ProfileBuilder
+from repro.core.stages import IncrementalAnalyzer, ProfileBuilder
 from repro.errors import ProfileError
-from repro.gc.ng2c import NG2CCollector
-from repro.runtime.vm import VM
-from repro.serve.cycle import BoundedLiveSource
+from repro.serve.cycle import ProfilingCycleEngine
 from repro.workloads import make_workload
 from tests.core.survival_reference import reference_tree
 from tests.core.test_analyzer_delta import (
@@ -64,7 +60,7 @@ class TestBoundedMemory:
         """The stage never holds more than two snapshots' id sets."""
         rng = random.Random(3)
         ids = list(range(1, 50))
-        stage = IncrementalAnalyzer()
+        stage = IncrementalAnalyzer(build_records(ids))
         refs = []
         for seq, live in enumerate(random_live_sets(rng, ids, 12), start=1):
             snapshot = full_snapshot(seq, live)
@@ -74,44 +70,29 @@ class TestBoundedMemory:
             gc.collect()
             alive = sum(1 for ref in refs if ref() is not None)
             assert alive <= 2
-        stage.on_trace_flush(build_records(ids))
         stage.finish()
         gc.collect()
         assert sum(1 for ref in refs if ref() is not None) <= 1
 
     def test_finish_releases_cohorts(self):
-        stage = IncrementalAnalyzer()
+        stage = IncrementalAnalyzer(build_records([1, 2, 3]))
         for seq, live in enumerate([{1, 2}, {2, 3}], start=1):
             stage.on_snapshot(full_snapshot(seq, live))
-        stage.on_trace_flush(build_records([1, 2, 3]))
         stage.finish()
         assert stage._cohorts == {}
         assert not stage._previous_live
 
 
 class TestStageErrors:
-    def test_finish_requires_trace_flush(self):
-        stage = IncrementalAnalyzer()
-        stage.on_snapshot(full_snapshot(1, {1}))
-        with pytest.raises(ProfileError, match="on_trace_flush"):
-            stage.finish()
-
     def test_no_snapshots_after_finish(self):
-        stage = IncrementalAnalyzer()
-        stage.on_trace_flush(build_records([1]))
+        stage = IncrementalAnalyzer(build_records([1]))
         stage.finish()
         with pytest.raises(ProfileError, match="finished"):
             stage.on_snapshot(full_snapshot(1, {1}))
 
-    def test_rebinding_records_rejected(self):
-        stage = IncrementalAnalyzer()
-        stage.on_trace_flush(build_records([1]))
-        with pytest.raises(ProfileError, match="different"):
-            stage.on_trace_flush(build_records([2]))
-
     def test_max_generations_floor(self):
         with pytest.raises(ProfileError):
-            IncrementalAnalyzer(max_generations=1)
+            IncrementalAnalyzer(build_records([1]), max_generations=1)
 
 
 class TestProfileBuilder:
@@ -120,10 +101,9 @@ class TestProfileBuilder:
         snaps = full_snapshots(live_sets)
         records = build_records([1, 2, 3, 4])
 
-        builder = ProfileBuilder(min_samples=1)
+        builder = ProfileBuilder(records, min_samples=1)
         for snapshot in snaps:
             builder.feed_snapshot(snapshot)
-        builder.feed_trace_flush(records)
         streamed = builder.build(workload="synthetic")
 
         expected = AllocationProfile.from_sttree(
@@ -139,9 +119,8 @@ class TestProfileBuilder:
         assert streamed.to_json() == expected.to_json()
 
     def test_metadata_keys(self):
-        builder = ProfileBuilder(min_samples=1)
+        builder = ProfileBuilder(build_records([1, 2]), min_samples=1)
         builder.feed_snapshot(full_snapshot(1, {1, 2}))
-        builder.feed_trace_flush(build_records([1, 2]))
         profile = builder.build(workload="w", metadata={"extra": True})
         assert profile.metadata["snapshots_analyzed"] == 1
         assert profile.metadata["traces_analyzed"] == 2
@@ -150,39 +129,37 @@ class TestProfileBuilder:
         assert profile.metadata["extra"] is True
 
 
-def _stream(source_cls, dumper_first=True):
-    """Drive a small cassandra-wi run with ``source_cls`` attached."""
-    vm = VM(SimConfig.small(seed=7), collector=NG2CCollector())
-    recorder, dumper = Recorder(), Dumper()
-    source = source_cls(ProfileBuilder(), recorder, dumper)
-    order = (dumper, source) if dumper_first else (source, dumper)
-    for agent in (recorder, *order):
-        vm.attach_agent(agent)
-    drive(vm, make_workload("cassandra-wi", seed=7), 1_500.0)
-    source.flush()
-    return source, dumper
+class TestNoRetention:
+    """A run keeps no snapshot: when the analyzer returns from one, the
+    only snapshot still alive is the one it was just handed."""
 
+    @pytest.mark.parametrize("shape", ["profiling-phase", "serve-cycle"])
+    def test_run_keeps_no_snapshot(self, shape, monkeypatch):
+        refs = []
+        alive_after = []
+        on_snapshot = IncrementalAnalyzer.on_snapshot
 
-class TestLiveSources:
-    @pytest.mark.parametrize(
-        "source_cls", [LiveVMSource, BoundedLiveSource], ids=lambda c: c.__name__
-    )
-    def test_attached_before_dumper_fails(self, source_cls):
-        with pytest.raises(ProfileError, match="attach the Dumper first"):
-            _stream(source_cls, dumper_first=False)
+        def tracked(analyzer, snapshot):
+            on_snapshot(analyzer, snapshot)
+            refs.append(weakref.ref(snapshot))
+            alive = sum(ref() is not None for ref in refs)
+            if alive > 1:
+                # Only a reference cycle awaiting collection is forgiven.
+                gc.collect()
+                alive = sum(ref() is not None for ref in refs)
+            alive_after.append(alive)
 
-    def test_bounded_source_trims_but_streams_the_same(self):
-        plain, plain_dumper = _stream(LiveVMSource)
-        bounded, bounded_dumper = _stream(BoundedLiveSource)
-        streamed = plain.snapshots_streamed
-        assert streamed > 1
-        # The plain source leaves the Dumper's list whole; the bounded
-        # one keeps only the newest snapshot.
-        assert len(plain_dumper.snapshots) == streamed
-        assert bounded.snapshots_streamed == streamed
-        assert len(bounded_dumper.snapshots) == 1
-        assert bounded.live_snapshot_peak == 2
-        assert (
-            bounded.builder.analyzer.finish().digest()
-            == plain.builder.analyzer.finish().digest()
-        )
+        monkeypatch.setattr(IncrementalAnalyzer, "on_snapshot", tracked)
+        config = SimConfig.small(seed=7)
+        if shape == "profiling-phase":
+            POLM2Pipeline(
+                lambda: make_workload("cassandra-wi", seed=7), config=config
+            ).run_profiling_phase(duration_ms=1_500.0)
+        else:
+            report = ProfilingCycleEngine(
+                "cassandra-wi", seed=7, config=config, sim_duration_ms=1_500.0
+            ).run_cycle()
+            assert report.completed
+            assert report.snapshots_streamed == len(alive_after)
+        assert len(alive_after) > 1
+        assert max(alive_after) == 1

@@ -27,7 +27,7 @@ from repro.config import SimConfig, resolve_object_scale
 from repro.core.dumper import Dumper
 from repro.core.pipeline import drive
 from repro.core.recorder import Recorder
-from repro.core.stages import LiveVMSource, ProfileBuilder
+from repro.core.stages import ProfileBuilder
 from repro.gc.c4 import C4Collector
 from repro.gc.g1 import G1Collector
 from repro.gc.ng2c import NG2CCollector
@@ -69,7 +69,8 @@ def _record_scenario(
     """Run one scenario's profiling recording.
 
     The streaming analyzer rides along exactly as in the profiling
-    phase; returns ``(vm, recorder, dumper, sttree)``.
+    phase, and every snapshot is also kept for the digest; returns
+    ``(vm, recorder, snapshots, sttree)``.
     """
     scale = resolve_object_scale(object_scale)
     duration_ms *= scale
@@ -83,14 +84,17 @@ def _record_scenario(
     )
     vm = VM(config, collector=_COLLECTORS[collector_name]())
     recorder = Recorder(snapshot_every=1)
-    dumper = Dumper()
-    builder = ProfileBuilder()
-    source = LiveVMSource(builder, recorder, dumper)
-    for agent in (recorder, dumper, source):
-        vm.attach_agent(agent)
+    builder = ProfileBuilder(recorder.records)
+    snapshots = []
+
+    def consume(snapshot):
+        snapshots.append(snapshot)
+        builder.feed_snapshot(snapshot)
+
+    vm.attach_agent(recorder)
+    vm.attach_agent(Dumper(consume))
     drive(vm, make_workload(workload_name, seed=seed), duration_ms)
-    source.flush()
-    return vm, recorder, dumper, builder.analyzer.finish()
+    return vm, recorder, snapshots, builder.analyzer.finish()
 
 
 def scenario_sttree(*scenario, object_scale: Optional[int] = None):
@@ -112,7 +116,7 @@ def run_scenario(
     object_scale: Optional[int] = None,
 ) -> Dict:
     """Run one profiling-phase scenario and return its canonical digest."""
-    vm, recorder, dumper, sttree = _record_scenario(
+    vm, recorder, snapshots, sttree = _record_scenario(
         workload_name,
         collector_name,
         use_remsets,
@@ -150,7 +154,7 @@ def run_scenario(
             "live_count": len(snap.live_object_ids),
             "live_sha": _sha(sorted(snap.live_object_ids)),
         }
-        for snap in dumper.snapshots
+        for snap in snapshots
     ]
     # The analysis must also be invariant: the STTree the streaming
     # analyzer built during the run is reduced to its content hash

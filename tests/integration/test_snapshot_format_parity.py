@@ -41,40 +41,39 @@ def _digest_snapshots(snapshots):
     ids=["-".join(map(str, s[:2])) for s in SCENARIOS],
 )
 def recording(request):
-    """One scenario's ``(recorder, dumper, sttree)``, recorded once."""
+    """One scenario's ``(recorder, snapshots, sttree)``, recorded once."""
     scenario = request.param
-    _, recorder, dumper, sttree = _record_scenario(
+    _, recorder, snapshots, sttree = _record_scenario(
         *scenario[:4], min(scenario[4], 900.0)
     )
-    return recorder, dumper, sttree
+    return recorder, snapshots, sttree
 
 
 def test_binary_round_trip_identical(recording, tmp_path):
-    _, dumper, _ = recording
+    _, snapshots, _ = recording
     path = str(tmp_path / "snapshots.bin")
-    write_store(path, dumper.snapshots)
+    write_store(path, snapshots)
     loaded = list(iter_binary(path))
-    assert _digest_snapshots(loaded) == _digest_snapshots(dumper.snapshots)
+    assert _digest_snapshots(loaded) == _digest_snapshots(snapshots)
 
 
 def test_reread_profile_identical(recording, tmp_path):
-    recorder, dumper, sttree = recording
+    recorder, snapshots, sttree = recording
     path = str(tmp_path / "snapshots.bin")
-    write_store(path, dumper.snapshots)
-    builder = ProfileBuilder()
+    write_store(path, snapshots)
+    builder = ProfileBuilder(recorder.records)
     for snapshot in iter_binary(path):
         builder.feed_snapshot(snapshot)
-    builder.feed_trace_flush(recorder.records)
     assert builder.analyzer.finish().digest() == sttree.digest()
 
 
 def test_binary_is_smaller_on_disk(tmp_path):
     # Against the same snapshots rendered as JSON lines, one object per
     # snapshot.
-    _, _, dumper, _ = _record_scenario(*SCENARIOS[0][:4], 900.0)
+    _, _, snapshots, _ = _record_scenario(*SCENARIOS[0][:4], 900.0)
     binary = str(tmp_path / "snapshots.bin")
-    write_store(binary, dumper.snapshots)
+    write_store(binary, snapshots)
     text_bytes = sum(
-        len(json.dumps(snapshot.to_dict())) + 1 for snapshot in dumper.snapshots
+        len(json.dumps(snapshot.to_dict())) + 1 for snapshot in snapshots
     )
     assert os.path.getsize(binary) < text_bytes

@@ -176,7 +176,7 @@ class TestEventOrdering:
         agent = _JournalAgent()
         vm.attach_agent(agent)
         vm.attach_agent(Recorder())
-        vm.attach_agent(Dumper())
+        vm.attach_agent(Dumper(lambda snapshot: None))
         _run_workload(vm)
         kinds = agent.kinds()
         assert GC_START in kinds and GC_END in kinds

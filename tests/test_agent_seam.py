@@ -12,8 +12,11 @@ one tick loop (``pipeline.drive``), one sweep cache
 (``sqlite:///PATH``), one offline entry point (``analyze_recording``),
 one cell path (a single ready queue in ``run_sweep``; a cell keeps only
 its results), one allocation path (a batch is a loop over
-``VM.allocate_at_site``) and one snapshot form (a snapshot holds its
-live-id set; ``snapshots.bin`` alone stores deltas).  This test keeps it that way: no package
+``VM.allocate_at_site``), one snapshot form (a snapshot holds its
+live-id set; ``snapshots.bin`` alone stores deltas) and one snapshot
+hand-off (the Dumper passes each snapshot to its ``consume`` callback
+and keeps none; the analyzer takes its allocation records at
+construction).  This test keeps it that way: no package
 module or example may use the removed listener shims, legacy attach
 seams, the batch analyzer, the second snapshot format, a second
 evacuation loop beside ``evacuate``, the region columns and their
@@ -24,7 +27,10 @@ the v1 profile format, the JSON-directory cache,
 ``result``/``series_support`` aliases, the snapshot-payload pickling,
 the batched allocation path (batch events, quiet-run headroom, bulk
 region appends, lazy views) or the in-memory snapshot delta chain
-(``SnapshotStore``, its view, predecessor links and their release); nothing there may call the two shims the
+(``SnapshotStore``, its view, predecessor links and their release) or
+the snapshot forwarding agents (``LiveVMSource``, ``BoundedLiveSource``,
+``RecordingDirSource``, the trace-flush step, the Dumper's snapshot list
+and its peak counter); nothing there may call the two shims the
 end-to-end benchmark's tracer still wraps (``Recorder
 .on_allocation_batch`` and ``SimHeap.allocate_batch``); and only
 ``core/pipeline.py`` may tick a workload.
@@ -66,7 +72,10 @@ _REMOVED = re.compile(
     r"\bextract_mask\b|\b_id_breaks\b|\blive_id_set\b|"
     r"\bSnapshotStore\b|\bSnapshotView\b|\.release_predecessor\(|"
     r"\.is_delta\b|\.is_materialized\b|\.born_ids\b|\.dead_ids\b|"
-    r"\bpredecessor=|\.union_all\(|\bcheckpoints_taken\b"
+    r"\bpredecessor=|\.union_all\(|\bcheckpoints_taken\b|"
+    r"\bLiveVMSource\b|\bBoundedLiveSource\b|\bRecordingDirSource\b|"
+    r"\.on_trace_flush\(|\.feed_trace_flush\(|\blive_snapshot_peak\b|"
+    r"\bdumper\.snapshots\b"
 )
 
 #: Workload ticks; only the one tick loop (``core/pipeline.py``) may call it.
@@ -106,7 +115,7 @@ def test_no_direct_alloc_listener_calls_outside_runtime():
         "use ProfileStore.put/load_latest/select, cache in sqlite:///PATH, "
         "analyze recordings with analyze_recording, tick workloads "
         "through pipeline.drive, compute cells through run_sweep, "
-        "allocate through VM.allocate_at_site, keep snapshots in "
-        "Dumper.snapshots and write them with binstore): "
+        "allocate through VM.allocate_at_site, hand snapshots to "
+        "Dumper(consume) and write them with binstore): "
         + "; ".join(offenders)
     )
