@@ -18,7 +18,6 @@ orchestration of §3.5:
 """
 
 from repro.core.dumper import Dumper
-from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.core.instrumenter import Instrumenter
 from repro.core.pipeline import POLM2Pipeline, PhaseResult
 from repro.core.profile import AllocationProfile, AllocDirective, CallDirective
@@ -33,8 +32,6 @@ __all__ = [
     "AllocationRecords",
     "CallDirective",
     "Dumper",
-    "EMPTY_IDSET",
-    "IdSet",
     "IncrementalAnalyzer",
     "Instrumenter",
     "POLM2Pipeline",

@@ -23,7 +23,6 @@ import collections
 import dataclasses
 from typing import Dict, Optional
 
-from repro.core.idset import IdSet
 from repro.core.recorder import AllocationRecords
 from repro.core.sttree import STTree
 
@@ -83,23 +82,6 @@ def survival_to_generation(survival: int, max_generations: int) -> int:
 
 
 # -- estimation steps: survival counts -> distributions -> STTree ----------------
-
-
-def credit_counts(counts: Dict[int, int], ids, amount: int) -> None:
-    """``counts[oid] += amount`` for every id in ``ids``.
-
-    The streaming analyzer's cohort algebra.  Bulk-merges the common
-    first-interval case with one ``dict.fromkeys`` and loops only over
-    resurrections (ids already credited once).  ``ids`` may be an
-    :class:`~repro.core.idset.IdSet` or any iterable of ints.
-    """
-    id_list = ids.to_list() if isinstance(ids, IdSet) else list(ids)
-    seen = counts.keys() & id_list
-    if seen:
-        for object_id in seen:
-            counts[object_id] += amount
-        id_list = [oid for oid in id_list if oid not in seen]
-    counts.update(dict.fromkeys(id_list, amount))
 
 
 def lifetime_distributions(

@@ -10,7 +10,7 @@ to jmap.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Callable, Dict, FrozenSet, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.runtime.events import SnapshotPointEvent, VMAgent
@@ -18,7 +18,6 @@ from repro.snapshot.criu import CRIUEngine
 from repro.snapshot.snapshot import Snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.idset import IdSet
     from repro.runtime.vm import VM
 
 
@@ -53,7 +52,7 @@ class Dumper(VMAgent):
 
     # -- snapshotting ---------------------------------------------------------------
 
-    def take_snapshot(self, live_ids: "IdSet") -> Snapshot:
+    def take_snapshot(self, live_ids: FrozenSet[int]) -> Snapshot:
         """Checkpoint now; the application is stopped for the duration.
 
         ``live_ids`` holds the identity hashes of the reachable objects.

@@ -23,11 +23,9 @@ the profile-quality-vs-overhead comparison is apples to apples.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, Set, TYPE_CHECKING
 
 from repro.core.analyzer import survival_to_generation
-from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.core.profile import AllocationProfile
 from repro.core.recorder import AllocationRecords
 from repro.core.sttree import STTree
@@ -50,10 +48,8 @@ class ExactLifetimeTracer(VMAgent):
         #: object id -> GC cycle at which death was observed.
         self.death_cycle: Dict[int, int] = {}
         self.vm: Optional["VM"] = None
-        #: ids seen alive, as a compact kernel; allocations between GCs
-        #: buffer in ``_pending`` (cheap C appends) and fold in at GC end.
-        self._recorded_live: IdSet = EMPTY_IDSET
-        self._pending: array = array("q")
+        #: ids allocated and not yet observed dead.
+        self._recorded_live: Set[int] = set()
         self.instrumented_site_count = 0
         #: Totals for the overhead accounting.
         self.ref_updates_observed = 0
@@ -94,7 +90,7 @@ class ExactLifetimeTracer(VMAgent):
         self.records.log(trace, obj.object_id)
         cycle = self.vm.collector.cycles if self.vm.collector else 0
         self.birth_cycle[obj.object_id] = cycle
-        self._pending.append(obj.object_id)
+        self._recorded_live.add(obj.object_id)
         self.vm.clock.advance_us(self.vm.config.costs.exact_log_us)
 
     def _on_ref_update(self, parent: "HeapObject", child) -> None:
@@ -111,20 +107,16 @@ class ExactLifetimeTracer(VMAgent):
             # A remembered-set collection traced the young generation
             # only; every tenured object would read as dead.
             live = collector.trace_live()
-        live_ids = IdSet(obj.object_id for obj in live)
+        live_ids = frozenset(obj.object_id for obj in live)
         # Re-process the reachable set (trace replay) — charged per object.
         self.objects_reprocessed += len(live_ids)
         self.vm.clock.advance_us(
             self.vm.config.costs.exact_trace_obj_us * len(live_ids)
         )
-        recorded = self._recorded_live
-        if self._pending:
-            recorded = recorded | IdSet(self._pending)
-            del self._pending[:]
-        died = recorded - live_ids
-        for object_id in died.to_list():
+        died = self._recorded_live - live_ids
+        for object_id in died:
             self.death_cycle[object_id] = pause.cycle
-        self._recorded_live = recorded & live_ids
+        self._recorded_live -= died
 
     # -- results --------------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
@@ -66,20 +66,21 @@ def record_to_dir(
     """Run the profiling phase and persist the raw recording.
 
     Returns ``output_dir``.  The directory is self-describing: a later
-    :func:`analyze_recording` needs nothing else.
+    :func:`analyze_recording` needs nothing else.  Each snapshot is
+    encoded into ``snapshots.bin``'s columns as it is taken, so the run
+    holds one live set at a time.
     """
     vm = VM(config or SimConfig(seed=seed), collector=NG2CCollector())
     recorder = Recorder(snapshot_every=snapshot_every)
-    snapshots: List[Snapshot] = []
+    writer = binstore.StoreWriter(os.path.join(output_dir, SNAPSHOTS_BIN_FILE))
+    dumper = Dumper(writer.add)
     vm.attach_agent(recorder)
-    vm.attach_agent(Dumper(snapshots.append))
+    vm.attach_agent(dumper)
     drive(vm, make_workload(workload_name, seed=seed), duration_ms)
 
     os.makedirs(output_dir, exist_ok=True)
     recorder.records.flush_to_dir(output_dir)
-    binstore.write_store(
-        os.path.join(output_dir, SNAPSHOTS_BIN_FILE), snapshots
-    )
+    writer.close()
     with open(os.path.join(output_dir, META_FILE), "w") as handle:
         json.dump(
             {
@@ -91,7 +92,7 @@ def record_to_dir(
                 "snapshot_format": "binary",
                 "max_generations": vm.config.max_generations,
                 "allocations_recorded": recorder.records.total_allocations,
-                "snapshots_taken": len(snapshots),
+                "snapshots_taken": dumper.snapshots_taken,
             },
             handle,
             indent=2,

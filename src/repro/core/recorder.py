@@ -20,7 +20,6 @@ import os
 from array import array
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.core.idset import IdSet
 from repro.errors import ProfileFormatError
 from repro.runtime.code import AllocSite, ClassModel, CodeLocation
 from repro.runtime.events import (
@@ -316,9 +315,8 @@ class Recorder(VMAgent):
             # §4.1: before signalling the Dumper, traverse the heap and set
             # the no-need bit on every page with no live objects (madvise).
             vm.heap.mark_unused_pages_no_need(collector.last_mark_epoch)
-        # The live ids are the CRIU engine's logical content (identity
-        # hashes are monotonic, so the set is runs + bitmap blocks).
-        live_ids = IdSet(obj.object_id for obj in live)
+        # The live ids are the CRIU engine's logical content.
+        live_ids = frozenset(obj.object_id for obj in live)
         vm.events.publish(
             SNAPSHOT_POINT, SnapshotPointEvent(pause=pause, live_ids=live_ids)
         )

@@ -5,7 +5,7 @@ snapshot.  Here that dataflow runs one event at a time, the shape
 ROLP-style runtime profilers use:
 
 * :class:`IncrementalAnalyzer` — the bucket algorithm as a stream: each
-  snapshot is credited into per-birth-index cohorts on arrival and then
+  snapshot credits the ids that died since the one before and is then
   dropped, so peak memory is O(live ids), not O(ids × snapshots); its
   artifact is the canonical :class:`~repro.core.sttree.STTree` IR;
 * :class:`ProfileBuilder` — the profiling entry point: takes the
@@ -26,11 +26,9 @@ from typing import Dict, Optional
 from repro.core.analyzer import (
     LifetimeDistribution,
     build_trace_tree,
-    credit_counts,
     estimate_trace_generations,
     lifetime_distributions,
 )
-from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.core.profile import AllocationProfile
 from repro.core.recorder import AllocationRecords
 from repro.core.sttree import STTree
@@ -41,20 +39,19 @@ from repro.snapshot.snapshot import Snapshot
 class IncrementalAnalyzer:
     """The bucket algorithm as a bounded-memory stream.
 
-    Survival counting is a cohort algebra applied per arriving snapshot:
-    each live set is diffed against the previous one into born and dead
-    ids, born ids form a new per-birth-index cohort, and deaths peel off
-    each cohort and credit the interval length.  Crediting interval
-    lengths sums to exactly the number of snapshots each id appears live
-    in.
+    Survival counting runs per arriving snapshot over :attr:`born_at`,
+    which maps each id alive in the last snapshot to the index of the
+    snapshot it became alive at: an id gone from the new snapshot is
+    credited the length of its interval and dropped, and an id new to it
+    enters at the new index.  Crediting interval lengths sums to exactly
+    the number of snapshots each id appears live in.
 
     ``records`` (the trace table and per-trace id streams) is read only
     by :meth:`finish`, so a live Recorder's records may still grow
     while snapshots arrive.
 
-    Memory: the analyzer keeps the survival counts, the live cohorts (id
-    ints, no snapshot references), and the previous live set — O(live
-    ids) overall.
+    Memory: the analyzer keeps the survival counts and :attr:`born_at`
+    (id ints, no snapshot references) — O(live ids) overall.
     """
 
     def __init__(
@@ -70,9 +67,9 @@ class IncrementalAnalyzer:
         self.min_samples = min_samples
         self.snapshots_seen = 0
         self._counts: Dict[int, int] = {}
-        #: birth index -> ids born there and still alive.
-        self._cohorts: Dict[int, IdSet] = {}
-        self._previous_live = EMPTY_IDSET
+        #: id alive in the last snapshot -> index of the snapshot it
+        #: became alive at.
+        self.born_at: Dict[int, int] = {}
         self._tree: Optional[STTree] = None
         #: Per-trace survival histograms and estimated generations, kept
         #: by :meth:`finish` for :meth:`site_report` and demographics.
@@ -86,37 +83,27 @@ class IncrementalAnalyzer:
             raise ProfileError("IncrementalAnalyzer is already finished")
         index = self.snapshots_seen
         live = snapshot.live_object_ids
-        born = live - self._previous_live
-        dead = self._previous_live - live
-        if dead:
-            for birth in list(self._cohorts):
-                cohort = self._cohorts[birth]
-                died = cohort & dead
-                if died:
-                    remaining = cohort - died
-                    if remaining:
-                        self._cohorts[birth] = remaining
-                    else:
-                        del self._cohorts[birth]
-                    credit_counts(self._counts, died, index - birth)
-        if born:
-            self._cohorts[index] = born
-        self._previous_live = live
+        born_at = self.born_at
+        counts = self._counts
+        for object_id in born_at.keys() - live:
+            counts[object_id] = (
+                counts.get(object_id, 0) + index - born_at.pop(object_id)
+            )
+        born_at.update(dict.fromkeys(live.difference(born_at), index))
         self.snapshots_seen += 1
 
     def finish(self) -> STTree:
-        """Close the open cohorts and fold counts into the STTree IR."""
+        """Credit the ids still alive and fold counts into the STTree IR."""
         if self._tree is not None:
             return self._tree
         total = self.snapshots_seen
-        cutoff = None
-        for birth, cohort in self._cohorts.items():
-            cohort_max = cohort.max()
-            if cutoff is None or cohort_max > cutoff:
-                cutoff = cohort_max
-            credit_counts(self._counts, cohort, total - birth)
-        self._cohorts.clear()
-        self._previous_live = EMPTY_IDSET
+        born_at = self.born_at
+        counts = self._counts
+        # Ids allocated after the last snapshot carry no lifetime signal.
+        cutoff = max(born_at) if born_at else None
+        for object_id, birth in born_at.items():
+            counts[object_id] = counts.get(object_id, 0) + total - birth
+        born_at.clear()
         self.distributions = lifetime_distributions(
             self.records, self._counts, cutoff
         )

@@ -41,12 +41,11 @@ Event kinds
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, FrozenSet, List, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.idset import IdSet
     from repro.gc.events import GCPause
     from repro.runtime.code import ClassModel
     from repro.runtime.vm import VM
@@ -105,13 +104,12 @@ class GCEndEvent:
 class SnapshotPointEvent:
     """The cycle ends with a checkpoint; ``live_ids`` is the full live set.
 
-    The identity hashes of every reachable object, as the
-    :class:`~repro.core.idset.IdSet` the CRIU engine records as the
-    snapshot's logical content.
+    The identity hashes of every reachable object, which the CRIU
+    engine records as the snapshot's logical content.
     """
 
     pause: "GCPause"
-    live_ids: "IdSet"
+    live_ids: FrozenSet[int]
 
 
 class EventBus:

@@ -14,8 +14,9 @@ write time are what Figures 3/4 compare against ``jmap``.
 
 from __future__ import annotations
 
+from typing import FrozenSet
+
 from repro.config import CostModel
-from repro.core.idset import IdSet
 from repro.heap.heap import SimHeap
 from repro.snapshot.snapshot import Snapshot
 
@@ -35,7 +36,7 @@ class CRIUEngine:
         self._seq = 0
 
     def checkpoint(
-        self, heap: SimHeap, live_ids: IdSet, time_ms: float
+        self, heap: SimHeap, live_ids: FrozenSet[int], time_ms: float
     ) -> Snapshot:
         """Create one incremental snapshot.
 

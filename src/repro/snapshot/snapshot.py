@@ -8,17 +8,11 @@ headers, §4.3): ``snapshots.bin`` (schema ``polm2-snapshots-v2``, see
 :mod:`repro.snapshot.binstore`) stores every incremental snapshot as
 born/dead ids against the snapshot before it, and reading it back
 applies each delta.
-
-Live sets are :class:`~repro.core.idset.IdSet` kernels, not frozensets:
-chunked sorted-run/bitmap containers whose set algebra runs as big-int
-bitwise passes.
 """
 
 from __future__ import annotations
 
 from typing import Dict
-
-from repro.core.idset import IdSet
 
 
 class Snapshot:
@@ -64,7 +58,7 @@ class Snapshot:
         self.size_bytes = size_bytes
         self.duration_us = duration_us
         self.incremental = incremental
-        self.live_object_ids = IdSet.coerce(live_object_ids)
+        self.live_object_ids = frozenset(live_object_ids)
 
     # -- value semantics (the previous frozen-dataclass contract) -------------------
 
@@ -104,5 +98,5 @@ class Snapshot:
             "size_bytes": self.size_bytes,
             "duration_us": self.duration_us,
             "incremental": self.incremental,
-            "live_object_ids": self.live_object_ids.to_list(),
+            "live_object_ids": sorted(self.live_object_ids),
         }

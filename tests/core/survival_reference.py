@@ -19,9 +19,9 @@ def reference_distributions(records, snapshots):
     """Per-trace survival histograms by direct intersection counting."""
     counts = collections.Counter()
     for snapshot in snapshots:
-        counts.update(snapshot.live_object_ids.to_list())
+        counts.update(snapshot.live_object_ids)
     last = snapshots[-1].live_object_ids if snapshots else None
-    cutoff = last.max() if last else None
+    cutoff = max(last) if last else None
     return lifetime_distributions(records, counts, cutoff)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
-from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
 
@@ -25,7 +24,7 @@ class TestDumper:
         dumper = attached(vm)
         obj = vm.allocate_anonymous(4096)
         before = vm.clock.now_us
-        snapshot = dumper.take_snapshot(IdSet([obj.object_id]))
+        snapshot = dumper.take_snapshot(frozenset([obj.object_id]))
         assert vm.clock.now_us == before + snapshot.duration_us
 
     def test_snapshots_accumulate_in_store(self, vm):
@@ -33,23 +32,23 @@ class TestDumper:
         # before take_snapshot returns; the Dumper keeps only a count.
         store = []
         dumper = attached(vm, store.append)
-        first = dumper.take_snapshot(EMPTY_IDSET)
+        first = dumper.take_snapshot(frozenset())
         assert store == [first]
-        dumper.take_snapshot(EMPTY_IDSET)
+        dumper.take_snapshot(frozenset())
         assert dumper.snapshots_taken == 2
         assert [s.seq for s in store] == [1, 2]
 
     def test_snapshot_times_are_virtual(self, vm):
         dumper = attached(vm)
-        first = dumper.take_snapshot(EMPTY_IDSET)
+        first = dumper.take_snapshot(frozenset())
         vm.clock.advance_ms(500.0)
-        second = dumper.take_snapshot(EMPTY_IDSET)
+        second = dumper.take_snapshot(frozenset())
         assert second.time_ms > first.time_ms + 499.0
 
     def test_incremental_across_snapshots(self, vm):
         dumper = attached(vm)
         vm.allocate_anonymous(8192)
-        first = dumper.take_snapshot(EMPTY_IDSET)
-        second = dumper.take_snapshot(EMPTY_IDSET)
+        first = dumper.take_snapshot(frozenset())
+        second = dumper.take_snapshot(frozenset())
         assert second.pages_written == 0
         assert first.pages_written > 0

@@ -17,7 +17,7 @@ from repro.core.offline import (
 from repro.core.pipeline import POLM2Pipeline
 from repro.core.recorder import AllocationRecords
 from repro.errors import ProfileFormatError
-from repro.snapshot.binstore import iter_binary, write_store
+from repro.snapshot.binstore import SNAPSHOTS_MAGIC, iter_binary, write_store
 from repro.snapshot.snapshot import Snapshot
 from repro.workloads import make_workload
 
@@ -159,6 +159,28 @@ def _repeat_first_stream(recording_dir):
         handle.write(array("q", (1, 0)).tobytes())
 
 
+def _set_snapshot_entry(column, value):
+    """A recording edit that replaces the second snapshot's entry in one
+    ``snapshots.bin`` metadata column."""
+
+    def edit(recording_dir):
+        path = os.path.join(recording_dir, "snapshots.bin")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        start = len(SNAPSHOTS_MAGIC) + 4
+        end = start + int.from_bytes(blob[len(SNAPSHOTS_MAGIC) : start], "little")
+        header = json.loads(blob[start:end])
+        header["columns"][column][1] = value
+        encoded = json.dumps(header).encode()
+        with open(path, "wb") as handle:
+            handle.write(SNAPSHOTS_MAGIC)
+            handle.write(len(encoded).to_bytes(4, "little"))
+            handle.write(encoded)
+            handle.write(blob[end:])
+
+    return edit
+
+
 #: ``(case id, recording edit, file the error must name)``.
 _MALFORMED = [
     ("max-generations-str", _set_meta("max_generations", "x"), "meta.json"),
@@ -172,6 +194,11 @@ _MALFORMED = [
     ("stream-without-trace", _edit_json("traces.json", _drop_last_trace),
      "streams.bin"),
     ("stream-repeated", _repeat_first_stream, "streams.bin"),
+    ("snapshot-seq-list", _set_snapshot_entry("seq", [1]), "snapshots.bin"),
+    ("snapshot-time-object", _set_snapshot_entry("time_ms", {}),
+     "snapshots.bin"),
+    ("snapshot-pages-null", _set_snapshot_entry("pages_written", None),
+     "snapshots.bin"),
 ]
 
 

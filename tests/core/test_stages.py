@@ -7,11 +7,13 @@ import weakref
 import pytest
 
 from repro.config import SimConfig
+from repro.core.offline import record_to_dir
 from repro.core.pipeline import POLM2Pipeline
 from repro.core.profile import AllocationProfile
 from repro.core.stages import IncrementalAnalyzer, ProfileBuilder
 from repro.errors import ProfileError
 from repro.serve.cycle import ProfilingCycleEngine
+from repro.snapshot.criu import CRIUEngine
 from repro.workloads import make_workload
 from tests.core.survival_reference import reference_tree
 from tests.core.test_analyzer_delta import (
@@ -79,8 +81,7 @@ class TestBoundedMemory:
         for seq, live in enumerate([{1, 2}, {2, 3}], start=1):
             stage.on_snapshot(full_snapshot(seq, live))
         stage.finish()
-        assert stage._cohorts == {}
-        assert not stage._previous_live
+        assert stage.born_at == {}
 
 
 class TestStageErrors:
@@ -163,3 +164,32 @@ class TestNoRetention:
             assert report.snapshots_streamed == len(alive_after)
         assert len(alive_after) > 1
         assert max(alive_after) == 1
+
+    def test_recording_keeps_no_snapshot(self, tmp_path, monkeypatch):
+        # record_to_dir encodes each snapshot's columns as it arrives:
+        # when a checkpoint returns, the snapshot it made is the only
+        # one alive.
+        refs = []
+        alive_at = []
+        checkpoint = CRIUEngine.checkpoint
+
+        def tracked(engine, heap, live_ids, time_ms):
+            snapshot = checkpoint(engine, heap, live_ids, time_ms)
+            refs.append(weakref.ref(snapshot))
+            alive = sum(ref() is not None for ref in refs)
+            if alive > 1:
+                # Only a reference cycle awaiting collection is forgiven.
+                gc.collect()
+                alive = sum(ref() is not None for ref in refs)
+            alive_at.append(alive)
+            return snapshot
+
+        monkeypatch.setattr(CRIUEngine, "checkpoint", tracked)
+        record_to_dir(
+            "cassandra-wi",
+            str(tmp_path / "recording"),
+            duration_ms=1_500.0,
+            config=SimConfig.small(),
+        )
+        assert len(alive_at) > 1
+        assert max(alive_at) == 1

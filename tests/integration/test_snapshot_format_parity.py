@@ -27,7 +27,7 @@ def _digest_snapshots(snapshots):
             "size_bytes": snap.size_bytes,
             "duration_us": snap.duration_us,
             "incremental": snap.incremental,
-            "live": snap.live_object_ids.to_list(),
+            "live": sorted(snap.live_object_ids),
         }
         for snap in snapshots
     ]

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.config import CostModel, SimConfig
-from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.heap.heap import SimHeap
 from repro.snapshot.criu import CRIUEngine
 
 
-def ids(objs) -> IdSet:
-    return IdSet(obj.object_id for obj in objs)
+def ids(objs) -> frozenset:
+    return frozenset(obj.object_id for obj in objs)
 
 
 @pytest.fixture
@@ -31,7 +30,7 @@ class TestIncrementality:
 
     def test_dirty_bits_cleared_after_checkpoint(self, heap, engine):
         heap.allocate(4096)
-        engine.checkpoint(heap, EMPTY_IDSET, time_ms=0.0)
+        engine.checkpoint(heap, frozenset(), time_ms=0.0)
         assert heap.page_table.dirty_pages() == []
 
     def test_second_snapshot_is_delta(self, heap, engine):
@@ -46,8 +45,8 @@ class TestIncrementality:
 
     def test_untouched_memory_not_redumped(self, heap, engine):
         heap.allocate(8192)
-        engine.checkpoint(heap, EMPTY_IDSET, time_ms=0.0)
-        snap = engine.checkpoint(heap, EMPTY_IDSET, time_ms=1.0)
+        engine.checkpoint(heap, frozenset(), time_ms=0.0)
+        snap = engine.checkpoint(heap, frozenset(), time_ms=1.0)
         assert snap.pages_written == 0
         assert snap.size_bytes == 0
 
@@ -81,13 +80,13 @@ class TestLogicalContent:
 
     def test_duration_scales_with_size(self, heap, engine):
         heap.allocate(64)
-        small = engine.checkpoint(heap, EMPTY_IDSET, time_ms=0.0)
+        small = engine.checkpoint(heap, frozenset(), time_ms=0.0)
         for _ in range(10):
             heap.allocate(3 * 4096)
-        large = engine.checkpoint(heap, EMPTY_IDSET, time_ms=1.0)
+        large = engine.checkpoint(heap, frozenset(), time_ms=1.0)
         assert large.duration_us > small.duration_us
 
     def test_sequence_numbers(self, heap, engine):
-        s1 = engine.checkpoint(heap, EMPTY_IDSET, time_ms=0.0)
-        s2 = engine.checkpoint(heap, EMPTY_IDSET, time_ms=1.0)
+        s1 = engine.checkpoint(heap, frozenset(), time_ms=0.0)
+        s2 = engine.checkpoint(heap, frozenset(), time_ms=1.0)
         assert (s1.seq, s2.seq) == (1, 2)

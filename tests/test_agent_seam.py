@@ -13,10 +13,11 @@ one tick loop (``pipeline.drive``), one sweep cache
 one cell path (a single ready queue in ``run_sweep``; a cell keeps only
 its results), one allocation path (a batch is a loop over
 ``VM.allocate_at_site``), one snapshot form (a snapshot holds its
-live-id set; ``snapshots.bin`` alone stores deltas) and one snapshot
+live-id set; ``snapshots.bin`` alone stores deltas), one snapshot
 hand-off (the Dumper passes each snapshot to its ``consume`` callback
 and keeps none; the analyzer takes its allocation records at
-construction).  This test keeps it that way: no package
+construction) and one id-set type (a live set is a ``frozenset``; only
+``binstore`` knows the id-column bytes).  This test keeps it that way: no package
 module or example may use the removed listener shims, legacy attach
 seams, the batch analyzer, the second snapshot format, a second
 evacuation loop beside ``evacuate``, the region columns and their
@@ -30,7 +31,8 @@ region appends, lazy views) or the in-memory snapshot delta chain
 (``SnapshotStore``, its view, predecessor links and their release) or
 the snapshot forwarding agents (``LiveVMSource``, ``BoundedLiveSource``,
 ``RecordingDirSource``, the trace-flush step, the Dumper's snapshot list
-and its peak counter); nothing there may call the two shims the
+and its peak counter) or the id-set kernel (``IdSet``, its empty
+singleton, the analyzer's cohorts and their crediting helper); nothing there may call the two shims the
 end-to-end benchmark's tracer still wraps (``Recorder
 .on_allocation_batch`` and ``SimHeap.allocate_batch``); and only
 ``core/pipeline.py`` may tick a workload.
@@ -75,7 +77,9 @@ _REMOVED = re.compile(
     r"\bpredecessor=|\.union_all\(|\bcheckpoints_taken\b|"
     r"\bLiveVMSource\b|\bBoundedLiveSource\b|\bRecordingDirSource\b|"
     r"\.on_trace_flush\(|\.feed_trace_flush\(|\blive_snapshot_peak\b|"
-    r"\bdumper\.snapshots\b"
+    r"\bdumper\.snapshots\b|"
+    r"\bIdSet\b|\bEMPTY_IDSET\b|repro\.core\.idset|\bcredit_counts\b|"
+    r"\._cohorts\b|\._previous_live\b"
 )
 
 #: Workload ticks; only the one tick loop (``core/pipeline.py``) may call it.
@@ -116,6 +120,7 @@ def test_no_direct_alloc_listener_calls_outside_runtime():
         "analyze recordings with analyze_recording, tick workloads "
         "through pipeline.drive, compute cells through run_sweep, "
         "allocate through VM.allocate_at_site, hand snapshots to "
-        "Dumper(consume) and write them with binstore): "
+        "Dumper(consume), hold live sets as frozensets and write them "
+        "with binstore): "
         + "; ".join(offenders)
     )
