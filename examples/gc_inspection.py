@@ -47,6 +47,9 @@ def main() -> None:
     print(f"=== GC log ({workload_name}, profiling phase, last 10 pauses) ===")
     for line in gclog.tail(10):
         print(line)
+    # Nothing below reads the heap: free it now rather than at the next
+    # full CPython collection.
+    vm.close()
 
     print("\n=== per-site lifetime report ===")
     print(builder.analyzer.site_report(max_sites=15))

@@ -76,7 +76,10 @@ def record_to_dir(
     dumper = Dumper(writer.add)
     vm.attach_agent(recorder)
     vm.attach_agent(dumper)
-    drive(vm, make_workload(workload_name, seed=seed), duration_ms)
+    try:
+        drive(vm, make_workload(workload_name, seed=seed), duration_ms)
+    finally:
+        vm.close()
 
     os.makedirs(output_dir, exist_ok=True)
     recorder.records.flush_to_dir(output_dir)

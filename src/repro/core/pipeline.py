@@ -145,7 +145,9 @@ def drive(
     true (a wall-clock budget, a snapshot count, a tick count).
 
     The identity-hash counter restarts first, so a run's object ids do
-    not depend on what ran before it in the same process.
+    not depend on what ran before it in the same process.  The heap is
+    left as the run ended it: the VM's owner calls :meth:`VM.close`
+    once it has read what it needs.
     """
     reset_identity_hashes()
     workload.vm = vm
@@ -267,16 +269,19 @@ class POLM2Pipeline:
         agents.append(TelemetryAgent())
         for agent in agents:
             vm.attach_agent(agent)
-        timeline = drive(vm, workload, duration_ms)
-        return self._result(
-            label or spec.name,
-            workload,
-            vm,
-            collector,
-            timeline,
-            profile=profile if spec.needs_profile else None,
-            telemetry=self._merged_telemetry(agents),
-        )
+        try:
+            timeline = drive(vm, workload, duration_ms)
+            return self._result(
+                label or spec.name,
+                workload,
+                vm,
+                collector,
+                timeline,
+                profile=profile if spec.needs_profile else None,
+                telemetry=self._merged_telemetry(agents),
+            )
+        finally:
+            vm.close()
 
     # -- profiling phase ---------------------------------------------------------------
 
@@ -310,20 +315,23 @@ class POLM2Pipeline:
         agents = [recorder, Dumper(builder.feed_snapshot), TelemetryAgent()]
         for agent in agents:
             vm.attach_agent(agent)
-        timeline = drive(vm, workload, duration_ms)
-        profile = builder.build(workload=workload.name)
-        if keep_result is not None:
-            keep_result.append(
-                self._result(
-                    "polm2-profiling",
-                    workload,
-                    vm,
-                    collector,
-                    timeline,
-                    profile=profile,
-                    telemetry=self._merged_telemetry(agents),
+        try:
+            timeline = drive(vm, workload, duration_ms)
+            profile = builder.build(workload=workload.name)
+            if keep_result is not None:
+                keep_result.append(
+                    self._result(
+                        "polm2-profiling",
+                        workload,
+                        vm,
+                        collector,
+                        timeline,
+                        profile=profile,
+                        telemetry=self._merged_telemetry(agents),
+                    )
                 )
-            )
+        finally:
+            vm.close()
         return profile
 
     # -- production phase -----------------------------------------------------------------

@@ -327,7 +327,10 @@ def run_madvise_ablation(
         vm.attach_agent(
             Dumper(lambda snapshot: sizes.append(snapshot.size_bytes))
         )
-        drive(vm, make_workload(workload, seed=seed), duration_ms)
+        try:
+            drive(vm, make_workload(workload, seed=seed), duration_ms)
+        finally:
+            vm.close()
         totals[mark] = sum(sizes)
     return MadviseAblation(
         workload=workload,

@@ -96,7 +96,10 @@ def measure_workload(
     builder = ProfileBuilder(recorder.records)
     vm.attach_agent(recorder)
     vm.attach_agent(Dumper(builder.feed_snapshot))
-    drive(vm, workload, duration_ms)
+    try:
+        drive(vm, workload, duration_ms)
+    finally:
+        vm.close()
     analyzer = builder.analyzer
     analyzer.finish()
     # The per-trace histograms already exclude ids allocated after the

@@ -90,7 +90,10 @@ def run_workload(
             )
 
     vm.events.subscribe(GC_END, shadow_jmap)
-    drive(vm, workload, duration_ms, stop=lambda: len(shadow) >= max_snapshots)
+    try:
+        drive(vm, workload, duration_ms, stop=lambda: len(shadow) >= max_snapshots)
+    finally:
+        vm.close()
     criu_snaps = criu[:max_snapshots]
     return SnapshotComparison(
         workload=workload_name,

@@ -71,7 +71,10 @@ def _run(workload_name: str, seed: int, ticks: int, profiler: str) -> float:
     # ``stop`` runs once before each tick: the (ticks + 1)-th call ends
     # the run after exactly ``ticks`` ticks.
     calls = itertools.count()
-    drive(vm, workload, math.inf, stop=lambda: next(calls) >= ticks)
+    try:
+        drive(vm, workload, math.inf, stop=lambda: next(calls) >= ticks)
+    finally:
+        vm.close()
     return vm.clock.now_ms
 
 

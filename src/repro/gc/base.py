@@ -122,7 +122,7 @@ class GenerationalCollector(abc.ABC):
         ]
         stale: List[int] = []
         for parent_id, parent in heap.old_to_young_remset.items():
-            kids = [c for c in parent.refs if c.gen_id == 0]
+            kids = [c for c in parent._refs if c.gen_id == 0]
             if not kids:
                 stale.append(parent_id)
                 continue
@@ -139,7 +139,7 @@ class GenerationalCollector(abc.ABC):
                 continue
             obj.mark_epoch = epoch
             live.append(obj)
-            stack.extend(obj.refs)
+            stack.extend(obj._refs)
         self.last_live_objects = live
         self.last_trace_was_partial = True
         self.last_mark_epoch = epoch

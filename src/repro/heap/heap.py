@@ -7,7 +7,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.config import PAGE_SIZE, REGION_SIZE, YOUNG_GEN, SimConfig
 from repro.errors import OutOfMemoryError, UnknownGenerationError
 from repro.heap.evacuation import EvacuationPlan
-from repro.heap.objects import HeapObject
+from repro.heap.objects import NO_REFS, HeapObject
 from repro.heap.page import PageTable
 from repro.heap.region import Region
 from repro.heap.space import Generation
@@ -139,6 +139,21 @@ class SimHeap:
         region.reset()
         self._free_regions.append(region)
 
+    def free_all(self) -> None:
+        """Return every region, of every generation and every humongous
+        run, to the free pool and empty the remembered set: the heap then
+        holds no object.  The generations stay, empty, and so do the
+        allocation counters and ``peak_committed_bytes``.
+        """
+        for gen in self.generations.values():
+            for region in gen.release_all_regions():
+                self.free_region(region)
+        for run in self._humongous.values():
+            for region in run:
+                self.free_region(region)
+        self._humongous.clear()
+        self.old_to_young_remset.clear()
+
     @property
     def free_region_count(self) -> int:
         return len(self._free_regions)
@@ -171,22 +186,21 @@ class SimHeap:
         self,
         size: int,
         gen_id: int = YOUNG_GEN,
-        class_id: int = 0,
         site_id: int = 0,
         trace_id: int = 0,
-        birth_cycle: int = 0,
         refs: Sequence[HeapObject] = (),
     ) -> HeapObject:
         """Allocate an object of ``size`` bytes into generation ``gen_id``.
 
         The newly written memory is marked dirty in the page table, exactly
-        as the MMU would after the store of the object body.
+        as the MMU would after the store of the object body.  The object
+        gets a list of references only when ``refs`` is non-empty.
         """
         try:
             gen = self.generations[gen_id]
         except KeyError:
             raise UnknownGenerationError(f"no generation with id {gen_id}") from None
-        obj = HeapObject(size, class_id, site_id, trace_id, birth_cycle)
+        obj = HeapObject(size, site_id, trace_id)
         if size > self.region_size:
             address = self._allocate_humongous(obj, gen_id)
         else:
@@ -210,7 +224,6 @@ class SimHeap:
         gen_id: int = YOUNG_GEN,
         site_id: int = 0,
         trace_id: int = 0,
-        birth_cycle: int = 0,
     ) -> List[HeapObject]:
         """:meth:`allocate` once per entry of ``sizes``, in order.
 
@@ -219,10 +232,7 @@ class SimHeap:
         with the benchmark's ``heap.allocate_batch.*`` metrics (the open
         benchmark item in ROADMAP.md).
         """
-        return [
-            self.allocate(size, gen_id, 0, site_id, trace_id, birth_cycle)
-            for size in sizes
-        ]
+        return [self.allocate(size, gen_id, site_id, trace_id) for size in sizes]
 
     # -- humongous objects -----------------------------------------------------------
 
@@ -314,8 +324,15 @@ class SimHeap:
     # -- reference mutation (store barriers) ---------------------------------------
 
     def write_ref(self, parent: HeapObject, child: HeapObject) -> None:
-        """Add ``parent -> child``; dirties the parent's pages."""
-        parent._refs.append(child)
+        """Add ``parent -> child``; dirties the parent's pages.
+
+        A leaf's first child gives it a list of its own.
+        """
+        refs = parent._refs
+        if refs is NO_REFS:
+            parent._refs = [child]
+        else:
+            refs.append(child)
         address = parent.address
         if address >= 0:
             self.page_table.mark_dirty_range(address, parent.size)

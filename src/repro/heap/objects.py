@@ -1,8 +1,8 @@
 """Heap objects and their headers.
 
 A :class:`HeapObject` models a Java object as the GC and the profiler see
-it: a header (identity hash code, class id, age) plus a payload size and
-outgoing references.  Workload *semantics* (keys, postings, vertex values)
+it: a header (identity hash code, age) plus a payload size and outgoing
+references.  Workload *semantics* (keys, postings, vertex values)
 live in plain Python attached elsewhere; the simulated heap only cares
 about sizes, references, and placement.
 
@@ -11,16 +11,24 @@ objects in a plain list (see :mod:`repro.heap.region`), and evacuation
 rewrites ``address``, ``gen_id`` and ``age`` in place.  A reclaimed
 object keeps its last placement fields, which is what floating garbage
 still reachable from a dead parent reads.
+
+An object holds only fields something reads, and a leaf costs no list:
+every object starts with the shared empty tuple :data:`NO_REFS` as its
+references, and :class:`~repro.heap.heap.SimHeap` gives it a list of its
+own when it gets its first child.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Tuple
 
 #: Size in bytes of an object header (mark word + class word on HotSpot).
 HEADER_BYTES = 16
 
 _next_identity_hash = 1
+
+#: The references of every object with no children, shared by all of them.
+NO_REFS: Tuple["HeapObject", ...] = ()
 
 
 def next_identity_hash() -> int:
@@ -43,43 +51,34 @@ class HeapObject:
     Attributes:
         object_id: Stable identity hash code, assigned at allocation and
             preserved across moves (stored in the header).
-        class_id: Interned class identifier (see the runtime's code model).
         size: Total size in bytes, header included.
         site_id: Allocation-site id (0 when allocated outside any site).
         trace_id: Stack-trace id at allocation (0 when unknown).
         gen_id: Id of the generation currently holding the object.
         address: Current virtual address; changes when the object moves.
         age: Number of young collections survived (G1 tenuring input).
-        birth_cycle: GC cycle count at allocation time.
         mark_epoch: Heap mark epoch at which this object was last found
             reachable.  ``obj.mark_epoch == heap.mark_epoch`` means "marked
             live by the most recent trace"; marking is one int store and the
             liveness test one int compare, so no per-cycle visited set is
             ever allocated (see docs/architecture.md, "Hot paths").
+        _refs: Outgoing references: :data:`NO_REFS` until the first child
+            is written, then a list owned by this object.
     """
 
     __slots__ = (
         "object_id",
-        "class_id",
         "size",
         "site_id",
         "trace_id",
         "gen_id",
         "address",
         "age",
-        "birth_cycle",
         "mark_epoch",
         "_refs",
     )
 
-    def __init__(
-        self,
-        size: int,
-        class_id: int = 0,
-        site_id: int = 0,
-        trace_id: int = 0,
-        birth_cycle: int = 0,
-    ) -> None:
+    def __init__(self, size: int, site_id: int = 0, trace_id: int = 0) -> None:
         global _next_identity_hash
         if size < HEADER_BYTES:
             raise ValueError(
@@ -88,16 +87,14 @@ class HeapObject:
         # next_identity_hash(), inlined: this runs once per allocation.
         self.object_id = _next_identity_hash
         _next_identity_hash += 1
-        self.class_id = class_id
         self.size = size
         self.site_id = site_id
         self.trace_id = trace_id
         self.gen_id = -1
         self.address = -1
         self.age = 0
-        self.birth_cycle = birth_cycle
         self.mark_epoch = 0
-        self._refs: List[HeapObject] = []
+        self._refs = NO_REFS
 
     @property
     def refs(self) -> List["HeapObject"]:
@@ -106,17 +103,26 @@ class HeapObject:
         Mutate through :meth:`repro.heap.heap.SimHeap.write_ref` /
         :meth:`~repro.heap.heap.SimHeap.remove_ref` so that the pages
         holding the object are marked dirty, as a real store barrier would.
+        A leaf returns a fresh empty list.
         """
-        return self._refs
+        return self._refs or []
 
     def iter_refs(self) -> Iterator["HeapObject"]:
         return iter(self._refs)
 
     def _remove_ref(self, target: "HeapObject") -> None:
-        self._refs.remove(target)
+        refs = self._refs
+        if not refs:
+            # NO_REFS is a tuple, whose missing remove() would raise
+            # AttributeError; a leaf fails as a list without target does.
+            raise ValueError(
+                f"object {self.object_id} holds no reference to "
+                f"object {target.object_id}"
+            )
+        refs.remove(target)
 
     def _replace_refs(self, targets: Iterable["HeapObject"]) -> None:
-        self._refs = list(targets)
+        self._refs = list(targets) or NO_REFS
 
     def page_span(self, page_size: int) -> range:
         """Indices of the pages this object occupies at its current address."""

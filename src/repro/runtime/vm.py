@@ -197,15 +197,11 @@ class VM:
             trace, trace_id = hit
         heap = self.heap
         try:
-            # Positional (class_id 0): keywords double this per-object call's cost.
-            obj = heap.allocate(
-                size, gen_id, 0, site_id, trace_id, collector.cycles, refs
-            )
+            # Positional: keywords double this per-object call's cost.
+            obj = heap.allocate(size, gen_id, site_id, trace_id, refs)
         except OutOfMemoryError:
             collector.handle_oom()
-            obj = heap.allocate(
-                size, gen_id, 0, site_id, trace_id, collector.cycles, refs
-            )
+            obj = heap.allocate(size, gen_id, site_id, trace_id, refs)
         if gen_id != 0:
             # Pretenured allocation takes the non-TLAB slow path.
             self.clock.advance_us(
@@ -306,14 +302,10 @@ class VM:
         gen_id = collector.resolve_allocation_gen(0)
         heap = self.heap
         try:
-            obj = heap.allocate(
-                size, gen_id, birth_cycle=collector.cycles, refs=refs
-            )
+            obj = heap.allocate(size, gen_id, refs=refs)
         except OutOfMemoryError:
             collector.handle_oom()
-            obj = heap.allocate(
-                size, gen_id, birth_cycle=collector.cycles, refs=refs
-            )
+            obj = heap.allocate(size, gen_id, refs=refs)
         if gen_id != 0:
             # Pretenured allocation takes the non-TLAB slow path.
             self.clock.advance_us(
@@ -321,6 +313,36 @@ class VM:
             )
         collector.after_allocation(size, gen_id)
         return obj
+
+    # -- lifetime ----------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Free the simulated heap once the run's result is built.
+
+        A finished VM is one reference cycle: the collector and the VM
+        point at each other, every thread points back at the VM, the
+        class loader and the event bus hold bound methods of the VM and
+        its agents, and every generation holds a bound method of the
+        heap.  Only a full CPython collection frees such a cycle, and
+        every object the heap holds with it.  Closing drops the VM's hold
+        on those objects (the heap's regions and remembered set, the
+        collector's last trace, the thread frames and the static roots),
+        so reference counting frees them at once.
+
+        Every counter a result reads stays: the clock, ``ops_completed``,
+        ``set_generation_calls``, the collector's pause log and cycle
+        count, and the heap's allocation totals and peak.  Idempotent,
+        and ``heap.verify()`` passes after it.  The VM's owner closes it;
+        :func:`~repro.core.pipeline.drive` does not, so a caller can still
+        inspect the heap after a run.
+        """
+        self.heap.free_all()
+        if self.collector is not None:
+            self.collector.last_live_objects = []
+        for thread in self.threads:
+            thread.frames.clear()
+        for name in self.roots.names:
+            self.roots.unpin(name)
 
     # -- mutator time ------------------------------------------------------------------
 

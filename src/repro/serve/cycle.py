@@ -180,7 +180,11 @@ class ProfilingCycleEngine:
                 and self.clock() >= deadline
             )
 
-        drive(vm, workload, self.sim_duration_ms, stop=over_budget)
+        try:
+            drive(vm, workload, self.sim_duration_ms, stop=over_budget)
+        finally:
+            # Nothing after the window reads the heap.
+            vm.close()
         window_complete = vm.clock.now_ms >= self.sim_duration_ms
         stage_timings.append((STAGE_PROFILE, self.clock() - start))
 

@@ -6,6 +6,7 @@ from repro.config import SimConfig, YOUNG_GEN
 from repro.errors import UnknownGenerationError
 from repro.heap.evacuation import FixedDestination
 from repro.heap.heap import SimHeap
+from repro.heap.objects import NO_REFS
 
 
 @pytest.fixture
@@ -56,6 +57,10 @@ class TestAllocation:
         parent = heap.allocate(64, refs=[child])
         assert parent.refs == [child]
 
+    def test_allocate_with_no_refs_keeps_no_list(self, heap):
+        assert heap.allocate(64)._refs is NO_REFS
+        assert heap.allocate(64, refs=[])._refs is NO_REFS
+
     def test_counters(self, heap):
         heap.allocate(128)
         heap.allocate(64)
@@ -91,6 +96,57 @@ class TestStoreBarriers:
         assert parent.refs == kids
         heap.clear_refs(parent)
         assert parent.refs == []
+        assert parent._refs is NO_REFS
+        heap.replace_refs(parent, kids)
+        heap.replace_refs(parent, ())
+        assert parent._refs is NO_REFS
+
+    def test_first_write_gives_leaf_its_own_list(self, heap):
+        parent, other = heap.allocate(64), heap.allocate(64)
+        child = heap.allocate(64)
+        heap.write_ref(parent, child)
+        assert type(parent._refs) is list
+        assert parent.refs == [child]
+        # The shared empty value never takes a write.
+        assert other._refs is NO_REFS
+        assert other.refs == []
+        assert NO_REFS == ()
+
+    def test_remove_absent_ref_raises_value_error(self, heap):
+        leaf, parent = heap.allocate(64), heap.allocate(64)
+        child, stranger = heap.allocate(64), heap.allocate(64)
+        heap.write_ref(parent, child)
+        with pytest.raises(ValueError):
+            heap.remove_ref(leaf, stranger)
+        with pytest.raises(ValueError):
+            heap.remove_ref(parent, stranger)
+        assert parent.refs == [child]
+
+
+class TestFreeAll:
+    def test_returns_every_region_and_keeps_counters(self, heap):
+        dyn = heap.new_generation("dyn")
+        child = heap.allocate(64)
+        parent = heap.allocate(64, gen_id=dyn.gen_id, refs=[child])
+        heap.allocate(2 * heap.region_size)  # humongous
+        assert heap.old_to_young_remset == {parent.object_id: parent}
+        counters = (
+            heap.total_allocated_objects,
+            heap.total_allocated_bytes,
+            heap.peak_committed_bytes,
+        )
+        heap.free_all()
+        heap.verify()
+        assert heap.committed_bytes == 0
+        assert heap.humongous_count == 0
+        assert heap.old_to_young_remset == {}
+        assert heap.stats().object_count == 0
+        assert set(heap.generations) == {YOUNG_GEN, dyn.gen_id}
+        assert counters == (
+            heap.total_allocated_objects,
+            heap.total_allocated_bytes,
+            heap.peak_committed_bytes,
+        )
 
 
 class TestTracing:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.heap.objects import HEADER_BYTES, HeapObject, next_identity_hash
+from repro.heap.objects import (
+    HEADER_BYTES,
+    NO_REFS,
+    HeapObject,
+    next_identity_hash,
+)
 
 
 class TestIdentityHash:
@@ -50,6 +55,13 @@ class TestHeapObject:
         obj = HeapObject(size=64)
         assert obj.refs == []
         assert list(obj.iter_refs()) == []
+
+    def test_leaves_share_one_empty_refs_value(self):
+        a, b = HeapObject(size=64), HeapObject(size=64)
+        assert a._refs is NO_REFS
+        assert b._refs is NO_REFS
+        # refs hands a leaf's caller a list of its own, never the shared value.
+        assert a.refs == [] and a.refs is not b.refs
 
     def test_page_span_unmapped_is_empty(self):
         obj = HeapObject(size=64)

@@ -32,10 +32,13 @@ region appends, lazy views) or the in-memory snapshot delta chain
 the snapshot forwarding agents (``LiveVMSource``, ``BoundedLiveSource``,
 ``RecordingDirSource``, the trace-flush step, the Dumper's snapshot list
 and its peak counter) or the id-set kernel (``IdSet``, its empty
-singleton, the analyzer's cohorts and their crediting helper); nothing there may call the two shims the
-end-to-end benchmark's tracer still wraps (``Recorder
-.on_allocation_batch`` and ``SimHeap.allocate_batch``); and only
-``core/pipeline.py`` may tick a workload.
+singleton, the analyzer's cohorts and their crediting helper) or the
+unread heap-object header slots (``class_id`` and the ``birth_cycle=``
+allocation argument: a heap object holds only fields something reads;
+the exact tracer's own ``birth_cycle`` dict stays); nothing there may
+call the two shims the end-to-end benchmark's tracer still wraps
+(``Recorder.on_allocation_batch`` and ``SimHeap.allocate_batch``); and
+only ``core/pipeline.py`` may tick a workload.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ _REMOVED = re.compile(
     r"\.on_trace_flush\(|\.feed_trace_flush\(|\blive_snapshot_peak\b|"
     r"\bdumper\.snapshots\b|"
     r"\bIdSet\b|\bEMPTY_IDSET\b|repro\.core\.idset|\bcredit_counts\b|"
-    r"\._cohorts\b|\._previous_live\b"
+    r"\._cohorts\b|\._previous_live\b|"
+    r"\bclass_id\b|\bbirth_cycle="
 )
 
 #: Workload ticks; only the one tick loop (``core/pipeline.py``) may call it.
