@@ -56,10 +56,10 @@ def main() -> None:
 
     # -- the offline workflow -------------------------------------------------
     print("\n=== offline record -> analyze ===")
-    recording_dir = tempfile.mkdtemp(prefix="polm2-recording-")
-    record_to_dir(workload_name, recording_dir, duration_ms=12_000.0)
-    print(f"recorded raw profiling data -> {recording_dir}")
-    profile = analyze_recording(recording_dir)
+    with tempfile.TemporaryDirectory(prefix="polm2-recording-") as recording_dir:
+        record_to_dir(workload_name, recording_dir, duration_ms=12_000.0)
+        print(f"recorded raw profiling data -> {recording_dir}")
+        profile = analyze_recording(recording_dir)
     print(
         f"offline analysis: {profile.instrumented_site_count} sites, "
         f"{profile.generations_used} generations, "

@@ -2,11 +2,14 @@
 
 One daemon owns, per workload, ``instances`` simulated VM instances (the
 stand-in for a fleet of JVMs running the same service).  Every round it
-runs one budgeted profiling cycle per instance; each completed cycle's
-STTree is merged — *inside that cycle's budget*, as injected post
-stages — into the workload's accumulated tree and committed to the
-content-addressed :class:`~repro.core.profilestore.ProfileStore`, where
-the HTTP API serves it to production-phase VMs.
+runs one budgeted profiling cycle per instance.  The round's profiling
+windows run side by side in worker processes, so the daemon's own
+interpreter is left to merge, commit and answer HTTP.  Each completed
+cycle's STTree is then merged — *inside that cycle's budget*, as
+injected post stages, in instance order — into the workload's
+accumulated tree and committed to the content-addressed
+:class:`~repro.core.profilestore.ProfileStore`, where the HTTP API
+serves it to production-phase VMs.
 
 Crash safety: after every commit the daemon persists its cycle state
 (committed-round counts, latest hashes, lifetime counters) to
@@ -23,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -33,7 +37,7 @@ from repro.core.profilestore import ProfileStore, profile_content_hash
 from repro.core.sttree import STTree
 from repro.errors import ProfileError, ProfileFormatError
 from repro.serve.api import ProfileService
-from repro.serve.cycle import CycleReport, ProfilingCycleEngine
+from repro.serve.cycle import CycleReport, ProfilingCycleEngine, Window
 
 #: State file format marker (same versioning discipline as profiles).
 STATE_FORMAT = "polm2-serve-state-v1"
@@ -74,8 +78,36 @@ class ServeConfig:
             )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ignore_sigint() -> None:
+    """Pool worker initializer: a terminal's Ctrl-C reaches the whole
+    process group, and only the daemon's stop handler should act on it.
+
+    A worker starts with SIGINT blocked (see :meth:`ServeDaemon.run_round`),
+    so a Ctrl-C during its start-up stays pending until it is ignored.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
 class ServeDaemon:
-    """Continuous profiling for a set of workloads, served over HTTP."""
+    """Continuous profiling for a set of workloads, served over HTTP.
+
+    Each round's profiling windows run in a pool of ``spawn`` worker
+    processes that the daemon builds at its first round: one worker per
+    window of a round, but no more than there are usable CPUs.  Spawn
+    re-imports the caller's main module in every worker, so a script
+    that drives a daemon must guard its entry point with ``if __name__
+    == "__main__":``.  :meth:`close` (or the end of :meth:`run`) shuts
+    the pool down; a later round builds a fresh one.
+    """
 
     def __init__(
         self,
@@ -91,9 +123,12 @@ class ServeDaemon:
         self.service: Optional[ProfileService] = None
         #: In-memory cache of each workload's accumulated (merged) tree.
         self._latest_tree: Dict[str, STTree] = {}
-        #: The tree a cycle's merge stage produced, awaiting its commit
-        #: stage; discarded if the budget expires between the two.
-        self._pending: Dict[str, STTree] = {}
+        #: ``(latest tree merged into, merged tree)`` from a cycle's merge
+        #: stage, awaiting its commit stage; discarded if the budget
+        #: expires between the two.
+        self._pending: Dict[str, Tuple[Optional[STTree], STTree]] = {}
+        #: The worker pool the profiling windows run in (built lazily).
+        self._pool = None
         self.cycles_committed: Dict[str, int] = {
             name: 0 for name in config.workloads
         }
@@ -199,7 +234,8 @@ class ServeDaemon:
                 # nothing is identity) so a single-cycle serve is
                 # byte-identical to the offline profiling phase.
                 self._pending[workload] = (
-                    tree if latest is None else latest.merge(tree)
+                    latest,
+                    tree if latest is None else latest.merge(tree),
                 )
 
         return merge
@@ -207,12 +243,18 @@ class ServeDaemon:
     def _commit_stage(self, workload: str) -> Callable[[STTree], None]:
         def commit(_tree: STTree) -> None:
             with self._lock:
-                merged = self._pending.pop(workload, None)
-                if merged is None:  # pragma: no cover - stage misuse
+                pending = self._pending.pop(workload, None)
+                if pending is None:  # pragma: no cover - stage misuse
                     raise ProfileError(
                         f"commit stage for {workload!r} ran without a "
                         "preceding merge stage"
                     )
+                base, merged = pending
+                latest = self._latest_tree.get(workload)
+                if latest is not base:
+                    # A submission committed between this cycle's merge
+                    # and its commit: join it in, never overwrite it.
+                    merged = merged.merge(latest)
                 self._commit_locked(workload, merged)
 
         return commit
@@ -262,21 +304,68 @@ class ServeDaemon:
     # -- the drive loop ----------------------------------------------------------------
 
     def run_round(self) -> List[CycleReport]:
-        """One cycle per (workload, instance); returns every report."""
+        """One cycle per (workload, instance); returns every report.
+
+        Every window of the round is dispatched to the worker pool
+        before any is waited on; the cycles then wait, merge and commit
+        one by one in config order.  A stop request ends the round after
+        the cycle being committed: windows not yet started are
+        cancelled, and those running are discarded.
+        """
+        pool = self._window_pool()
+        # Workers start inside submit and inherit this thread's signal
+        # mask: SIGINT stays blocked in them until their initializer
+        # has set it to be ignored.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            windows: List[Window] = [
+                engine.submit(pool)
+                for name in self.config.workloads
+                for engine in self.engines[name]
+            ]
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        pending = iter(windows)
         reports: List[CycleReport] = []
-        for name in self.config.workloads:
-            index = self.cycles_committed[name]
-            self._pending.pop(name, None)
-            for engine in self.engines[name]:
-                reports.append(engine.run_cycle(index=index))
+        try:
+            for name in self.config.workloads:
+                index = self.cycles_committed[name]
+                self._pending.pop(name, None)
+                for engine in self.engines[name]:
+                    reports.append(engine.run_cycle(index=index, window=next(pending)))
+                    if self._stop.is_set():
+                        break
+                with self._lock:
+                    self.cycles_committed[name] = index + 1
+                    self._write_state()
                 if self._stop.is_set():
                     break
-            with self._lock:
-                self.cycles_committed[name] = index + 1
-                self._write_state()
-            if self._stop.is_set():
-                break
+        finally:
+            if len(reports) < len(windows) or any(w.lost for w in windows):
+                # Windows left unread, or a worker died (which breaks
+                # the whole pool): the next round starts a fresh pool.
+                self._shutdown_pool()
         return reports
+
+    def _window_pool(self):
+        if self._pool is None:
+            # Imported here: they would add to every `repro` start-up.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            windows = len(self.config.workloads) * self.config.instances
+            self._pool = ProcessPoolExecutor(
+                max_workers=min(windows, usable_cpus()),
+                # The daemon runs HTTP handler threads: fork is unsafe.
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_ignore_sigint,
+            )
+        return self._pool
+
+    def _shutdown_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
 
     def run(
         self,
@@ -310,6 +399,7 @@ class ServeDaemon:
                 if self.config.round_interval_s > 0:
                     self._stop.wait(self.config.round_interval_s)
         finally:
+            self._shutdown_pool()
             if serve_http:
                 self.stop_service()
         return rounds
@@ -317,6 +407,11 @@ class ServeDaemon:
     def request_stop(self) -> None:
         """Ask the drive loop to exit after the current cycle (signal-safe)."""
         self._stop.set()
+
+    def close(self) -> None:
+        """Stop the HTTP service and the worker pool."""
+        self.stop_service()
+        self._shutdown_pool()
 
     @property
     def stopping(self) -> bool:

@@ -72,6 +72,9 @@ class GraphEngine:
         self.values_holder: Optional[HeapObject] = None
         self.batch_holder: Optional[HeapObject] = None
         self.batches = graph.batch_slices(params.edges_per_batch)
+        #: Edges in each batch, summed once here rather than per load.
+        degrees = graph.degrees
+        self.batch_edges = [sum(degrees[b.start : b.stop]) for b in self.batches]
         self.batch_index = 0
         self.iteration = 0
         self.vertices_processed = 0
@@ -123,7 +126,7 @@ class GraphEngine:
 
     def _load_batch(self) -> None:
         batch = self.batches[self.batch_index]
-        edges = sum(self.graph.degrees[v] for v in batch)
+        edges = self.batch_edges[self.batch_index]
         thread = self.thread
         heap = self.vm.heap
         holder = self.vm.allocate_anonymous(64)

@@ -33,9 +33,13 @@ class PowerLawGraph:
             raise ValueError("mean_degree must be positive")
         self.vertex_count = vertex_count
         self.alpha = alpha
-        rng = random.Random(seed)
+        draw = random.Random(seed).random
         # Pareto-distributed degrees, rescaled to the requested mean.
-        raw = [rng.paretovariate(alpha) for _ in range(vertex_count)]
+        # Each draw is ``Random.paretovariate(alpha)`` written inline
+        # (CPython 3.11's formula, bit for bit) to skip a method call
+        # per vertex.
+        exponent = -1.0 / alpha
+        raw = [(1.0 - draw()) ** exponent for _ in range(vertex_count)]
         scale = mean_degree * vertex_count / sum(raw)
         self.degrees: List[int] = [max(1, int(d * scale)) for d in raw]
         self.edge_count = sum(self.degrees)

@@ -1,9 +1,11 @@
-"""Daemon smoke: real process, real HTTP, real SIGTERM.
+"""Daemon smoke: real process, real HTTP, real SIGTERM and SIGINT.
 
 The CI daemon-smoke job runs exactly this file: start ``repro serve`` as
 a subprocess, wait for a committed cycle, fetch the latest profile over
 HTTP, re-derive the offline profile, assert identical ``@Gen`` targets,
-then SIGTERM the daemon and assert a clean exit.
+then SIGTERM the daemon and assert a clean exit; and send a terminal's
+SIGINT to a two-instance daemon's whole process group mid-cycle, which
+must end the daemon and its worker processes without a traceback.
 """
 
 from __future__ import annotations
@@ -40,27 +42,30 @@ def _env() -> dict:
     return env
 
 
+def _serve_command(tmp_path, *extra: str) -> list:
+    return [
+        sys.executable,
+        "-m",
+        "repro",
+        "serve",
+        "--workloads",
+        WORKLOAD,
+        "--duration-ms",
+        str(SIM_MS),
+        "--heap-bytes",
+        str(HEAP_BYTES),
+        "--young-bytes",
+        str(YOUNG_BYTES),
+        "--store-dir",
+        str(tmp_path / "store"),
+        *extra,
+    ]
+
+
 @pytest.fixture
 def daemon(tmp_path):
     process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--workloads",
-            WORKLOAD,
-            "--duration-ms",
-            str(SIM_MS),
-            "--heap-bytes",
-            str(HEAP_BYTES),
-            "--young-bytes",
-            str(YOUNG_BYTES),
-            "--store-dir",
-            str(tmp_path / "store"),
-            "--interval-s",
-            "0.2",
-        ],
+        _serve_command(tmp_path, "--interval-s", "0.2"),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -74,6 +79,23 @@ def daemon(tmp_path):
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10.0)
+
+
+def _group_members(pgid: int) -> list:
+    """Pids of the live (not zombie) processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        state, _ppid, group = stat.rsplit(")", 1)[1].split()[:3]
+        if int(group) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
 
 
 def _fetch_latest(url: str) -> AllocationProfile:
@@ -115,3 +137,57 @@ class TestDaemonSmoke:
         out, _ = process.communicate(timeout=STARTUP_TIMEOUT_S)
         assert process.returncode == 0, out
         assert "stopped after" in out
+
+
+def _wait_for_group(pgid: int, size: int) -> None:
+    deadline = time.monotonic() + STARTUP_TIMEOUT_S
+    while len(_group_members(pgid)) < size:
+        assert time.monotonic() < deadline, _group_members(pgid)
+        time.sleep(0.01)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process groups from /proc"
+)
+@pytest.mark.parametrize("moment", ["worker-start-up", "mid-cycle"])
+def test_sigint_to_process_group_stops_daemon_and_workers(tmp_path, moment):
+    # A terminal's Ctrl-C reaches every process in the foreground group:
+    # the daemon and its pool workers.  Only the daemon may act on it,
+    # whether the workers are still starting or already simulating.
+    process = subprocess.Popen(
+        _serve_command(tmp_path, "--instances", "2"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=_env(),
+        start_new_session=True,
+    )
+    pgid = process.pid
+    try:
+        lines = [process.stdout.readline()]
+        assert lines[0].startswith("serving on http://"), lines
+        if moment == "mid-cycle":
+            # Past the first committed cycle the workers are running
+            # windows; the signal lands while the next cycles run.
+            while not lines[-1].startswith("cycle "):
+                lines.append(process.stdout.readline())
+                assert lines[-1], lines
+        _wait_for_group(pgid, 3)  # the daemon and 2 workers
+        os.killpg(pgid, signal.SIGINT)
+        out, _ = process.communicate(timeout=STARTUP_TIMEOUT_S)
+    finally:
+        if process.poll() is None:
+            os.killpg(pgid, signal.SIGKILL)
+            process.wait(timeout=10.0)
+    out = "".join(lines) + out
+    assert process.returncode == 0, out
+    assert "stopped after" in out
+    assert "Traceback" not in out, out
+    deadline = time.monotonic() + 5.0
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, _group_members(pgid)
+        time.sleep(0.05)

@@ -1,5 +1,7 @@
 """Unit tests for the mini GraphChi engine and graph generator."""
 
+import random
+
 import pytest
 
 from repro.config import SimConfig
@@ -89,6 +91,34 @@ class TestPowerLawGraph:
             PowerLawGraph(vertex_count=0)
         with pytest.raises(ValueError):
             small_graph().batch_slices(0)
+
+
+def reference_degrees(vertex_count, mean_degree, alpha, seed):
+    """The degree sequence through ``Random.paretovariate``."""
+    rng = random.Random(seed)
+    raw = [rng.paretovariate(alpha) for _ in range(vertex_count)]
+    scale = mean_degree * vertex_count / sum(raw)
+    return [max(1, int(d * scale)) for d in raw]
+
+
+class TestAgainstReferenceLoops:
+    @pytest.mark.parametrize(
+        "vertex_count, mean_degree, seed",
+        [(200_000, 18.0, 42), (200_000, 18.0, 7), (3000, 10, 3)],
+        ids=["default-seed-42", "default-seed-7", "small"],
+    )
+    def test_degrees_match_paretovariate(self, vertex_count, mean_degree, seed):
+        graph = PowerLawGraph(vertex_count, mean_degree, seed=seed)
+        assert graph.degrees == reference_degrees(
+            vertex_count, mean_degree, 1.8, seed
+        )
+
+    def test_batch_edges_match_generator_sum(self, engine):
+        _, eng, _ = engine
+        graph = eng.graph
+        assert len(eng.batch_edges) == len(eng.batches) > 1
+        for batch, edges in zip(eng.batches, eng.batch_edges):
+            assert edges == sum(graph.degrees[v] for v in batch)
 
 
 class TestEngineLifecycle:
